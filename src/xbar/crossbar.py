@@ -17,18 +17,21 @@ solving must use the same flavor; the shared default keeps that automatic.
 
 Runtime scales with the number of cells instead of the number of mesh
 nodes, which is the whole point: bit-error statistics need thousands of
-array reads.
+array reads.  The rows of a readout are independent fixed points, so they
+iterate as one batch: each sweep is one stacked ladder solve, one table
+lookup per bit value and one stacked Anderson fit over every row still
+active, while convergence, resets and the bias-ramp rescue are decided row
+by row.  A row's result does not depend on which rows share its batch.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from xbar import runio
-from xbar.ivtable import interpolate_current, small_signal_conductance
+from xbar.ivtable import cell_lookup, small_signal_conductance
+from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import (
     ANDERSON_DEPTH,
@@ -51,68 +54,68 @@ def default_g_mean(spec: CrossbarSpec) -> float:
     return 0.5 * (g1 + g0)
 
 
-def _cell_loads(g_row: np.ndarray, r_int: float, return_segments: int) -> np.ndarray:
-    """Dimensionless per-column load of one row's ladder: each cell in
+def _cell_loads(g: np.ndarray, r_int: float, return_segments) -> np.ndarray:
+    """Dimensionless per-column load of a row's ladder: each cell in
     series with its bitline return path, relative to one segment."""
-    return r_int / (1.0 / g_row + return_segments * r_int)
+    return r_int / (1.0 / g + return_segments * r_int)
 
 
 def _quadratic_fractions(c: np.ndarray) -> np.ndarray:
-    """Second-order in-row voltage profile, normalized to the source node.
+    """Second-order in-row voltage profile, normalized to the source node,
+    of every row of loads along the last axis.
 
     Column j keeps 1 + sum_{k>j} (k - j)*c_k of the profile accumulated at
     the source, 1 + sum_k (k + 1)*c_k; both follow from expanding the exact
     ladder to second order in the loads."""
-    n = c.size
-    weights = np.arange(1, n + 1) * c
-    tail_c = np.concatenate([np.cumsum(c[::-1])[::-1][1:], [0.0]])
-    tail_w = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
-    numer = 1.0 + tail_w - np.arange(1, n + 1) * tail_c
-    denom = 1.0 + weights.sum()
+    n = c.shape[-1]
+    cols = np.arange(1, n + 1)
+    weights = cols * c
+
+    def tail(x):  # sum over k > j, for every j
+        total = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+        return np.concatenate([total[..., 1:], np.zeros_like(x[..., :1])], axis=-1)
+
+    numer = 1.0 + tail(weights) - cols * tail(c)
+    denom = 1.0 + weights.sum(axis=-1, keepdims=True)
     return numer / denom
 
 
 def _ladder_fractions(c: np.ndarray) -> np.ndarray:
     """Exact in-row voltage profile of the loaded ladder, normalized to the
-    source node: wordline nodes joined by unit segments, each node loaded
-    to ground by c_j, the first node fed from the source through one
-    segment."""
-    n = c.size
-    diag = 1.0 + c
-    diag[:-1] += 1.0
-    if n == 1:
-        return np.array([1.0 / diag[0]])
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -1.0
-    ab[1] = diag
-    ab[2, :-1] = -1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return solve_banded((1, 1), ab, rhs)
+    source node, for every row of loads along the last axis: wordline nodes
+    joined by unit segments, each node loaded to ground by c_j, the first
+    node fed from the source through one segment.
+
+    All rows go through one tridiagonal solve of their block-diagonal
+    stack.  The couplings between neighbouring rows are exact zeros, so
+    the elimination never mixes rows and each row gets the same bits a
+    solve of its own would give.
+    """
+    n = c.shape[-1]
+    diag = 1.0 + c.reshape(-1, n)
+    diag[:, :-1] += 1.0
+    off = np.full(diag.shape, -1.0)
+    off[:, -1] = 0.0  # no segment from a row's last node to the next row
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off.ravel()[:-1]
+    ab[1] = diag.ravel()
+    ab[2, :-1] = off.ravel()[:-1]
+    rhs = np.zeros(diag.shape)
+    rhs[:, 0] = 1.0
+    return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
 
 
 def _row_fractions(
-    g_row: np.ndarray, r_int: float, return_segments: int, mode: str
+    g: np.ndarray, r_int: float, return_segments: np.ndarray, mode: str
 ) -> np.ndarray:
-    c = _cell_loads(g_row, r_int, return_segments)
+    """In-row fractions of rows of conductances g (k x n), row r having
+    its bitline return through return_segments[r] segments."""
+    c = _cell_loads(g, r_int, return_segments[:, None])
     if mode == "quadratic":
         return _quadratic_fractions(c)
     if mode == "ladder":
         return _ladder_fractions(c)
     raise ValueError(f"unknown fraction mode '{mode}', expected one of {FRACTION_MODES}")
-
-
-def _row_chord(spec: CrossbarSpec, i: int, v_abs: np.ndarray) -> np.ndarray:
-    # clamp to the stored bias range; mixing states may overshoot it
-    g = np.empty(spec.n)
-    row_bits = spec.bits[i]
-    row_delta = spec.delta[i]
-    for bit, table in ((0, spec.pair.logic0_table), (1, spec.pair.logic1_table)):
-        mask = row_bits == bit
-        if np.any(mask):
-            v = np.minimum(v_abs[mask], table.v_grid[-1])
-            g[mask] = small_signal_conductance(table, v, row_delta[mask])
-    return g
 
 
 def calibrate_sneak_params(
@@ -138,114 +141,165 @@ def calibrate_sneak_params(
         spec.m, spec.n, spec.r_int, g_mean, spec.v_in
     )
     beta = (i_ref / (g_mean * v_ref)).mean(axis=0)
-    g_row = np.full(spec.n, g_mean)
-    alpha = np.empty(spec.m)
-    for i in range(spec.m):
-        frac = _row_fractions(g_row, spec.r_int, spec.m - i, fraction_mode)
-        alpha[i] = v_ref[i, 0] / (spec.v_in * frac[0])
+    frac = _row_fractions(
+        np.full((spec.m, spec.n), g_mean),
+        spec.r_int,
+        spec.m - np.arange(spec.m),
+        fraction_mode,
+    )
+    alpha = v_ref[:, 0] / (spec.v_in * frac[:, 0])
     tiny = np.finfo(float).tiny
     return SneakParams(
         alpha=np.clip(alpha, tiny, 1.0), beta=np.clip(beta, tiny, 1.0)
     )
 
 
-def _parametric_row(
-    spec: CrossbarSpec,
-    params: SneakParams,
-    i: int,
-    fraction_mode: str,
-    tol: float,
-    max_iter: int,
-    relax: float,
-):
-    """Picard fixed point of one row: conductances from the tables at the
-    latest voltages, voltages from the ladder fraction at the latest
-    conductances."""
-    full_scale = spec.v_in * params.alpha[i]
-    return_segments = spec.m - i
+def _anderson_step(hist_v, hist_r, r):
+    """Depth-limited Anderson mixing (Walker & Ni 2011) of every row.
 
-    def run_stage(scale, g_row, cap, stage_tol):
-        """Anderson-accelerated Picard at one bias scale: extrapolate from
-        the recent residual history; after a residual blow-up, or when the
-        residual plateaus (a bounded limit cycle, which never trips the
-        blow-up test), drop the history and fall back to a damped step
-        whose relaxation halves on every such event.  Heavy damping breaks
-        cycles the knee of a steep table can otherwise sustain."""
-        state = None
-        evaluated = None
-        residual = np.inf
-        best = np.inf
-        converged = False
-        history_v, history_r = [], []
-        local_relax = relax
-        stall = 0
-        iterations = 0
+    hist_v and hist_r hold each row's last L iterates and residuals
+    (k x L x n, oldest first); r is the newest residual, already the last
+    history entry.  Each row's mixing weights are the minimum-norm least
+    squares fit of r by the residual differences, through a stacked
+    pseudo-inverse with the singular-value cutoff lstsq uses.  Rows are
+    never mixed with each other, so a row gets the same bits alone or in
+    a batch.
+    """
+    dr = np.diff(hist_r, axis=1)  # k x (L-1) x n
+    dv = np.diff(hist_v, axis=1)
+    n, cols = r.shape[1], dr.shape[1]
+    rcond = np.finfo(float).eps * max(n, cols)
+    pinv = np.linalg.pinv(dr.transpose(0, 2, 1), rcond=rcond)  # k x (L-1) x n
+    gamma = (pinv * r[:, None, :]).sum(axis=2)
+    return hist_v[:, -1] + r - ((dv + dr) * gamma[:, :, None]).sum(axis=1)
 
-        def damped_reset(r):
-            nonlocal state, local_relax, stall
-            history_v.clear()
-            history_r.clear()
-            state = state + local_relax * r
-            local_relax = max(0.1, 0.5 * local_relax)
-            stall = 0
 
-        for iterations in range(1, cap + 1):
-            evaluated = scale * _row_fractions(
-                g_row, spec.r_int, return_segments, fraction_mode
-            )
-            if state is None:
-                state = evaluated
-            else:
-                r = evaluated - state
-                residual = float(np.max(np.abs(r)))
-                if residual <= stage_tol:
-                    converged = True
-                    break
-                if residual > 2.0 * best and history_v:
-                    damped_reset(r)
-                else:
-                    stall = stall + 1 if residual > 0.9 * best else 0
-                    best = min(best, residual)
-                    if stall >= 8:
-                        damped_reset(r)
-                    else:
-                        history_v.append(state)
-                        history_r.append(r)
-                        if len(history_v) > ANDERSON_DEPTH + 1:
-                            history_v.pop(0)
-                            history_r.pop(0)
-                        if len(history_v) >= 2:
-                            dr = np.stack(
-                                [history_r[k + 1] - history_r[k] for k in range(len(history_r) - 1)],
-                                axis=1,
-                            )
-                            dv = np.stack(
-                                [history_v[k + 1] - history_v[k] for k in range(len(history_v) - 1)],
-                                axis=1,
-                            )
-                            gamma, *_ = np.linalg.lstsq(dr, r, rcond=None)
-                            state = state + r - (dv + dr) @ gamma
-                        else:
-                            state = evaluated
-            g_row = _row_chord(spec, i, np.abs(state))
-        return evaluated, g_row, iterations, residual, converged
+def _run_stage(spec, rows, scale, g, cap, stage_tol, fraction_mode, relax):
+    """Anderson-accelerated Picard at one bias scale, for a batch of rows.
 
-    g_start = _row_chord(spec, i, np.full(spec.n, INIT_BIAS))
-    v, g_row, total, residual, converged = run_stage(
-        full_scale, g_start, min(60, max_iter), tol
+    Row r of the batch is array row rows[r] driven at scale[r] volts, from
+    chord conductances g[r], for at most cap[r] sweeps.  Each sweep takes
+    the ladder voltages at the latest conductances, then the conductances
+    at the latest voltages, and extrapolates from the recent residual
+    history.  After a residual blow-up, or when the residual plateaus (a
+    bounded limit cycle, which never trips the blow-up test), a row drops
+    its history and falls back to a damped step whose relaxation halves on
+    every such event; heavy damping breaks cycles the knee of a steep table
+    can otherwise sustain.  Every decision is taken per row on that row's
+    own state; converged rows and rows out of sweeps leave the batch.
+
+    Returns each row's last ladder voltages, the conductances after its
+    last sweep, its sweep count, its last residual and whether it met
+    stage_tol.
+    """
+    k, n = g.shape
+    segments = spec.m - rows
+    bits, delta = spec.bits[rows], spec.delta[rows]
+    g = g.copy()
+    state = np.empty((k, n))
+    evaluated = np.empty((k, n))
+    residual = np.full(k, np.inf)
+    best = np.full(k, np.inf)
+    converged = np.zeros(k, dtype=bool)
+    local_relax = np.full(k, relax)
+    stall = np.zeros(k, dtype=int)
+    iterations = np.zeros(k, dtype=int)
+    depth = ANDERSON_DEPTH + 1
+    hist_v = np.empty((k, depth, n))
+    hist_r = np.empty((k, depth, n))
+    hist_len = np.zeros(k, dtype=int)
+
+    active = np.arange(k)
+    sweep = 0
+    while active.size:
+        sweep += 1
+        a = active
+        ev = scale[a, None] * _row_fractions(g[a], spec.r_int, segments[a], fraction_mode)
+        evaluated[a] = ev
+        iterations[a] = sweep
+        if sweep == 1:
+            state[a] = ev
+        else:
+            r = ev - state[a]
+            res = np.max(np.abs(r), axis=1)
+            residual[a] = res
+            done = res <= stage_tol
+            converged[a[done]] = True
+            a, r, res, ev = a[~done], r[~done], res[~done], ev[~done]
+
+            blow_up = (res > 2.0 * best[a]) & (hist_len[a] > 0)
+            c, res_c = a[~blow_up], res[~blow_up]
+            stall[c] = np.where(res_c > 0.9 * best[c], stall[c] + 1, 0)
+            best[c] = np.minimum(best[c], res_c)
+            reset = blow_up | (stall[a] >= 8)
+
+            # damped reset: forget the history, take a relaxed plain step
+            z, rz = a[reset], r[reset]
+            hist_len[z] = 0
+            state[z] = state[z] + local_relax[z, None] * rz
+            local_relax[z] = np.maximum(0.1, 0.5 * local_relax[z])
+            stall[z] = 0
+
+            # plain step: push the iterate and its residual onto the history
+            # (newest last), then mix it or, with no history yet, take it
+            p, rp, evp = a[~reset], r[~reset], ev[~reset]
+            hist_v[p, :-1], hist_v[p, -1] = hist_v[p, 1:], state[p]
+            hist_r[p, :-1], hist_r[p, -1] = hist_r[p, 1:], rp
+            hist_len[p] = np.minimum(hist_len[p] + 1, depth)
+            first = hist_len[p] == 1
+            state[p[first]] = evp[first]
+            for length in range(2, depth + 1):
+                sel = hist_len[p] == length
+                if np.any(sel):
+                    q = p[sel]
+                    state[q] = _anderson_step(hist_v[q, -length:], hist_r[q, -length:], rp[sel])
+        g[a] = cell_lookup(spec.pair, bits[a], delta[a], state[a], chord=True)
+        active = a[iterations[a] < cap[a]]
+    return evaluated, g, iterations, residual, converged
+
+
+def _solve_rows(spec, params, rows, fraction_mode, tol, max_iter, relax):
+    """Fixed point of the rows `rows` of the array, solved together.
+
+    The first stage runs every row at full bias for up to 60 sweeps.  Rows
+    it leaves unconverged are rescued by ramping their source up in four
+    stages, carrying the conductances over, so each stage only perturbs
+    the previous solution mildly instead of restarting the oscillation.
+    Returns per-row voltages, sweep counts, convergence flags and final
+    residuals.
+    """
+    k = rows.size
+    full_scale = spec.v_in * params.alpha[rows]
+    g_start = cell_lookup(
+        spec.pair, spec.bits[rows], spec.delta[rows], np.full((k, spec.n), INIT_BIAS), chord=True
     )
-    if not converged and total < max_iter:
-        g_row = g_start
-        for level in (0.25, 0.5, 0.75, 1.0):
-            remaining = max_iter - total
-            if remaining <= 0:
-                break
-            final = level == 1.0
-            cap = remaining if final else max(10, remaining // 8)
-            v, g_row, used, residual, converged = run_stage(
-                level * full_scale, g_row, cap, tol if final else 10.0 * tol
-            )
-            total += used
+    v, _, total, residual, converged = _run_stage(
+        spec, rows, full_scale, g_start, np.full(k, min(60, max_iter)), tol, fraction_mode, relax
+    )
+    # rows still short of the tolerance, with sweeps left, climb the ramp
+    idx = np.flatnonzero(~converged & (total < max_iter))
+    g = g_start[idx]
+    for level in (0.25, 0.5, 0.75, 1.0):
+        remaining = max_iter - total[idx]
+        go = remaining > 0
+        idx, g, remaining = idx[go], g[go], remaining[go]
+        if idx.size == 0:
+            break
+        final = level == 1.0
+        cap = remaining if final else np.maximum(10, remaining // 8)
+        v[idx], g, used, residual[idx], met = _run_stage(
+            spec,
+            rows[idx],
+            level * full_scale[idx],
+            g,
+            cap,
+            tol if final else 10.0 * tol,
+            fraction_mode,
+            relax,
+        )
+        # meeting a partial-bias stage's looser tolerance is no solution
+        converged[idx] = met & final
+        total[idx] += used
     return v, total, converged, residual
 
 
@@ -254,12 +308,8 @@ def readout_currents(
 ) -> np.ndarray:
     """Measurable column currents: each cell's table current at its solved
     voltage, attenuated by the column factor."""
-    out = np.empty((spec.m, spec.n))
-    for bit, table in ((0, spec.pair.logic0_table), (1, spec.pair.logic1_table)):
-        mask = spec.bits == bit
-        if np.any(mask):
-            out[mask] = interpolate_current(table, v_cell[mask], spec.delta[mask])
-    return out * params.beta[None, :]
+    currents = cell_lookup(spec.pair, spec.bits, spec.delta, v_cell)
+    return currents * params.beta[None, :]
 
 
 def normalized_voltages(
@@ -297,34 +347,27 @@ def parametric_solve(
 ) -> ReadoutSolution:
     """Read every row of the array through the calibrated ladder model.
 
-    Row solves are independent and run on a thread pool when asked to;
-    results merge in row order, so the thread count never changes values.
+    All rows iterate together as one batch (see _run_stage), on the
+    calling thread; `threads` is accepted for a uniform solver signature
+    and changes nothing.
     """
     if params.alpha.size != spec.m or params.beta.size != spec.n:
         raise ValueError(
             f"params sized {params.alpha.size}x{params.beta.size} do not fit "
             f"a {spec.m}x{spec.n} array"
         )
-    threads = runio.resolve_threads(threads)
-
-    def solve_row(i):
-        return _parametric_row(spec, params, i, fraction_mode, tol, max_iter, relax)
-
-    if threads == 1 or spec.m == 1:
-        rows = [solve_row(i) for i in range(spec.m)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_row, range(spec.m)))
-
-    v_cell = np.vstack([r[0] for r in rows])
+    runio.resolve_threads(threads)
+    v_cell, iterations, converged, residual = _solve_rows(
+        spec, params, np.arange(spec.m), fraction_mode, tol, max_iter, relax
+    )
     i_out = readout_currents(v_cell, params, spec)
     solution = ReadoutSolution(
         v_cell=v_cell,
         i_out=i_out,
         power=0.0,
-        iterations=max(r[1] for r in rows),
-        converged=all(r[2] for r in rows),
-        residual=max(r[3] for r in rows),
+        iterations=int(iterations.max()),
+        converged=bool(converged.all()),
+        residual=float(residual.max()),
         solver="parametric",
         v_normalized=normalized_voltages(v_cell, params, spec),
     )

@@ -69,6 +69,13 @@ class StrandPair:
     def __post_init__(self):
         if self.logic0_table.strand_id == self.logic1_table.strand_id:
             raise ValueError("strand ids of a pair must be distinct")
+        for table in (self.logic0_table, self.logic1_table):
+            if table.v_grid[-1] < 1.0 - 1e-12:  # the lookup's own edge slack
+                raise ValueError(
+                    f"table '{table.strand_id}' ends at {table.v_grid[-1]:.6g} V; "
+                    "a strand pair needs tables reaching the 1 V read bias "
+                    "(regenerate it with iv-gen --v-max 1 or more)"
+                )
         i1 = interpolate_current(self.logic1_table, 1.0, 0.0)
         i0 = interpolate_current(self.logic0_table, 1.0, 0.0)
         if i1 < i0:
@@ -135,6 +142,28 @@ def small_signal_conductance(table: IVTable, v, delta, v_floor: float = V_FLOOR)
     if np.isscalar(v) and np.isscalar(delta):
         return float(g)
     return g
+
+
+def cell_lookup(pair: StrandPair, bits, delta, v, chord: bool = False) -> np.ndarray:
+    """Per-cell lookup through the table of each cell's stored bit.
+
+    bits, delta and v share one shape, any shape.  Returns the current at
+    bias v or, with chord=True, the chord conductance at |v| clamped to each
+    table's bias range: iterates may overshoot the physical window, and a
+    linearization point is free to sit anywhere.  One table call per bit
+    value, however many cells are asked for.
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape)
+    for bit, table in ((0, pair.logic0_table), (1, pair.logic1_table)):
+        mask = bits == bit
+        if np.any(mask):
+            if chord:
+                v_eval = np.minimum(np.abs(v[mask]), table.v_grid[-1])
+                out[mask] = small_signal_conductance(table, v_eval, delta[mask])
+            else:
+                out[mask] = interpolate_current(table, v[mask], delta[mask])
+    return out
 
 
 def validate_table(table: IVTable) -> ValidationReport:

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from xbar import runio
-from xbar.ivtable import interpolate_current, small_signal_conductance
+from xbar.ivtable import cell_lookup
 from xbar.model import CrossbarSpec, ReadoutSolution
 
 DEFAULT_TOL = 1e-6  # volts, max node-voltage change between iterations
@@ -58,30 +58,16 @@ class RowSolve:
     residual: float
 
 
-def chord_conductances(spec: CrossbarSpec, v_abs: np.ndarray) -> np.ndarray:
-    """Per-cell chord conductance from each cell's own table.
-
-    Queries clamp to each table's bias range: mid-iteration states may
-    overshoot the physical window, and the linearization point is free."""
-    g = np.empty((spec.m, spec.n))
-    for bit, table in ((0, spec.pair.logic0_table), (1, spec.pair.logic1_table)):
-        mask = spec.bits == bit
-        if np.any(mask):
-            v = np.minimum(v_abs[mask], table.v_grid[-1])
-            g[mask] = small_signal_conductance(table, v, spec.delta[mask])
-    return g
+def chord_conductances(spec: CrossbarSpec, v: np.ndarray) -> np.ndarray:
+    """Per-cell chord conductance at drop v from each cell's own table,
+    clamped to the table's bias range (see ivtable.cell_lookup)."""
+    return cell_lookup(spec.pair, spec.bits, spec.delta, v, chord=True)
 
 
 def cell_currents(spec: CrossbarSpec, dv: np.ndarray) -> np.ndarray:
     """Nonlinear cell currents; odd in the drop (tables store the forward
     branch, floating rows can see reversed drops)."""
-    out = np.empty((spec.m, spec.n))
-    v_abs = np.abs(dv)
-    for bit, table in ((0, spec.pair.logic0_table), (1, spec.pair.logic1_table)):
-        mask = spec.bits == bit
-        if np.any(mask):
-            out[mask] = interpolate_current(table, v_abs[mask], spec.delta[mask])
-    return np.sign(dv) * out
+    return np.sign(dv) * cell_lookup(spec.pair, spec.bits, spec.delta, np.abs(dv))
 
 
 def _assemble(
@@ -378,7 +364,7 @@ def kirchhoff_row_solve(
                     else:
                         x = solved
             dv = x[:mn].reshape(m, n) - x[mn:].reshape(m, n)
-            g_cell = chord_conductances(spec, np.abs(dv))
+            g_cell = chord_conductances(spec, dv)
         return solved, g_cell, iterations, residual, converged
 
     x, g_cell, total, residual, converged = run_stage(

@@ -195,6 +195,35 @@ def test_store_benchmark_writes_report(tmp_path):
     assert (out / runio.MANIFEST_NAME).exists()
 
 
+@pytest.mark.filterwarnings("ignore:.*does not span")
+@pytest.mark.parametrize("command", ["mc", "store"])
+def test_table_short_of_read_bias_exits_one_and_names_remedy(tmp_path, capsys, command):
+    """A table generated with iv-gen --v-max below 1 V cannot serve a read
+    at 1 V; the error names the strand, where its grid ends and the flag."""
+    config = write_mc_config(tmp_path)
+    v = np.linspace(0.0, 0.8, 5)
+    short = IVTable("short0", v, [0.0, 0.2], np.tile(v / 1e8, (2, 1)))
+    save_table(short, tmp_path / "t0.json")
+    if command == "store":
+        (tmp_path / "img.bin").write_bytes(bytes(range(8)))
+        config = tmp_path / "store.json"
+        runio.dump_json(
+            {
+                "images": [{"path": "img.bin", "name": "img"}],
+                "sizes": [[8, 8]],
+                "r_int_ohm": [1e4],
+                "logic1_table": "t1.json",
+                "logic0_table": "t0.json",
+            },
+            config,
+        )
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "'short0' ends at 0.8 V" in err
+    assert "--v-max" in err
+
+
 # --- plot export ----------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 """Parametric solver tests: calibration anchors, agreement with the nodal
 reference, and the distortion profile of the readout."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from xbar.crossbar import (
     DEFAULT_FRACTION_MODE,
     _ladder_fractions,
     _quadratic_fractions,
+    _solve_rows,
     calibrate_sneak_params,
     compute_power,
     default_g_mean,
@@ -15,9 +19,12 @@ from xbar.crossbar import (
     parametric_solve,
     readout_currents,
 )
+from xbar.defaults import shipped_pair
 from xbar.ivtable import IVTable, StrandPair, synthesize_table
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
-from xbar.nodal import kirchhoff_solve
+from xbar.nodal import DEFAULT_MAX_ITER, DEFAULT_RELAX, kirchhoff_solve
+
+PINS = Path(__file__).parent / "data" / "parametric_pins.json"
 
 
 def linear_table(resistance, strand_id):
@@ -53,6 +60,14 @@ def random_spec(seed, m, n, r_int, pair):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(m, n)).astype(np.int8)
     return CrossbarSpec(m=m, n=n, r_int=r_int, v_in=1.0, bits=bits, pair=pair)
+
+
+def disordered_spec(seed, m, n, r_int):
+    """Random bits and per-cell level offsets on the shipped tables."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(m, n)).astype(np.int8)
+    delta = rng.uniform(0.0, 0.2, size=(m, n))
+    return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=shipped_pair(), delta=delta)
 
 
 # --- single cell anchors --------------------------------------------------
@@ -238,6 +253,73 @@ def test_thread_count_does_not_change_values():
     assert np.array_equal(serial.v_cell, pooled.v_cell)
     assert np.array_equal(serial.i_out, pooled.i_out)
     assert serial.power == pooled.power
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads(PINS.read_text()),
+    ids=lambda c: f"{c['m']}x{c['n']}-rint{c['r_int']:.0e}-{c['fraction_mode']}",
+)
+def test_readout_matches_pinned_row_by_row_solution(case):
+    """The pinned readouts were written by the row-at-a-time Picard loop
+    that the batched engine replaced (one ladder solve, chord lookup and
+    least-squares fit per row and sweep).  The batch must reproduce them
+    to 1e-9 V and 1e-9 relative current, in the same number of sweeps."""
+    spec = disordered_spec(case["seed"], case["m"], case["n"], case["r_int"])
+    mode = case["fraction_mode"]
+    sol = parametric_solve(spec, calibrate_sneak_params(spec, fraction_mode=mode), fraction_mode=mode)
+    assert sol.converged
+    assert sol.iterations == case["iterations"]
+    np.testing.assert_allclose(sol.v_cell, case["v_cell"], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol.i_out, case["i_out"], rtol=1e-9, atol=0)
+
+
+def test_rows_solved_together_match_rows_solved_alone():
+    """Every decision of the batched fixed point (convergence, damped
+    reset, Anderson weights, bias-ramp rescue) is taken per row, so a row
+    gets the same bits in any batch.  At a tolerance of 1e-15 V this array
+    mixes rows that converge in the first stage, rows the rescue brings
+    home and rows that run out of sweeps."""
+    spec = disordered_spec(3, 12, 32, 1e7)
+    params = calibrate_sneak_params(spec)
+
+    def solve(rows):
+        return _solve_rows(spec, params, np.asarray(rows), "ladder", 1e-15, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+
+    v, sweeps, converged, residual = solve(np.arange(spec.m))
+    assert np.any(sweeps <= 60)
+    assert np.any((sweeps > 60) & converged)
+    assert np.any(~converged)
+    for rows in [[i] for i in range(spec.m)] + [[9, 2, 8, 4]]:
+        v_r, sweeps_r, converged_r, residual_r = solve(rows)
+        assert np.array_equal(v_r, v[rows])
+        assert np.array_equal(sweeps_r, sweeps[rows])
+        assert np.array_equal(converged_r, converged[rows])
+        assert np.array_equal(residual_r, residual[rows])
+
+
+def test_rows_out_of_sweeps_on_the_bias_ramp_are_not_converged():
+    """A row that meets a partial-bias ramp stage's looser tolerance and
+    then has no sweeps left holds voltages at a fraction of the bias; it
+    must be reported unconverged, never as a solution."""
+    spec = disordered_spec(3, 12, 32, 1e7)
+    params = calibrate_sneak_params(spec)
+    every = np.arange(spec.m)
+    ref, _, ref_converged, _ = _solve_rows(spec, params, every, "ladder", 1e-6, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+    assert ref_converged.all()
+    for max_iter in range(61, 80):
+        v, _, converged, _ = _solve_rows(spec, params, every, "ladder", 1e-15, max_iter, DEFAULT_RELAX)
+        off = np.abs(v - ref).max(axis=1) > 1e-3
+        assert not np.any(converged & off), f"max_iter {max_iter}"
+
+
+def test_fractions_of_stacked_rows_match_single_rows():
+    rng = np.random.default_rng(8)
+    loads = rng.uniform(0.0, 0.5, size=(5, 7))
+    for kernel in (_ladder_fractions, _quadratic_fractions):
+        stacked = kernel(loads)
+        for row, c in zip(stacked, loads):
+            assert np.array_equal(row, kernel(c))
 
 
 # --- readout and power ----------------------------------------------------

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xbar import ivtable as ivt
 from xbar.ivtable import IVTable, StrandPair
@@ -243,3 +245,87 @@ def test_malformed_json_reports_location(tmp_path):
     path.write_text('{"strand_id": "x", "v_grid_v": [0.0,')
     with pytest.raises(ValueError, match="line"):
         ivt.load_table(path)
+
+
+def test_strand_pair_names_short_table_and_remedy():
+    v = np.linspace(0.0, 0.8, 9)
+    d = np.linspace(0.0, 0.2, 3)
+    short = IVTable("short-strand", v, d, np.outer(np.ones(3), v * 1e-6))
+    full = ivt.synthesize_table(1e6, 1e7, strand_id="full")
+    with pytest.raises(ValueError, match=r"'short-strand' ends at 0.8 V.*--v-max"):
+        StrandPair(logic0_table=short, logic1_table=full)
+    with pytest.raises(ValueError, match=r"'short-strand' ends at 0.8 V.*--v-max"):
+        StrandPair(logic0_table=full, logic1_table=short)
+
+
+# --------------------------------------------------- lookup properties
+
+
+@st.composite
+def monotone_tables(draw):
+    """Tables on random strictly increasing grids, current non-decreasing
+    in bias along every delta row."""
+    steps = st.floats(0.01, 1.0)
+    nv = draw(st.integers(2, 7))
+    nd = draw(st.integers(1, 5))
+    v = np.cumsum([0.0] + draw(st.lists(steps, min_size=nv - 1, max_size=nv - 1)))
+    d = np.cumsum([0.0] + draw(st.lists(steps, min_size=nd - 1, max_size=nd - 1)))
+    rises = draw(hnp.arrays(float, (nd, nv), elements=st.floats(0.0, 1e-6)))
+    return IVTable("prop", v, d, np.cumsum(rises, axis=1))
+
+
+@given(monotone_tables())
+def test_interpolation_exact_on_every_grid_node(table):
+    vv, dd = np.meshgrid(table.v_grid, table.delta_grid)
+    np.testing.assert_array_equal(ivt.interpolate_current(table, vv, dd), table.current)
+
+
+@given(monotone_tables(), st.data())
+def test_interpolation_bounded_by_its_cell_corners(table, data):
+    nv, nd = table.v_grid.size, table.delta_grid.size
+    j = data.draw(st.integers(0, nv - 2))
+    i = data.draw(st.integers(0, max(nd - 2, 0)))
+    t, s = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    v_lo, v_hi = table.v_grid[j], table.v_grid[j + 1]
+    v = min(v_lo + t * (v_hi - v_lo), v_hi)
+    if nd == 1:
+        d, corners = table.delta_grid[0], table.current[0, j : j + 2]
+    else:
+        d_lo, d_hi = table.delta_grid[i], table.delta_grid[i + 1]
+        d = min(d_lo + s * (d_hi - d_lo), d_hi)
+        corners = table.current[i : i + 2, j : j + 2]
+    got = ivt.interpolate_current(table, v, d)
+    slack = 4 * np.finfo(float).eps * np.abs(corners).max()
+    assert corners.min() - slack <= got <= corners.max() + slack
+
+
+@given(
+    monotone_tables(),
+    hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+    st.data(),
+)
+def test_interpolation_batch_of_any_shape_matches_single_queries(table, shape, data):
+    unit = hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))
+    v = table.v_grid[0] + data.draw(unit) * (table.v_grid[-1] - table.v_grid[0])
+    d = table.delta_grid[0] + data.draw(unit) * (table.delta_grid[-1] - table.delta_grid[0])
+    batch = ivt.interpolate_current(table, v, d)
+    single = [ivt.interpolate_current(table, float(a), float(b)) for a, b in zip(v.flat, d.flat)]
+    np.testing.assert_array_equal(np.reshape(batch, shape), np.reshape(single, shape))
+
+
+@given(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), st.data())
+def test_cell_lookup_matches_per_cell_table_queries(shape, data):
+    pair = StrandPair(
+        logic0_table=ivt.synthesize_table(1e7, 8e7, strand_id="lo"),
+        logic1_table=ivt.synthesize_table(1e6, 8e6, strand_id="hi"),
+    )
+    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+    delta = data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 0.2)))
+    v = data.draw(hnp.arrays(float, shape, elements=st.floats(-1.5, 1.5)))
+    current = ivt.cell_lookup(pair, bits, delta, np.abs(v) % 1.0)
+    chord = ivt.cell_lookup(pair, bits, delta, v, chord=True)
+    for idx in np.ndindex(shape):
+        table = pair.table_for(bits[idx])
+        assert current[idx] == ivt.interpolate_current(table, abs(v[idx]) % 1.0, delta[idx])
+        clamped = min(abs(v[idx]), 1.0)
+        assert chord[idx] == ivt.small_signal_conductance(table, clamped, delta[idx])
