@@ -126,8 +126,9 @@ def calibrate_sneak_params(
     """Fit the row and column factors against the nodal reference.
 
     The reference problem is the same array geometry with every cell held
-    at the fixed conductance g_mean, which keeps it linear: one sparse
-    factorization covers all row activations.  beta_j is the ratio of the
+    at the fixed conductance g_mean, which keeps it linear and separable:
+    nodal.solve_linear_homogeneous gives every row activation in closed
+    form, mode by mode.  beta_j is the ratio of the
     reference's measured column current to the current its own cell voltage
     would push through g_mean, averaged over activated rows; alpha_i is
     whatever scale makes the in-row fraction reproduce the reference's
@@ -286,7 +287,7 @@ def _solve_rows(spec, params, rows, fraction_mode, tol, max_iter, relax):
         if idx.size == 0:
             break
         final = level == 1.0
-        cap = remaining if final else np.maximum(10, remaining // 8)
+        cap = remaining if final else np.minimum(remaining, np.maximum(10, remaining // 8))
         v[idx], g, used, residual[idx], met = _run_stage(
             spec,
             rows[idx],

@@ -14,6 +14,10 @@ the later ones by preconditioned conjugate gradients, each stopped on the
 current-law residual.  The other route ("sparse") factors every sweep's
 assembled matrix directly; the two must agree.
 
+The parametric model's calibration reference, every cell at one
+conductance, is separable: solve_linear_homogeneous solves it mode by
+mode in closed form, every driven row at once.
+
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
 """
@@ -80,8 +84,8 @@ def _assemble(
 ):
     """Sparse conductance matrix over [wordline nodes; bitline nodes].
 
-    active_row = None leaves the source segment out entirely (used by the
-    rank-one update path for the linear homogeneous solve).
+    active_row = None leaves the source segment out entirely (the
+    sourceless network MeshFactor factors for the rank-one update path).
     """
     mn = m * n
     size = 2 * mn
@@ -380,10 +384,12 @@ def kirchhoff_row_solve(
             if remaining <= 0:
                 break
             final = level == 1.0
-            cap = remaining if final else max(10, remaining // 8)
-            x, g_cell, used, residual, converged = run_stage(
+            cap = remaining if final else min(remaining, max(10, remaining // 8))
+            x, g_cell, used, residual, met = run_stage(
                 level * spec.v_in, g_cell, cap, tol if final else 10.0 * tol
             )
+            # meeting a partial-bias stage's looser tolerance is no solution
+            converged = met and final
             total += used
 
     v_word = x[:mn].reshape(m, n)
@@ -451,31 +457,55 @@ def kirchhoff_solve(
     )
 
 
+def _path_modes(size: int, grounded: bool):
+    """Eigenvalues and orthonormal eigenvectors (columns) of the Laplacian
+    of a path of `size` nodes joined by unit segments: with free ends
+    (diagonal 1, 2, ..., 2, 1; the cosine-transform modes) or grounded
+    through one more segment below its last node (1, 2, ..., 2, 2; cosines
+    that vanish one node past the end).  In closed form the free path's
+    zero eigenvalue is an exact zero and small ones keep full precision."""
+    k = np.arange(size)
+    angle = np.pi * (2 * k + 1) / (2 * size + 1) if grounded else np.pi * k / size
+    modes = np.cos(np.outer(k + 0.5, angle))
+    return 4.0 * np.sin(0.5 * angle) ** 2, modes / np.linalg.norm(modes, axis=0)
+
+
 def solve_linear_homogeneous(
     m: int, n: int, r_int: float, g_cell: float, v_in: float = 1.0
 ):
     """All cells at one fixed conductance, solved for every activated row.
 
-    The system matrix differs between activated rows only by the source
-    segment's diagonal stamp, so one factorization of the sourceless
-    network plus a rank-one update per row covers the whole array.  This is
-    the calibration reference; it bypasses the Picard loop entirely.
+    With every cell equal the sourceless network is separable: in the
+    eigenbasis of the wordline path (U, lambda) and of the grounded
+    bitline path (V, mu) it splits into m*n independent two-node word/bit
+    systems with determinant g^2 mu lambda + g g_cell (mu + lambda) > 0
+    (Buzbee, Golub & Nielson's matrix decomposition for grid Poisson
+    problems).  The driven row's source segment is the rank-one
+    Sherman-Morrison update of DrivenFactor: with w_i the voltage a unit
+    current into row i's source node raises there, the row draws
+    gain_i * v_in, gain_i = g / (1 + g w_i), and every node follows the
+    unit response scaled by that current.  So every output for all rows is
+    a pair of small dense products.  This is the calibration reference; it
+    bypasses the Picard loop entirely.
 
     Returns (v_cell, i_out, source_current) with shapes (m, n), (m, n), (m,).
     """
     if min(m, n) < 1 or r_int <= 0 or g_cell <= 0 or v_in <= 0:
         raise ValueError("need positive dimensions, resistances, and bias")
     g = 1.0 / r_int
-    factor = MeshFactor(g, np.full((m, n), float(g_cell)))
-    mn = m * n
-    v_cell = np.empty((m, n))
-    i_out = np.empty((m, n))
-    source_current = np.empty(m)
-    for i in range(m):
-        x = DrivenFactor(factor, i).state(v_in)
-        v_word = x[:mn].reshape(m, n)
-        v_bit = x[mn:].reshape(m, n)
-        v_cell[i] = v_word[i] - v_bit[i]
-        i_out[i] = g * x[mn + (m - 1) * n :]
-        source_current[i] = g * (v_in - x[i * n])
-    return v_cell, i_out, source_current
+    lam, u = _path_modes(n, grounded=False)
+    mu, v = _path_modes(m, grounded=True)
+    g_mu = g * mu[:, None]
+    det = g_mu * (g * lam + g_cell) + g * g_cell * lam
+    row_weight = v * v  # (i, p): row i's share of bitline mode p
+    source_modes = u[0] * u  # (j, q): column j seen from the source column
+    # unit-current responses of row i: cell drops, bottom bitline nodes, source node
+    drop = row_weight @ (g_mu / det) @ source_modes.T
+    bottom = (v * v[-1]) @ (g_cell / det) @ source_modes.T
+    w = row_weight @ ((g_mu + g_cell) / det) @ (u[0] * u[0])
+    source_current = g / (1.0 + g * w) * v_in
+    return (
+        source_current[:, None] * drop,
+        g * source_current[:, None] * bottom,
+        source_current,
+    )

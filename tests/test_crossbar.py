@@ -25,6 +25,7 @@ from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import DEFAULT_MAX_ITER, DEFAULT_RELAX, kirchhoff_solve
 
 PINS = Path(__file__).parent / "data" / "parametric_pins.json"
+MIXED_ROWS_PARAMS = Path(__file__).parent / "data" / "mixed_rows_params.json"
 
 
 def linear_table(resistance, strand_id):
@@ -274,14 +275,23 @@ def test_readout_matches_pinned_row_by_row_solution(case):
     np.testing.assert_allclose(sol.i_out, case["i_out"], rtol=1e-9, atol=0)
 
 
+def mixed_rows_case():
+    """A 12x32 array at r_int 1e7 with its calibration factors as pinned
+    in tests/data (written with repr precision)."""
+    pinned = json.loads(MIXED_ROWS_PARAMS.read_text())
+    spec = disordered_spec(pinned["seed"], pinned["m"], pinned["n"], pinned["r_int"])
+    return spec, SneakParams(alpha=np.array(pinned["alpha"]), beta=np.array(pinned["beta"]))
+
+
 def test_rows_solved_together_match_rows_solved_alone():
     """Every decision of the batched fixed point (convergence, damped
     reset, Anderson weights, bias-ramp rescue) is taken per row, so a row
     gets the same bits in any batch.  At a tolerance of 1e-15 V this array
     mixes rows that converge in the first stage, rows the rescue brings
-    home and rows that run out of sweeps."""
-    spec = disordered_spec(3, 12, 32, 1e7)
-    params = calibrate_sneak_params(spec)
+    home and rows that run out of sweeps.  Which rows land in which kind
+    turns on the last bits of alpha, so the case runs on pinned
+    calibration factors rather than on a fresh calibration."""
+    spec, params = mixed_rows_case()
 
     def solve(rows):
         return _solve_rows(spec, params, np.asarray(rows), "ladder", 1e-15, DEFAULT_MAX_ITER, DEFAULT_RELAX)
@@ -311,6 +321,17 @@ def test_rows_out_of_sweeps_on_the_bias_ramp_are_not_converged():
         v, _, converged, _ = _solve_rows(spec, params, every, "ladder", 1e-15, max_iter, DEFAULT_RELAX)
         off = np.abs(v - ref).max(axis=1) > 1e-3
         assert not np.any(converged & off), f"max_iter {max_iter}"
+
+
+def test_bias_ramp_stays_within_the_sweep_budget():
+    """Budgets from 61 to 79 sweeps end inside a partial-bias ramp stage,
+    which must stop on the budget rather than run its usual minimum of 10
+    sweeps."""
+    spec, params = mixed_rows_case()
+    for max_iter in range(61, 80):
+        sol = parametric_solve(spec, params, tol=1e-15, max_iter=max_iter)
+        assert sol.iterations <= max_iter, f"max_iter {max_iter}"
+        assert not sol.converged
 
 
 def test_fractions_of_stacked_rows_match_single_rows():

@@ -14,7 +14,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
 from xbar import nodal
 from xbar.defaults import shipped_pair
@@ -238,6 +240,76 @@ def test_homogeneous_shortcut_rejects_bad_arguments():
         solve_linear_homogeneous(4, 4, 1e4, 0.0, 1.0)
 
 
+# arrays of 1 to 12 rows and columns, wires from 1e2 to 1e8 ohm, cells from
+# 1e-10 to 1e-3 S: from cells that barely load the wires to cells that
+# short them, single rows and single columns included
+homogeneous_arrays = st.tuples(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    st.floats(-10.0, -3.0).map(lambda e: 10.0**e),
+    st.floats(0.1, 2.0),
+)
+one_row, one_column = (1, 9, 1e5, 1e-6, 1.0), (9, 1, 1e5, 1e-6, 1.0)
+
+
+@given(homogeneous_arrays)
+@example(one_row)
+@example(one_column)
+def test_homogeneous_shortcut_conserves_charge(array):
+    v, i, src = solve_linear_homogeneous(*array)
+    np.testing.assert_allclose(i.sum(axis=1), src, rtol=1e-9)
+
+
+@given(homogeneous_arrays)
+@example(one_row)
+@example(one_column)
+def test_homogeneous_shortcut_drops_lie_inside_the_bias(array):
+    v_in = array[-1]
+    v, i, src = solve_linear_homogeneous(*array)
+    assert np.all(v > 0.0) and np.all(v < v_in)
+    assert np.all(i > 0.0) and np.all(src > 0.0)
+
+
+@given(homogeneous_arrays, st.floats(0.1, 10.0))
+@example(one_row, 3.0)
+@example(one_column, 3.0)
+def test_homogeneous_shortcut_is_linear_in_the_bias(array, scale):
+    base = solve_linear_homogeneous(*array)
+    scaled = solve_linear_homogeneous(*array[:-1], scale * array[-1])
+    for got, ref in zip(scaled, base):
+        np.testing.assert_allclose(got, scale * ref, rtol=1e-12)
+
+
+@settings(deadline=None)
+@given(homogeneous_arrays)
+@example(one_row)
+@example(one_column)
+def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
+    """Every driven row against direct sparse LU of its assembled network.
+
+    Where cells short the wires (g_cell r_int up to 1e5) a cell drops
+    ~1e-6 of the node voltages around it, and assembling 2g + g_cell on
+    the diagonal rounds g away: the LU solve alone then misses drops by up
+    to ~8e-10.  One refinement step against the edge-walk residual, which
+    keeps g and g_cell apart, brings the reference to ~1e-10.  Rows are
+    compared relative to their largest entry."""
+    m, n, r_int, g_cell, v_in = array
+    v, i, src = solve_linear_homogeneous(*array)
+    g = 1.0 / r_int
+    cells = np.full((m, n), g_cell)
+    mn = m * n
+    for row in range(m):
+        a, b = nodal._assemble(m, n, g, v_in, cells, row)
+        lu = splu(a)
+        x = lu.solve(b)
+        x = x + lu.solve(nodal._inflow(g, cells, row, v_in, x))
+        v_ref = x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
+        i_ref = g * x[mn + (m - 1) * n :]
+        for got, ref in ((v[row], v_ref), (i[row], i_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 # ------------------------------------------------------------- mesh routes
 
 
@@ -349,6 +421,22 @@ def test_row_recovers_from_a_residual_blowup_without_the_ramp(seed, active_row):
     assert row.iterations <= 60  # the first stage's cap: no bias ramp needed
     worst, _, _ = node_balance(spec, row)
     assert worst <= 1e-9 * row.source_current
+
+
+def test_bias_ramp_stays_within_the_sweep_budget():
+    """This row needs the bias-ramp rescue at a 1e-15 V tolerance (171
+    sweeps with the default budget).  Budgets from 61 to 79 sweeps end
+    inside a partial-bias stage, which must stop on the budget, and a row
+    cut off there is not a solution."""
+    spec = disordered_spec(0, 8, 8, 1e8)
+    ref = kirchhoff_row_solve(spec, 3)
+    assert ref.converged
+    assert kirchhoff_row_solve(spec, 3, tol=1e-15).iterations > 60
+    for max_iter in range(61, 80):
+        row = kirchhoff_row_solve(spec, 3, tol=1e-15, max_iter=max_iter)
+        assert row.iterations <= max_iter, f"max_iter {max_iter}"
+        off = np.abs(row.v_cell - ref.v_cell).max() > 1e-3
+        assert not (row.converged and off), f"max_iter {max_iter}"
 
 
 def test_solution_metadata():
