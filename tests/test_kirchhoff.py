@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
 from xbar import nodal
 from xbar.defaults import shipped_pair
@@ -286,13 +285,12 @@ def test_homogeneous_shortcut_is_linear_in_the_bias(array, scale):
 @example(one_row)
 @example(one_column)
 def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
-    """Every driven row against direct sparse LU of its assembled network.
+    """Every driven row against the sparse reference route's direct solve.
 
     Where cells short the wires (g_cell r_int up to 1e5) a cell drops
     ~1e-6 of the node voltages around it, and assembling 2g + g_cell on
-    the diagonal rounds g away: the LU solve alone then misses drops by up
-    to ~8e-10.  One refinement step against the edge-walk residual, which
-    keeps g and g_cell apart, brings the reference to ~1e-10.  Rows are
+    the diagonal rounds g away; _solve_direct's refinement step against
+    the edge-walk residual keeps the reference to ~1e-10.  Rows are
     compared relative to their largest entry."""
     m, n, r_int, g_cell, v_in = array
     v, i, src = solve_linear_homogeneous(*array)
@@ -300,14 +298,25 @@ def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
     cells = np.full((m, n), g_cell)
     mn = m * n
     for row in range(m):
-        a, b = nodal._assemble(m, n, g, v_in, cells, row)
-        lu = splu(a)
-        x = lu.solve(b)
-        x = x + lu.solve(nodal._inflow(g, cells, row, v_in, x))
+        x = nodal._solve_direct(g, cells, row, v_in)
         v_ref = x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
         i_ref = g * x[mn + (m - 1) * n :]
         for got, ref in ((v[row], v_ref), (i[row], i_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_direct_solve_resolves_cell_drops_where_cells_short_the_wires():
+    """A 12x1 column at g_cell r_int = 1e5: the exact drop of the driven
+    cell is v_in / (1 + g_cell r_int (1 + m - i)).  LU of the assembled
+    matrix alone is off by up to 7.5e-10 here."""
+    m, r_int, g_cell, v_in = 12, 1e8, 1e-3, 1.0
+    g = 1.0 / r_int
+    cells = np.full((m, 1), g_cell)
+    for row in range(m):
+        x = nodal._solve_direct(g, cells, row, v_in)
+        drop = x[row] - x[m + row]
+        exact = v_in / (1.0 + g_cell * r_int * (1 + m - row))
+        assert abs(drop - exact) <= 1e-10 * exact
 
 
 # ------------------------------------------------------------- mesh routes

@@ -8,6 +8,9 @@ formulas, and refined-grid quadrature.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -43,6 +46,8 @@ def one_level_hamiltonian(eps=-5.2):
 
 ONE_SITE = [1]
 ONE_SITE_CONFIG = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.0, right_block=0)
+
+IV_PINS = Path(__file__).parent / "data" / "iv_sweep_pins.json"
 
 
 # ---------------------------------------------------------------- lowdin
@@ -431,6 +436,139 @@ def test_transmission_spectrum_thread_count_does_not_change_results():
     pooled = tp.transmission_spectrum(h_b, system.partition, config, energies, threads=4)
     np.testing.assert_array_equal(serial.t_eff, pooled.t_eff)
     np.testing.assert_array_equal(serial.t_coherent, pooled.t_coherent)
+
+
+def test_iv_sweep_thread_count_does_not_change_results():
+    system = seven_block_system(seed=39)
+    config = ContactProbeConfig()
+    v_grid, d_grid = [-0.3, 0.0, 0.2, 0.5], [0.0, 0.1]
+    serial = tp.iv_sweep(system, config, v_grid, d_grid, threads=1)
+    pooled = tp.iv_sweep(system, config, v_grid, d_grid, threads=2)
+    np.testing.assert_array_equal(serial.current, pooled.current)
+
+
+def test_iv_sweep_lowest_delta_reads_its_own_window_grid():
+    """The shared spectrum's grid starts where the lowest delta's own
+    window grid starts, so that row is bit-equal to integrating a spectrum
+    evaluated on the window of each point alone."""
+    system = seven_block_system(seed=31)
+    config = ContactProbeConfig()
+    v_grid, d_grid = [-0.4, 0.0, 0.3], [0.05, 0.15]
+    table = tp.iv_sweep(system, config, v_grid, d_grid)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    kt = tp.KB_EV * 300.0
+    for iv, v in enumerate(v_grid):
+        if v == 0.0:
+            continue
+        bias = BiasPoint(v, system.homo_energy + d_grid[0])
+        lo = min(bias.e_fermi_left, bias.e_fermi_right) - 10.0 * kt
+        hi = max(bias.e_fermi_left, bias.e_fermi_right) + 10.0 * kt
+        energies = np.arange(lo - 2e-3, hi + 2.5e-3, 1e-3)
+        ramped = tp.apply_bias_ramp(h_b, v, system.partition)
+        spec = tp.transmission_spectrum(ramped, system.partition, config, energies)
+        assert table.current[0, iv] == tp.landauer_current(spec, bias)
+
+
+def pinned_chain(n_blocks, block_size, onsite, intra_hop, inter_hop, jitter, seed):
+    """Nearest-neighbour chain with seeded onsite disorder, identity overlap."""
+    rng = np.random.default_rng(seed)
+    n_orb = n_blocks * block_size
+    fock = np.diag(onsite + rng.uniform(-jitter, jitter, size=n_orb))
+    for a in range(n_orb - 1):
+        hop = inter_hop if (a + 1) % block_size == 0 else intra_hop
+        fock[a, a + 1] = fock[a + 1, a] = hop
+    return QuantumSystem(fock, np.eye(n_orb), [block_size] * n_blocks, onsite)
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(IV_PINS.read_text()), ids=lambda case: case["name"]
+)
+def test_iv_sweep_reproduces_pinned_tables(case):
+    """Tables written by the sweep that integrated every (bias, delta) point
+    on its own energy grid, before one spectrum per bias was shared.
+
+    With delta steps on the 1 meV energy grid every delta reads its
+    energies at the old points up to np.arange round-off (rtol 1e-12).
+    On the sharp, probe-less resonances of a strongly disordered chain
+    that round-off is amplified: moving the old anchor by one ulp moves
+    the old tables by 3.7e-14, and the shared grid sits ~40 ulps away at
+    delta = 0.1 (measured 1.4e-12, pinned at 1e-11).  Off-grid deltas
+    resample the spectrum at points up to 1 meV away, which moves
+    currents at 300 K by ~2e-5 (pinned at 1e-4)."""
+    system = pinned_chain(**case["chain"])
+    config = ContactProbeConfig(gamma_probe=case["gamma_probe"])
+    table = tp.iv_sweep(system, config, case["v_grid"], case["delta_grid"])
+    pinned = np.array(case["current_a"])
+    np.testing.assert_array_equal(table.current == 0.0, pinned == 0.0)
+    np.testing.assert_allclose(table.current, pinned, rtol=case["rtol"], atol=0.0)
+
+
+# ------------------------------------------------------- energy blocks
+
+
+C = tp.ENERGY_BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 2 * C + 3])
+def test_spectrum_blocks_match_single_energies(count):
+    system = seven_block_system(seed=43)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig()
+    energies = -5.7 + 0.0137 * np.arange(count)
+    spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
+    single = [tp.transmission_at(e, h_b, system.partition, config) for e in energies]
+    np.testing.assert_array_equal(spec.t_eff, np.array([p[0] for p in single]).reshape(-1))
+    np.testing.assert_array_equal(
+        spec.t_coherent, np.array([p[1] for p in single]).reshape(-1)
+    )
+
+
+def test_stacked_transmissions_match_single_energy_calls():
+    system = seven_block_system(seed=47)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig()
+    energies = np.linspace(-5.6, -4.9, 9)
+    g_stack = tp.retarded_green(energies, h_b, system.partition, config)
+    t_stack = tp.probe_transmissions(g_stack, system.partition, config)
+    t_eff = tp.effective_transmission(t_stack)
+    assert g_stack.shape == (9, 14, 14) and t_stack.shape == (9, 7, 7)
+    for k, energy in enumerate(energies):
+        g = tp.retarded_green(energy, h_b, system.partition, config)
+        t = tp.probe_transmissions(g, system.partition, config)
+        np.testing.assert_array_equal(g_stack[k], g)
+        np.testing.assert_array_equal(t_stack[k], t)
+        one = tp.effective_transmission(t)
+        assert type(one) is float and t_eff[k] == one
+
+
+def test_singular_probe_system_falls_back_to_direct_for_that_energy_only():
+    system = seven_block_system(seed=53)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig()
+    energies = np.linspace(-5.5, -5.0, 5)
+    g = tp.retarded_green(energies, h_b, system.partition, config)
+    t_stack = tp.probe_transmissions(g, system.partition, config)
+    # two probes coupled only to each other: W = [[x, -x], [-x, x]] is
+    # singular although their rows do not sum to zero
+    odd = np.zeros(t_stack.shape[1:])
+    odd[0, 1] = odd[1, 0] = 0.3
+    odd[2, 3] = odd[3, 2] = 0.1
+    t_stack[2] = odd
+    t_eff = tp.effective_transmission(t_stack)
+    assert tp.effective_transmission(odd) == 0.3
+    assert t_eff[2] == 0.3
+    for k in (0, 1, 3, 4):
+        assert t_eff[k] == tp.effective_transmission(t_stack[k])
+        assert t_eff[k] > t_stack[k, 0, 1]
+
+
+def test_singular_transport_matrix_names_its_energy():
+    # the isolated middle site at -5.2 eV has no broadening without probes
+    system = tp.tight_binding_chain(3, inter_hop=0.0)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig(gamma_probe=0.0)
+    with pytest.raises(RuntimeError, match=r"E = -5\.200000 eV"):
+        tp.transmission_spectrum(h_b, system.partition, config, [-5.3, -5.2, -5.1])
 
 
 # ------------------------------------------------------------ data model
