@@ -20,7 +20,7 @@ import numpy as np
 from . import runio
 from .crossbar import calibrate_sneak_params, parametric_solve
 from .defaults import shipped_pair
-from .ivtable import StrandPair, load_table, save_table, synthesize_table
+from .ivtable import StrandPair, load_table, save_table, synthesize_table, table_payload
 from .model import load_crossbar_spec, save_readout_solution
 from .montecarlo import load_mc_config, run_mc, save_mc_report
 from .nodal import kirchhoff_solve
@@ -60,15 +60,6 @@ def _parse_rints(text: str):
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("resistances must be positive")
     return values
-
-
-def _table_payload(table) -> dict:
-    return {
-        "strand_id": table.strand_id,
-        "v_grid_v": table.v_grid.tolist(),
-        "delta_grid_ev": table.delta_grid.tolist(),
-        "current_a": table.current.ravel().tolist(),
-    }
 
 
 def _write_manifest(command: str, payload, seed, out_dir) -> None:
@@ -147,8 +138,8 @@ def _spec_payload(spec) -> dict:
         "v_in_v": spec.v_in,
         "bits": spec.bits.ravel().tolist(),
         "delta_ev": spec.delta.ravel().tolist(),
-        "logic1": _table_payload(spec.pair.logic1_table),
-        "logic0": _table_payload(spec.pair.logic0_table),
+        "logic1": table_payload(spec.pair.logic1_table),
+        "logic0": table_payload(spec.pair.logic0_table),
     }
 
 
@@ -214,8 +205,8 @@ def cmd_mc(args) -> int:
         "v_in_v": config.v_in,
         "solver": config.solver,
         "per_cell": config.per_cell,
-        "logic1": _table_payload(config.pair.logic1_table),
-        "logic0": _table_payload(config.pair.logic0_table),
+        "logic1": table_payload(config.pair.logic1_table),
+        "logic0": table_payload(config.pair.logic0_table),
     }
     _write_manifest("mc", payload, config.seed, args.out)
     save_mc_report(report, args.out)
@@ -285,8 +276,8 @@ def cmd_store(args) -> int:
         "r_int_ohm": r_ints,
         "v_in_v": v_in,
         "solver": solver,
-        "logic1": _table_payload(pair.logic1_table),
-        "logic0": _table_payload(pair.logic0_table),
+        "logic1": table_payload(pair.logic1_table),
+        "logic0": table_payload(pair.logic0_table),
     }
     _write_manifest("store", payload, None, args.out)
     save_storage_report(report, args.out)

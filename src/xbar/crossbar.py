@@ -7,21 +7,20 @@ calibrated once against the nodal reference on a homogeneous linear array)
 times an in-row fraction that depends on the actual per-cell conductances.
 Measured column currents then pick up a calibrated column factor beta_j.
 
-The in-row fraction comes in two flavors:
-  - "quadratic": closed-form second-order expansion of the ladder, cheap
-    and j-monotone by construction;
-  - "ladder": exact tridiagonal solve of the one-dimensional chain.
-Both fold the bitline return path into each cell as a series resistance of
-(m - i) segments, which is what makes the 1x1 case exact.  Calibration and
-solving must use the same flavor; the shared default keeps that automatic.
+The in-row fraction is the exact tridiagonal solve of the one-dimensional
+chain.  It folds the bitline return path into each cell as a series
+resistance of (m - i) segments, which is what makes the 1x1 case exact.
 
 Runtime scales with the number of cells instead of the number of mesh
 nodes, which is the whole point: bit-error statistics need thousands of
 array reads.  The rows of a readout are independent fixed points, so they
 iterate as one batch: each sweep is one stacked ladder solve, one table
 lookup per bit value and one stacked Anderson fit over every row still
-active, while convergence, resets and the bias-ramp rescue are decided row
-by row.  A row's result does not depend on which rows share its batch.
+active.  The iteration itself (convergence, resets, the bias-ramp rescue,
+all decided row by row) belongs to the driver in xbar.fixedpoint, which
+the nodal oracle shares; this module supplies the ladder solve and the
+chord lookup.  A row's result does not depend on which rows share its
+batch.
 """
 
 from __future__ import annotations
@@ -29,21 +28,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_banded
 
-from xbar import runio
+from xbar import fixedpoint, runio
+from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX, DEFAULT_TOL
 from xbar.ivtable import cell_lookup, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
-from xbar.nodal import (
-    ANDERSON_DEPTH,
-    DEFAULT_MAX_ITER,
-    DEFAULT_RELAX,
-    DEFAULT_TOL,
-    INIT_BIAS,
-    solve_linear_homogeneous,
-)
+from xbar.nodal import solve_linear_homogeneous
 
-DEFAULT_FRACTION_MODE = "ladder"
-FRACTION_MODES = ("quadratic", "ladder")
+INIT_BIAS = 0.05  # volts, first chord linearization point
 
 
 def default_g_mean(spec: CrossbarSpec) -> float:
@@ -58,26 +50,6 @@ def _cell_loads(g: np.ndarray, r_int: float, return_segments) -> np.ndarray:
     """Dimensionless per-column load of a row's ladder: each cell in
     series with its bitline return path, relative to one segment."""
     return r_int / (1.0 / g + return_segments * r_int)
-
-
-def _quadratic_fractions(c: np.ndarray) -> np.ndarray:
-    """Second-order in-row voltage profile, normalized to the source node,
-    of every row of loads along the last axis.
-
-    Column j keeps 1 + sum_{k>j} (k - j)*c_k of the profile accumulated at
-    the source, 1 + sum_k (k + 1)*c_k; both follow from expanding the exact
-    ladder to second order in the loads."""
-    n = c.shape[-1]
-    cols = np.arange(1, n + 1)
-    weights = cols * c
-
-    def tail(x):  # sum over k > j, for every j
-        total = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-        return np.concatenate([total[..., 1:], np.zeros_like(x[..., :1])], axis=-1)
-
-    numer = 1.0 + tail(weights) - cols * tail(c)
-    denom = 1.0 + weights.sum(axis=-1, keepdims=True)
-    return numer / denom
 
 
 def _ladder_fractions(c: np.ndarray) -> np.ndarray:
@@ -105,23 +77,9 @@ def _ladder_fractions(c: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
 
 
-def _row_fractions(
-    g: np.ndarray, r_int: float, return_segments: np.ndarray, mode: str
-) -> np.ndarray:
-    """In-row fractions of rows of conductances g (k x n), row r having
-    its bitline return through return_segments[r] segments."""
-    c = _cell_loads(g, r_int, return_segments[:, None])
-    if mode == "quadratic":
-        return _quadratic_fractions(c)
-    if mode == "ladder":
-        return _ladder_fractions(c)
-    raise ValueError(f"unknown fraction mode '{mode}', expected one of {FRACTION_MODES}")
-
-
 def calibrate_sneak_params(
     spec: CrossbarSpec,
     g_mean: float | None = None,
-    fraction_mode: str = DEFAULT_FRACTION_MODE,
 ) -> SneakParams:
     """Fit the row and column factors against the nodal reference.
 
@@ -142,12 +100,8 @@ def calibrate_sneak_params(
         spec.m, spec.n, spec.r_int, g_mean, spec.v_in
     )
     beta = (i_ref / (g_mean * v_ref)).mean(axis=0)
-    frac = _row_fractions(
-        np.full((spec.m, spec.n), g_mean),
-        spec.r_int,
-        spec.m - np.arange(spec.m),
-        fraction_mode,
-    )
+    segments = spec.m - np.arange(spec.m)[:, None]
+    frac = _ladder_fractions(_cell_loads(np.full((spec.m, spec.n), g_mean), spec.r_int, segments))
     alpha = v_ref[:, 0] / (spec.v_in * frac[:, 0])
     tiny = np.finfo(float).tiny
     return SneakParams(
@@ -155,152 +109,26 @@ def calibrate_sneak_params(
     )
 
 
-def _anderson_step(hist_v, hist_r, r):
-    """Depth-limited Anderson mixing (Walker & Ni 2011) of every row.
-
-    hist_v and hist_r hold each row's last L iterates and residuals
-    (k x L x n, oldest first); r is the newest residual, already the last
-    history entry.  Each row's mixing weights are the minimum-norm least
-    squares fit of r by the residual differences, through a stacked
-    pseudo-inverse with the singular-value cutoff lstsq uses.  Rows are
-    never mixed with each other, so a row gets the same bits alone or in
-    a batch.
+def _solve_rows(spec, params, rows, tol, max_iter, relax):
+    """Fixed point of the rows `rows` of the array, solved together by
+    the shared driver (see fixedpoint.solve).  Each sweep is one stacked
+    ladder solve and one table lookup per bit value over every row still
+    active.  Returns per-row voltages, sweep counts, convergence flags and
+    final residuals.
     """
-    dr = np.diff(hist_r, axis=1)  # k x (L-1) x n
-    dv = np.diff(hist_v, axis=1)
-    n, cols = r.shape[1], dr.shape[1]
-    rcond = np.finfo(float).eps * max(n, cols)
-    pinv = np.linalg.pinv(dr.transpose(0, 2, 1), rcond=rcond)  # k x (L-1) x n
-    gamma = (pinv * r[:, None, :]).sum(axis=2)
-    return hist_v[:, -1] + r - ((dv + dr) * gamma[:, :, None]).sum(axis=1)
-
-
-def _run_stage(spec, rows, scale, g, cap, stage_tol, fraction_mode, relax):
-    """Anderson-accelerated Picard at one bias scale, for a batch of rows.
-
-    Row r of the batch is array row rows[r] driven at scale[r] volts, from
-    chord conductances g[r], for at most cap[r] sweeps.  Each sweep takes
-    the ladder voltages at the latest conductances, then the conductances
-    at the latest voltages, and extrapolates from the recent residual
-    history.  After a residual blow-up, or when the residual plateaus (a
-    bounded limit cycle, which never trips the blow-up test), a row drops
-    its history and falls back to a damped step whose relaxation halves on
-    every such event; heavy damping breaks cycles the knee of a steep table
-    can otherwise sustain.  Every decision is taken per row on that row's
-    own state; converged rows and rows out of sweeps leave the batch.
-
-    Returns each row's last ladder voltages, the conductances after its
-    last sweep, its sweep count, its last residual and whether it met
-    stage_tol.
-    """
-    k, n = g.shape
     segments = spec.m - rows
     bits, delta = spec.bits[rows], spec.delta[rows]
-    g = g.copy()
-    state = np.empty((k, n))
-    evaluated = np.empty((k, n))
-    residual = np.full(k, np.inf)
-    best = np.full(k, np.inf)
-    converged = np.zeros(k, dtype=bool)
-    local_relax = np.full(k, relax)
-    stall = np.zeros(k, dtype=int)
-    iterations = np.zeros(k, dtype=int)
-    depth = ANDERSON_DEPTH + 1
-    hist_v = np.empty((k, depth, n))
-    hist_r = np.empty((k, depth, n))
-    hist_len = np.zeros(k, dtype=int)
 
-    active = np.arange(k)
-    sweep = 0
-    while active.size:
-        sweep += 1
-        a = active
-        ev = scale[a, None] * _row_fractions(g[a], spec.r_int, segments[a], fraction_mode)
-        evaluated[a] = ev
-        iterations[a] = sweep
-        if sweep == 1:
-            state[a] = ev
-        else:
-            r = ev - state[a]
-            res = np.max(np.abs(r), axis=1)
-            residual[a] = res
-            done = res <= stage_tol
-            converged[a[done]] = True
-            a, r, res, ev = a[~done], r[~done], res[~done], ev[~done]
+    def evaluate(ids, scale, g, state):
+        return scale[:, None] * _ladder_fractions(_cell_loads(g, spec.r_int, segments[ids, None]))
 
-            blow_up = (res > 2.0 * best[a]) & (hist_len[a] > 0)
-            c, res_c = a[~blow_up], res[~blow_up]
-            stall[c] = np.where(res_c > 0.9 * best[c], stall[c] + 1, 0)
-            best[c] = np.minimum(best[c], res_c)
-            reset = blow_up | (stall[a] >= 8)
+    def relinearize(ids, state):
+        return cell_lookup(spec.pair, bits[ids], delta[ids], state, chord=True)
 
-            # damped reset: forget the history, take a relaxed plain step
-            z, rz = a[reset], r[reset]
-            hist_len[z] = 0
-            state[z] = state[z] + local_relax[z, None] * rz
-            local_relax[z] = np.maximum(0.1, 0.5 * local_relax[z])
-            stall[z] = 0
-
-            # plain step: push the iterate and its residual onto the history
-            # (newest last), then mix it or, with no history yet, take it
-            p, rp, evp = a[~reset], r[~reset], ev[~reset]
-            hist_v[p, :-1], hist_v[p, -1] = hist_v[p, 1:], state[p]
-            hist_r[p, :-1], hist_r[p, -1] = hist_r[p, 1:], rp
-            hist_len[p] = np.minimum(hist_len[p] + 1, depth)
-            first = hist_len[p] == 1
-            state[p[first]] = evp[first]
-            for length in range(2, depth + 1):
-                sel = hist_len[p] == length
-                if np.any(sel):
-                    q = p[sel]
-                    state[q] = _anderson_step(hist_v[q, -length:], hist_r[q, -length:], rp[sel])
-        g[a] = cell_lookup(spec.pair, bits[a], delta[a], state[a], chord=True)
-        active = a[iterations[a] < cap[a]]
-    return evaluated, g, iterations, residual, converged
-
-
-def _solve_rows(spec, params, rows, fraction_mode, tol, max_iter, relax):
-    """Fixed point of the rows `rows` of the array, solved together.
-
-    The first stage runs every row at full bias for up to 60 sweeps.  Rows
-    it leaves unconverged are rescued by ramping their source up in four
-    stages, carrying the conductances over, so each stage only perturbs
-    the previous solution mildly instead of restarting the oscillation.
-    Returns per-row voltages, sweep counts, convergence flags and final
-    residuals.
-    """
-    k = rows.size
-    full_scale = spec.v_in * params.alpha[rows]
-    g_start = cell_lookup(
-        spec.pair, spec.bits[rows], spec.delta[rows], np.full((k, spec.n), INIT_BIAS), chord=True
+    g_start = relinearize(slice(None), np.full((rows.size, spec.n), INIT_BIAS))
+    v, _, total, converged, residual = fixedpoint.solve(
+        evaluate, relinearize, spec.v_in * params.alpha[rows], g_start, tol, max_iter, relax
     )
-    v, _, total, residual, converged = _run_stage(
-        spec, rows, full_scale, g_start, np.full(k, min(60, max_iter)), tol, fraction_mode, relax
-    )
-    # rows still short of the tolerance, with sweeps left, climb the ramp
-    idx = np.flatnonzero(~converged & (total < max_iter))
-    g = g_start[idx]
-    for level in (0.25, 0.5, 0.75, 1.0):
-        remaining = max_iter - total[idx]
-        go = remaining > 0
-        idx, g, remaining = idx[go], g[go], remaining[go]
-        if idx.size == 0:
-            break
-        final = level == 1.0
-        cap = remaining if final else np.minimum(remaining, np.maximum(10, remaining // 8))
-        v[idx], g, used, residual[idx], met = _run_stage(
-            spec,
-            rows[idx],
-            level * full_scale[idx],
-            g,
-            cap,
-            tol if final else 10.0 * tol,
-            fraction_mode,
-            relax,
-        )
-        # meeting a partial-bias stage's looser tolerance is no solution
-        converged[idx] = met & final
-        total[idx] += used
     return v, total, converged, residual
 
 
@@ -340,7 +168,6 @@ def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float:
 def parametric_solve(
     spec: CrossbarSpec,
     params: SneakParams,
-    fraction_mode: str = DEFAULT_FRACTION_MODE,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     relax: float = DEFAULT_RELAX,
@@ -348,7 +175,7 @@ def parametric_solve(
 ) -> ReadoutSolution:
     """Read every row of the array through the calibrated ladder model.
 
-    All rows iterate together as one batch (see _run_stage), on the
+    All rows iterate together as one batch (see _solve_rows), on the
     calling thread; `threads` is accepted for a uniform solver signature
     and changes nothing.
     """
@@ -359,7 +186,7 @@ def parametric_solve(
         )
     runio.resolve_threads(threads)
     v_cell, iterations, converged, residual = _solve_rows(
-        spec, params, np.arange(spec.m), fraction_mode, tol, max_iter, relax
+        spec, params, np.arange(spec.m), tol, max_iter, relax
     )
     i_out = readout_currents(v_cell, params, spec)
     solution = ReadoutSolution(

@@ -251,16 +251,18 @@ def synthesize_table(
     return table
 
 
+def table_payload(table: IVTable) -> dict:
+    """The table as the JSON mapping load_table reads, and manifests digest."""
+    return {
+        "strand_id": table.strand_id,
+        "v_grid_v": table.v_grid.tolist(),
+        "delta_grid_ev": table.delta_grid.tolist(),
+        "current_a": table.current.ravel().tolist(),
+    }
+
+
 def save_table(table: IVTable, path) -> None:
-    runio.dump_json(
-        {
-            "strand_id": table.strand_id,
-            "v_grid_v": table.v_grid.tolist(),
-            "delta_grid_ev": table.delta_grid.tolist(),
-            "current_a": table.current.ravel().tolist(),
-        },
-        path,
-    )
+    runio.dump_json(table_payload(table), path)
 
 
 def load_table(path) -> IVTable:

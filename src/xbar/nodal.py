@@ -5,7 +5,10 @@ interconnect segment, every column is grounded through one segment below
 its last cell, undriven rows stay in the network as floating sneak-path
 carriers, and each cell conducts between its wordline and bitline node.
 Cell nonlinearity is handled by re-linearizing chord conductances between
-linear mesh solves.  The nodal matrix is a symmetric positive-definite
+linear mesh solves.  The iteration belongs to xbar.fixedpoint, the driver
+the parametric model shares: each driven row is a batch of one whose state
+is its 2mn node voltages, and this module supplies the mesh solve and the
+chord lookup.  The nodal matrix is a symmetric positive-definite
 grid Laplacian, so the default route ("pcg") factors the sourceless
 network once per array, at the start and at the settled conductances, and
 solves every sweep of every row from those two factorizations: the first
@@ -31,15 +34,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from xbar import runio
+from xbar import fixedpoint, runio
+from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX, DEFAULT_TOL
 from xbar.ivtable import cell_lookup
 from xbar.model import CrossbarSpec, ReadoutSolution
 
-DEFAULT_TOL = 1e-6  # volts, max node-voltage change between iterations
-DEFAULT_MAX_ITER = 200
-DEFAULT_RELAX = 0.7  # fallback under-relaxation after a residual blow-up
-INIT_BIAS = 0.05  # volts, first chord linearization point
-ANDERSON_DEPTH = 2  # residual-history length for the mixing step
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
 CG_MAX_STEPS = 100  # conjugate-gradient steps before a sweep is solved directly
 
@@ -317,90 +316,17 @@ def kirchhoff_row_solve(
     else:
         raise ValueError(f"unknown backend '{backend}', expected 'pcg' or 'sparse'")
 
-    def run_stage(v_source, g_cell, cap, stage_tol):
-        """Anderson-accelerated Picard at one source level.
+    def evaluate(ids, scale, g_cell, state):
+        return solve_mesh(scale[0], g_cell[0], None if state is None else state[0])[None]
 
-        Each pass solves the mesh linearized at the current state, then
-        extrapolates from the recent residual history (depth 2).  Knee
-        cells push plain re-linearization into period-2 limit cycles; the
-        history sees the cycle and cancels it.  If the residual blows up
-        the history is dropped, the next step under-relaxed, and the
-        blown-up residual becomes the one later sweeps are measured
-        against: measured against the old best, every plain step after a
-        reset tripped the test again, the history never refilled, and a
-        growing period-2 cycle ran out the sweep budget.
+    def relinearize(ids, state):
+        x = state[0]
+        return chord_conductances(spec, x[:mn].reshape(m, n) - x[mn:].reshape(m, n))[None]
 
-        Returns the last mesh solution together with the conductances it
-        was assembled from, so conservation laws hold on the returned
-        state to machine precision.
-        """
-        x = None
-        solved = None
-        residual = np.inf
-        best = np.inf
-        converged = False
-        history_x, history_r = [], []
-        iterations = 0
-        for iterations in range(1, cap + 1):
-            solved = solve_mesh(v_source, g_cell, x)
-            if x is None:
-                x = solved
-            else:
-                r = solved - x
-                residual = float(np.max(np.abs(r)))
-                if residual <= stage_tol:
-                    converged = True
-                    break
-                if residual > 2.0 * best and history_x:
-                    history_x.clear()
-                    history_r.clear()
-                    best = residual
-                    x = x + relax * r
-                else:
-                    best = min(best, residual)
-                    history_x.append(x)
-                    history_r.append(r)
-                    if len(history_x) > ANDERSON_DEPTH + 1:
-                        history_x.pop(0)
-                        history_r.pop(0)
-                    if len(history_x) >= 2:
-                        dr = np.stack(
-                            [history_r[k + 1] - history_r[k] for k in range(len(history_r) - 1)],
-                            axis=1,
-                        )
-                        dx = np.stack(
-                            [history_x[k + 1] - history_x[k] for k in range(len(history_x) - 1)],
-                            axis=1,
-                        )
-                        gamma, *_ = np.linalg.lstsq(dr, r, rcond=None)
-                        x = x + r - (dx + dr) @ gamma
-                    else:
-                        x = solved
-            dv = x[:mn].reshape(m, n) - x[mn:].reshape(m, n)
-            g_cell = chord_conductances(spec, dv)
-        return solved, g_cell, iterations, residual, converged
-
-    x, g_cell, total, residual, converged = run_stage(
-        spec.v_in, g_start, min(60, max_iter), tol
+    x, g_cell, total, converged, residual = fixedpoint.solve(
+        evaluate, relinearize, np.array([spec.v_in]), g_start[None], tol, max_iter, relax
     )
-    if not converged and total < max_iter:
-        # rescue path: ramp the source up in stages, carrying the cell
-        # conductances over, so each stage only perturbs the previous
-        # solution mildly instead of restarting the oscillation
-        g_cell = g_start
-        for level in (0.25, 0.5, 0.75, 1.0):
-            remaining = max_iter - total
-            if remaining <= 0:
-                break
-            final = level == 1.0
-            cap = remaining if final else min(remaining, max(10, remaining // 8))
-            x, g_cell, used, residual, met = run_stage(
-                level * spec.v_in, g_cell, cap, tol if final else 10.0 * tol
-            )
-            # meeting a partial-bias stage's looser tolerance is no solution
-            converged = met and final
-            total += used
-
+    x, g_cell = x[0], g_cell[0]
     v_word = x[:mn].reshape(m, n)
     v_bit = x[mn:].reshape(m, n)
     i_out = spec.g_int * x[mn + (m - 1) * n : mn + m * n].copy()
@@ -413,9 +339,9 @@ def kirchhoff_row_solve(
         i_out=i_out,
         source_current=float(source_current),
         g_cell=g_cell,
-        iterations=total,
-        converged=converged,
-        residual=residual,
+        iterations=int(total[0]),
+        converged=bool(converged[0]),
+        residual=float(residual[0]),
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 MANIFEST_NAME = "run_manifest.json"
 

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, file outputs, manifest determinism,
 and the analytic anchor for table generation."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,24 @@ def test_mc_thread_flag_and_env_agree(tmp_path, monkeypatch):
     monkeypatch.setenv("XBAR_THREADS", "3")
     assert cli.main(base + ["--out", str(out_b)]) == 0
     assert (out_a / "mc_trials.csv").read_bytes() == (out_b / "mc_trials.csv").read_bytes()
+
+
+# config digests of one `solve` and one `mc` run on the fixtures above; a
+# change to how the CLI serializes its inputs must leave them byte-identical
+PINNED_DIGESTS = {
+    "solve": "3730b4db52eec0838689294706ab0e4910568569dff04a19e6c5fb8fc11efce1",
+    "mc": "e421dab6d428183f759f943f07f464d8832f3e76b88bf7b682b2567fd7248662",
+}
+
+
+def test_manifest_digests_are_pinned(tmp_path):
+    spec = write_single_cell_spec(tmp_path)
+    mc = write_mc_config(tmp_path)
+    assert cli.main(["solve", "--config", str(spec), "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["mc", "--config", str(mc), "--out", str(tmp_path / "m")]) == 0
+    for command, out in (("solve", "s"), ("mc", "m")):
+        manifest = RunManifest.from_file(tmp_path / out / runio.MANIFEST_NAME)
+        assert manifest.config_digest == PINNED_DIGESTS[command], command
 
 
 def test_store_benchmark_writes_report(tmp_path):
@@ -370,8 +390,14 @@ def test_unknown_subcommand_exits_one(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child does not inherit pytest's pythonpath setting, so hand it src
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-m", "xbar", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "xbar", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "iv-synth" in result.stdout

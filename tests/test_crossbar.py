@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from xbar.crossbar import (
-    DEFAULT_FRACTION_MODE,
     _ladder_fractions,
-    _quadratic_fractions,
     _solve_rows,
     calibrate_sneak_params,
     compute_power,
@@ -21,8 +19,9 @@ from xbar.crossbar import (
 )
 from xbar.defaults import shipped_pair
 from xbar.ivtable import IVTable, StrandPair, synthesize_table
+from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
-from xbar.nodal import DEFAULT_MAX_ITER, DEFAULT_RELAX, kirchhoff_solve
+from xbar.nodal import kirchhoff_solve
 
 PINS = Path(__file__).parent / "data" / "parametric_pins.json"
 MIXED_ROWS_PARAMS = Path(__file__).parent / "data" / "mixed_rows_params.json"
@@ -140,27 +139,14 @@ def test_default_mean_conductance_averages_the_two_strands():
     assert default_g_mean(spec) == pytest.approx(expect, rel=1e-12)
 
 
-# --- in-row fraction kernels ----------------------------------------------
+# --- in-row fraction kernel -----------------------------------------------
 
 
-def test_fraction_modes_coincide_for_single_column():
+def test_ladder_fraction_of_single_column_is_divider():
     for c in (1e-4, 0.037, 0.4):
         loads = np.array([c])
         expect = 1.0 / (1.0 + c)
         assert _ladder_fractions(loads)[0] == pytest.approx(expect, rel=1e-14)
-        assert _quadratic_fractions(loads)[0] == pytest.approx(expect, rel=1e-14)
-
-
-def test_fraction_modes_agree_for_light_loading():
-    # the quadratic form drops third-order load terms; at total loading
-    # around 1e-2 the two profiles must sit within a fraction of a percent
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        loads = 1e-3 * rng.random(16)
-        ladder = _ladder_fractions(loads)
-        quad = _quadratic_fractions(loads)
-        assert np.abs(ladder - quad).max() < 2e-3
-        assert np.all(ladder <= 1.0) and np.all(quad <= 1.0)
 
 
 def test_ladder_fractions_decay_monotonically():
@@ -170,15 +156,6 @@ def test_ladder_fractions_decay_monotonically():
         frac = _ladder_fractions(loads)
         assert np.all(np.diff(frac) <= 0)
         assert frac[0] <= 1.0 and frac[-1] > 0
-
-
-def test_unknown_fraction_mode_rejected():
-    spec = homogeneous_spec(2, 2, 1e4, linear_pair(1e6, 1e6))
-    with pytest.raises(ValueError, match="fraction mode"):
-        calibrate_sneak_params(spec, fraction_mode="cubic")
-    params = calibrate_sneak_params(spec)
-    with pytest.raises(ValueError, match="fraction mode"):
-        parametric_solve(spec, params, fraction_mode="cubic")
 
 
 # --- solver behaviour -----------------------------------------------------
@@ -213,13 +190,12 @@ def test_parametric_tracks_oracle_on_mixed_bits():
         params = calibrate_sneak_params(spec)
         oracle = kirchhoff_solve(spec)
         assert oracle.converged
-        for mode in ("ladder", "quadratic"):
-            sol = parametric_solve(spec, params, fraction_mode=mode)
-            assert sol.converged
-            err_i = np.abs(sol.i_out - oracle.i_out) / np.abs(oracle.i_out)
-            err_v = np.abs(sol.v_cell - oracle.v_cell) / np.abs(oracle.v_cell)
-            assert err_i.max() < 0.05, f"{m}x{m} r={r_int} {mode}"
-            assert err_v.max() < 0.05, f"{m}x{m} r={r_int} {mode}"
+        sol = parametric_solve(spec, params)
+        assert sol.converged
+        err_i = np.abs(sol.i_out - oracle.i_out) / np.abs(oracle.i_out)
+        err_v = np.abs(sol.v_cell - oracle.v_cell) / np.abs(oracle.v_cell)
+        assert err_i.max() < 0.05, f"{m}x{m} r={r_int}"
+        assert err_v.max() < 0.05, f"{m}x{m} r={r_int}"
 
 
 def test_parametric_tracks_oracle_on_large_homogeneous_array():
@@ -267,8 +243,7 @@ def test_readout_matches_pinned_row_by_row_solution(case):
     least-squares fit per row and sweep).  The batch must reproduce them
     to 1e-9 V and 1e-9 relative current, in the same number of sweeps."""
     spec = disordered_spec(case["seed"], case["m"], case["n"], case["r_int"])
-    mode = case["fraction_mode"]
-    sol = parametric_solve(spec, calibrate_sneak_params(spec, fraction_mode=mode), fraction_mode=mode)
+    sol = parametric_solve(spec, calibrate_sneak_params(spec))
     assert sol.converged
     assert sol.iterations == case["iterations"]
     np.testing.assert_allclose(sol.v_cell, case["v_cell"], rtol=0, atol=1e-9)
@@ -294,7 +269,7 @@ def test_rows_solved_together_match_rows_solved_alone():
     spec, params = mixed_rows_case()
 
     def solve(rows):
-        return _solve_rows(spec, params, np.asarray(rows), "ladder", 1e-15, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+        return _solve_rows(spec, params, np.asarray(rows), 1e-15, DEFAULT_MAX_ITER, DEFAULT_RELAX)
 
     v, sweeps, converged, residual = solve(np.arange(spec.m))
     assert np.any(sweeps <= 60)
@@ -315,10 +290,10 @@ def test_rows_out_of_sweeps_on_the_bias_ramp_are_not_converged():
     spec = disordered_spec(3, 12, 32, 1e7)
     params = calibrate_sneak_params(spec)
     every = np.arange(spec.m)
-    ref, _, ref_converged, _ = _solve_rows(spec, params, every, "ladder", 1e-6, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+    ref, _, ref_converged, _ = _solve_rows(spec, params, every, 1e-6, DEFAULT_MAX_ITER, DEFAULT_RELAX)
     assert ref_converged.all()
     for max_iter in range(61, 80):
-        v, _, converged, _ = _solve_rows(spec, params, every, "ladder", 1e-15, max_iter, DEFAULT_RELAX)
+        v, _, converged, _ = _solve_rows(spec, params, every, 1e-15, max_iter, DEFAULT_RELAX)
         off = np.abs(v - ref).max(axis=1) > 1e-3
         assert not np.any(converged & off), f"max_iter {max_iter}"
 
@@ -337,10 +312,9 @@ def test_bias_ramp_stays_within_the_sweep_budget():
 def test_fractions_of_stacked_rows_match_single_rows():
     rng = np.random.default_rng(8)
     loads = rng.uniform(0.0, 0.5, size=(5, 7))
-    for kernel in (_ladder_fractions, _quadratic_fractions):
-        stacked = kernel(loads)
-        for row, c in zip(stacked, loads):
-            assert np.array_equal(row, kernel(c))
+    stacked = _ladder_fractions(loads)
+    for row, c in zip(stacked, loads):
+        assert np.array_equal(row, _ladder_fractions(c))
 
 
 # --- readout and power ----------------------------------------------------
