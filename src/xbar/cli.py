@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import runio
-from .crossbar import calibrate_sneak_params, parametric_solve
+from .crossbar import SOLVERS, array_reader
 from .defaults import shipped_pair
 from .ivtable import StrandPair, load_table, save_table, synthesize_table, table_payload
 from .model import load_crossbar_spec, save_readout_solution
 from .montecarlo import load_mc_config, run_mc, save_mc_report
-from .nodal import kirchhoff_solve
 from .storage import ImageJob, run_storage_benchmark, save_storage_report
 from .transport import ContactProbeConfig, iv_sweep, load_quantum_system
 
@@ -145,11 +144,8 @@ def _spec_payload(spec) -> dict:
 
 def _run_readout(args, solver: str) -> int:
     spec = load_crossbar_spec(args.config)
-    if solver == "parametric":
-        params = calibrate_sneak_params(spec)
-        solution = parametric_solve(spec, params, threads=args.threads)
-    else:
-        solution = kirchhoff_solve(spec, threads=args.threads)
+    read = array_reader(solver, spec.m, spec.n, spec.r_int, spec.pair, spec.v_in, args.threads)
+    solution = read(spec)
     payload = {"spec": _spec_payload(spec), "solver": solver}
     _write_manifest(solver, payload, None, args.out)
     save_readout_solution(solution, args.out)
@@ -426,9 +422,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strand-id", default="synth")
 
     p = add("solve", cmd_solve, "readout via the sneak-path model")
-    p.add_argument(
-        "--solver", choices=("parametric", "kirchhoff"), default="parametric"
-    )
+    p.add_argument("--solver", choices=SOLVERS, default="parametric")
 
     add("oracle", cmd_oracle, "readout via full nodal analysis")
 
@@ -438,12 +432,12 @@ def build_parser() -> _Parser:
     p.add_argument("--rint", type=_parse_rints, default=None)
     p.add_argument("--delta-max", type=float, default=None)
     p.add_argument("--size", type=_parse_size, default=None)
-    p.add_argument("--solver", choices=("parametric", "kirchhoff"), default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None)
 
     p = add("store", cmd_store, "image storage benchmark sweep")
     p.add_argument("--rint", type=_parse_rints, default=None)
     p.add_argument("--size", type=_parse_size, default=None)
-    p.add_argument("--solver", choices=("parametric", "kirchhoff"), default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None)
 
     add("plot-data", cmd_plot_data, "export gnuplot-ready columns from a report")
 

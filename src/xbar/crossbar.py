@@ -21,6 +21,9 @@ all decided row by row) belongs to the driver in xbar.fixedpoint, which
 the nodal oracle shares; this module supplies the ladder solve and the
 chord lookup.  A row's result does not depend on which rows share its
 batch.
+
+array_reader is the one place callers choose between this model and the
+nodal oracle.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX, DEFAULT_TOL
-from xbar.ivtable import cell_lookup, small_signal_conductance
+from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
+from xbar.ivtable import StrandPair, cell_lookup, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
-from xbar.nodal import solve_linear_homogeneous
+from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
 
 INIT_BIAS = 0.05  # volts, first chord linearization point
+
+SOLVERS = ("parametric", "kirchhoff")
 
 
 def default_g_mean(spec: CrossbarSpec) -> float:
@@ -109,7 +114,7 @@ def calibrate_sneak_params(
     )
 
 
-def _solve_rows(spec, params, rows, tol, max_iter, relax):
+def _solve_rows(spec, params, rows, tol, max_iter):
     """Fixed point of the rows `rows` of the array, solved together by
     the shared driver (see fixedpoint.solve).  Each sweep is one stacked
     ladder solve and one table lookup per bit value over every row still
@@ -127,7 +132,7 @@ def _solve_rows(spec, params, rows, tol, max_iter, relax):
 
     g_start = relinearize(slice(None), np.full((rows.size, spec.n), INIT_BIAS))
     v, _, total, converged, residual = fixedpoint.solve(
-        evaluate, relinearize, spec.v_in * params.alpha[rows], g_start, tol, max_iter, relax
+        evaluate, relinearize, spec.v_in * params.alpha[rows], g_start, tol, max_iter
     )
     return v, total, converged, residual
 
@@ -170,7 +175,6 @@ def parametric_solve(
     params: SneakParams,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    relax: float = DEFAULT_RELAX,
     threads: int | None = None,
 ) -> ReadoutSolution:
     """Read every row of the array through the calibrated ladder model.
@@ -186,7 +190,7 @@ def parametric_solve(
         )
     runio.resolve_threads(threads)
     v_cell, iterations, converged, residual = _solve_rows(
-        spec, params, np.arange(spec.m), tol, max_iter, relax
+        spec, params, np.arange(spec.m), tol, max_iter
     )
     i_out = readout_currents(v_cell, params, spec)
     solution = ReadoutSolution(
@@ -201,3 +205,27 @@ def parametric_solve(
     )
     solution.power = compute_power(spec, solution)
     return solution
+
+
+def array_reader(
+    solver: str, m: int, n: int, r_int: float, pair: StrandPair, v_in: float,
+    threads: int | None,
+):
+    """Readout function for every m x n array at r_int on pair, read at
+    v_in: spec -> ReadoutSolution through the named solver.
+
+    The parametric model is calibrated here, once: calibration depends on
+    geometry and tables only, never on the bits or offsets of the arrays
+    read, so one fit serves them all.  `threads` sizes the oracle's pool
+    over rows and is validated for either solver.
+    """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver '{solver}', expected {SOLVERS}")
+    threads = runio.resolve_threads(threads)
+    if solver == "kirchhoff":
+        return lambda spec: kirchhoff_solve(spec, threads=threads)
+    probe = CrossbarSpec(
+        m=m, n=n, r_int=r_int, bits=np.zeros((m, n), dtype=np.int8), pair=pair, v_in=v_in
+    )
+    params = calibrate_sneak_params(probe)
+    return lambda spec: parametric_solve(spec, params)

@@ -34,7 +34,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-6  # volts, max state change between sweeps
 DEFAULT_MAX_ITER = 200
-DEFAULT_RELAX = 0.7  # damping of the first reset step; halves on each reset
+RELAX = 0.7  # damping of the first reset step; halves on each reset
 ANDERSON_DEPTH = 2  # residual-history length for the mixing step
 FIRST_STAGE_CAP = 60  # sweeps at full bias before the bias-ramp rescue
 STALL_SWEEPS = 8  # sweeps without a 10 % gain on the best residual before a reset
@@ -59,7 +59,7 @@ def _anderson_step(hist_v, hist_r, r):
     return hist_v[:, -1] + r - ((dv + dr) * gamma[:, :, None]).sum(axis=1)
 
 
-def _run_stage(evaluate, relinearize, ids, scale, g, cap, tol, relax):
+def _run_stage(evaluate, relinearize, ids, scale, g, cap, tol):
     """Anderson-accelerated Picard at one bias scale, for a batch of rows.
 
     Row r of the batch is the caller's row ids[r], driven at scale[r] from
@@ -76,7 +76,7 @@ def _run_stage(evaluate, relinearize, ids, scale, g, cap, tol, relax):
     residual = np.full(k, np.inf)
     best = np.full(k, np.inf)
     converged = np.zeros(k, dtype=bool)
-    local_relax = np.full(k, relax)
+    local_relax = np.full(k, RELAX)
     stall = np.zeros(k, dtype=int)
     iterations = np.zeros(k, dtype=int)
     depth = ANDERSON_DEPTH + 1
@@ -135,7 +135,7 @@ def _run_stage(evaluate, relinearize, ids, scale, g, cap, tol, relax):
     return evaluated, g, iterations, residual, converged
 
 
-def solve(evaluate, relinearize, scale, g_start, tol, max_iter, relax):
+def solve(evaluate, relinearize, scale, g_start, tol, max_iter):
     """Fixed point of a batch of rows, row r driven at scale[r] from
     conductances g_start[r].
 
@@ -152,7 +152,7 @@ def solve(evaluate, relinearize, scale, g_start, tol, max_iter, relax):
     k = scale.size
     out, g_out, total, residual, converged = _run_stage(
         evaluate, relinearize, np.arange(k), scale, g_start,
-        np.full(k, min(FIRST_STAGE_CAP, max_iter)), tol, relax,
+        np.full(k, min(FIRST_STAGE_CAP, max_iter)), tol,
     )
     idx = np.flatnonzero(~converged & (total < max_iter))
     g = g_start[idx]
@@ -166,7 +166,7 @@ def solve(evaluate, relinearize, scale, g_start, tol, max_iter, relax):
         cap = remaining if final else np.minimum(remaining, np.maximum(10, remaining // 8))
         out[idx], g, used, residual[idx], met = _run_stage(
             evaluate, relinearize, idx, level * scale[idx], g, cap,
-            tol if final else 10.0 * tol, relax,
+            tol if final else 10.0 * tol,
         )
         g_out[idx] = g
         # meeting a partial-bias stage's looser tolerance is no solution

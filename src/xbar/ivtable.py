@@ -16,9 +16,10 @@ from xbar import runio
 
 V_FLOOR = 1e-3  # volts; below this, conductance falls back to the secant slope
 
-# grids the synthesizer emits by default
-DEFAULT_V_GRID = np.linspace(0.0, 1.0, 21)
-DEFAULT_DELTA_GRID = np.linspace(0.0, 0.2, 11)
+# grids and knee width of every synthesized table
+SYNTH_V_GRID = np.linspace(0.0, 1.0, 21)
+SYNTH_DELTA_GRID = np.linspace(0.0, 0.2, 11)
+KNEE_WIDTH = 0.1
 
 
 @dataclass
@@ -64,7 +65,6 @@ class StrandPair:
 
     logic0_table: IVTable
     logic1_table: IVTable
-    mapping_note: str = "logic 1 = high-conductance strand"
 
     def __post_init__(self):
         if self.logic0_table.strand_id == self.logic1_table.strand_id:
@@ -130,14 +130,14 @@ def interpolate_current(table: IVTable, v, delta):
     return out
 
 
-def small_signal_conductance(table: IVTable, v, delta, v_floor: float = V_FLOOR):
-    """Chord conductance I(v)/v, with the secant at v_floor near zero bias.
+def small_signal_conductance(table: IVTable, v, delta):
+    """Chord conductance I(v)/v, with the secant at V_FLOOR near zero bias.
 
     Even in v (tables store the forward branch; current is treated as odd),
     so callers may pass the raw signed drop.
     """
     v_arr = np.abs(np.asarray(v, dtype=float))
-    v_eval = np.maximum(v_arr, v_floor)
+    v_eval = np.maximum(v_arr, V_FLOOR)
     g = interpolate_current(table, v_eval, delta) / v_eval
     if np.isscalar(v) and np.isscalar(delta):
         return float(g)
@@ -211,14 +211,11 @@ def synthesize_table(
     knee: float = 0.35,
     delta_sensitivity: float = 8.0,
     strand_id: str = "synthetic",
-    v_grid=None,
-    delta_grid=None,
-    knee_width: float = 0.1,
 ) -> IVTable:
-    """Smooth monotone synthetic I-V table.
+    """Smooth monotone synthetic I-V table on SYNTH_V_GRID x SYNTH_DELTA_GRID.
 
     Conductance rises from 1/r_high at low bias toward 1/r_low past the
-    knee (a tanh turn-on of width knee_width); growing the Fermi offset
+    knee (a tanh turn-on of width KNEE_WIDTH); growing the Fermi offset
     scales the whole curve down by exp(-delta_sensitivity * delta).  With
     r_low == r_high the table is exactly ohmic.
     """
@@ -228,18 +225,11 @@ def synthesize_table(
         raise ValueError("r_low must not exceed r_high")
     if not 0 < knee < 1:
         raise ValueError("knee must lie in (0, 1)")
-    if knee_width <= 0:
-        raise ValueError("knee_width must be positive")
     if delta_sensitivity < 0:
         raise ValueError("delta_sensitivity must be non-negative")
-    v = DEFAULT_V_GRID.copy() if v_grid is None else np.asarray(v_grid, dtype=float)
-    d = (
-        DEFAULT_DELTA_GRID.copy()
-        if delta_grid is None
-        else np.asarray(delta_grid, dtype=float)
-    )
+    v, d = SYNTH_V_GRID.copy(), SYNTH_DELTA_GRID.copy()
     g_lo, g_hi = 1.0 / r_high, 1.0 / r_low
-    conductance = g_lo + (g_hi - g_lo) * 0.5 * (1.0 + np.tanh((v - knee) / knee_width))
+    conductance = g_lo + (g_hi - g_lo) * 0.5 * (1.0 + np.tanh((v - knee) / KNEE_WIDTH))
     base = conductance * v
     scale = np.exp(-delta_sensitivity * d)
     table = IVTable(strand_id, v, d, np.outer(scale, base))

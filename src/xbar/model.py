@@ -65,9 +65,6 @@ class CrossbarSpec:
     def g_int(self) -> float:
         return 1.0 / self.r_int
 
-    def cell_table(self, i: int, j: int):
-        return self.pair.table_for(int(self.bits[i, j]))
-
 
 @dataclass
 class SneakParams:

@@ -13,7 +13,6 @@ any number of threads without coupling their randomness.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -21,10 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from xbar import runio
-from xbar.crossbar import calibrate_sneak_params, parametric_solve
+from xbar.crossbar import SOLVERS, array_reader
 from xbar.ivtable import StrandPair, interpolate_current, load_table
 from xbar.model import CrossbarSpec
-from xbar.nodal import kirchhoff_solve
 
 # fixed sub-stream labels per trial; changing these invalidates every
 # previously recorded report
@@ -32,8 +30,6 @@ _DELTA_STREAM = 0
 _BITS_STREAM = 1
 
 HISTOGRAM_BINS = 64
-
-SOLVERS = ("parametric", "kirchhoff")
 
 
 @dataclass
@@ -199,20 +195,9 @@ class McReport:
 
 def run_mc(config: McConfig, threads: int | None = None) -> McReport:
     """Run the campaign and aggregate; trial order never affects values."""
-    threads = runio.resolve_threads(threads)
-    params = None
-    if config.solver == "parametric":
-        probe = CrossbarSpec(
-            m=config.m,
-            n=config.n,
-            r_int=config.r_int,
-            bits=np.zeros((config.m, config.n), dtype=np.int8),
-            pair=config.pair,
-            v_in=config.v_in,
-        )
-        # calibration depends on geometry and tables only, never on the
-        # sampled bits or offsets, so one fit serves every trial
-        params = calibrate_sneak_params(probe)
+    read = array_reader(
+        config.solver, config.m, config.n, config.r_int, config.pair, config.v_in, 1
+    )
 
     # histogram support: currents can never exceed the strongest cell's
     # full-bias current, so the bin range is known before any trial runs
@@ -234,10 +219,7 @@ def run_mc(config: McConfig, threads: int | None = None) -> McReport:
             delta=delta,
             v_in=config.v_in,
         )
-        if config.solver == "parametric":
-            sol = parametric_solve(spec, params, threads=1)
-        else:
-            sol = kirchhoff_solve(spec, threads=1)
+        sol = read(spec)
         if not sol.converged:
             return None
         cut = optimal_threshold(sol.i_out.ravel(), bits.ravel())
@@ -246,11 +228,7 @@ def run_mc(config: McConfig, threads: int | None = None) -> McReport:
         h1, _ = np.histogram(pooled[bits.ravel() == 1], bins=edges)
         return cut, float(sol.v_cell.mean()), h0, h1
 
-    if threads == 1 or config.trials == 1:
-        outcomes = [run_trial(t) for t in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(config.trials)))
+    outcomes = runio.parallel_map(run_trial, range(config.trials), threads)
 
     ber = np.full(config.trials, np.nan)
     thr = np.full(config.trials, np.nan)

@@ -27,7 +27,6 @@ against; it is deliberately free of modeling shortcuts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX, DEFAULT_TOL
+from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
 from xbar.ivtable import cell_lookup
 from xbar.model import CrossbarSpec, ReadoutSolution
 
@@ -65,12 +64,6 @@ def chord_conductances(spec: CrossbarSpec, v: np.ndarray) -> np.ndarray:
     """Per-cell chord conductance at drop v from each cell's own table,
     clamped to the table's bias range (see ivtable.cell_lookup)."""
     return cell_lookup(spec.pair, spec.bits, spec.delta, v, chord=True)
-
-
-def cell_currents(spec: CrossbarSpec, dv: np.ndarray) -> np.ndarray:
-    """Nonlinear cell currents; odd in the drop (tables store the forward
-    branch, floating rows can see reversed drops)."""
-    return np.sign(dv) * cell_lookup(spec.pair, spec.bits, spec.delta, np.abs(dv))
 
 
 def _assemble(
@@ -228,28 +221,39 @@ class DrivenFactor:
         The matrix is symmetric positive definite and this factor a close
         approximation of it, so a handful of steps suffice.  The loop stops
         on the current-law residual itself: once no node is out of balance
-        by more than KCL_RTOL of the source current.  A sweep that has not
-        got there after CG_MAX_STEPS steps is solved by direct sparse LU.
+        by more than KCL_RTOL of the source current.  Where that lies below
+        one rounding of a wire current at the source, g eps v_source (a row
+        drawing little current against its wires), steps only chase rounding
+        into overflow: a state at that floor is taken if the network's total
+        charge balances to it as well.  Any other end of the loop (the floor
+        without that total, a breakdown, CG_MAX_STEPS steps) is solved by
+        direct sparse LU.
         """
         g, row = self.g, self.active_row
+        floor = g * np.finfo(float).eps * abs(v_source)
 
         def residual(x):
             r = _inflow(g, g_cell, row, v_source, x)
-            return r, np.max(np.abs(r)) <= KCL_RTOL * abs(g * (v_source - x[self.src]))
+            worst = np.max(np.abs(r))
+            return r, worst <= KCL_RTOL * abs(g * (v_source - x[self.src])), worst <= floor
 
-        r, balanced = residual(x)
+        r, balanced, at_floor = residual(x)
         p = None
         rz = 0.0
         for _ in range(CG_MAX_STEPS):
-            if balanced:
-                return x
+            if balanced or at_floor:
+                break
             z = self.precondition(r)
             rz, rz_prev = float(r @ z), rz
             p = z if p is None else z + (rz / rz_prev) * p
-            ap = -_inflow(g, g_cell, row, 0.0, p)
-            x = x + (rz / float(p @ ap)) * p
-            r, balanced = residual(x)
-        return x if balanced else _solve_direct(g, g_cell, row, v_source)
+            curvature = float(p @ -_inflow(g, g_cell, row, 0.0, p))
+            if not (curvature > 0.0 and np.isfinite(rz / curvature)):
+                break
+            x = x + (rz / curvature) * p
+            r, balanced, at_floor = residual(x)
+        if balanced or (at_floor and abs(np.sum(r)) <= floor):
+            return x
+        return _solve_direct(g, g_cell, row, v_source)
 
 
 class GeometryFactors:
@@ -275,7 +279,6 @@ def kirchhoff_row_solve(
     active_row: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    relax: float = DEFAULT_RELAX,
     backend: str = "pcg",
     factors: GeometryFactors | None = None,
 ) -> RowSolve:
@@ -324,7 +327,7 @@ def kirchhoff_row_solve(
         return chord_conductances(spec, x[:mn].reshape(m, n) - x[mn:].reshape(m, n))[None]
 
     x, g_cell, total, converged, residual = fixedpoint.solve(
-        evaluate, relinearize, np.array([spec.v_in]), g_start[None], tol, max_iter, relax
+        evaluate, relinearize, np.array([spec.v_in]), g_start[None], tol, max_iter
     )
     x, g_cell = x[0], g_cell[0]
     v_word = x[:mn].reshape(m, n)
@@ -349,7 +352,6 @@ def kirchhoff_solve(
     spec: CrossbarSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    relax: float = DEFAULT_RELAX,
     threads: int | None = None,
     backend: str = "pcg",
 ) -> ReadoutSolution:
@@ -361,19 +363,14 @@ def kirchhoff_solve(
     that factorization and its own iterates only, so its result does not
     depend on the thread count or the order rows run in.
     """
-    threads = runio.resolve_threads(threads)
     factors = GeometryFactors(spec) if backend == "pcg" else None
 
     def solve_row(i):
         return kirchhoff_row_solve(
-            spec, i, tol=tol, max_iter=max_iter, relax=relax, backend=backend, factors=factors
+            spec, i, tol=tol, max_iter=max_iter, backend=backend, factors=factors
         )
 
-    if threads == 1 or spec.m == 1:
-        rows = [solve_row(i) for i in range(spec.m)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_row, range(spec.m)))
+    rows = runio.parallel_map(solve_row, range(spec.m), threads)
 
     v_cell = np.vstack([r.v_cell for r in rows])
     i_out = np.vstack([r.i_out for r in rows])

@@ -1,5 +1,5 @@
 """Shared file-format plumbing: exact float serialization, JSON/CSV helpers,
-run manifests, and thread-count resolution.
+run manifests, thread-count resolution and the one parallel map.
 
 Every writer in the package funnels through these helpers so that reruns of
 the same command produce byte-identical files.
@@ -11,13 +11,14 @@ import csv
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -83,6 +84,18 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads
+
+
+def parallel_map(func, items, threads: int | None) -> list:
+    """[func(item) for item in items], on a pool of `threads` workers
+    (resolved as in resolve_threads) and in item order.  One thread or one
+    item runs serially on the calling thread."""
+    threads = resolve_threads(threads)
+    items = list(items)
+    if threads == 1 or len(items) == 1:
+        return [func(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(func, items))
 
 
 def write_matrix_csv(path, matrix, header=None) -> None:

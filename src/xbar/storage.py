@@ -8,18 +8,16 @@ mirroring a per-array post-fabrication calibration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from xbar import runio
-from xbar.crossbar import calibrate_sneak_params, parametric_solve
+from xbar.crossbar import array_reader
 from xbar.ivtable import StrandPair
 from xbar.model import CrossbarSpec
 from xbar.montecarlo import optimal_threshold
-from xbar.nodal import kirchhoff_solve
 
 BINARIZATIONS = ("raw-bits", "gray-threshold")
 
@@ -147,9 +145,6 @@ def run_storage_benchmark(
     Tiles are independent work items; aggregation is index-ordered so the
     thread count never changes any reported number.
     """
-    if solver not in ("parametric", "kirchhoff"):
-        raise ValueError(f"unknown solver '{solver}'")
-    threads = runio.resolve_threads(threads)
     jobs = list(jobs)
     r_ints = [float(r) for r in r_ints]
     sizes = [(int(m), int(n)) for (m, n) in sizes]
@@ -165,23 +160,14 @@ def run_storage_benchmark(
                 tile_pad = pad if k == len(tiles) - 1 else 0
                 tiled.append((f"{label}/t{k}", tile, tile_pad))
         for r_int in r_ints:
-            params = None
-            if solver == "parametric":
-                probe = CrossbarSpec(
-                    m=m, n=n, r_int=r_int,
-                    bits=np.zeros((m, n), dtype=np.int8), pair=pair, v_in=v_in,
-                )
-                params = calibrate_sneak_params(probe)
+            read = array_reader(solver, m, n, r_int, pair, v_in, 1)
 
             def read_tile(item):
                 tile_id, tile, pad = item
                 spec = CrossbarSpec(
                     m=m, n=n, r_int=r_int, bits=tile, pair=pair, v_in=v_in
                 )
-                if solver == "parametric":
-                    sol = parametric_solve(spec, params, threads=1)
-                else:
-                    sol = kirchhoff_solve(spec, threads=1)
+                sol = read(spec)
                 load = bit_load(tile, pad)
                 if not sol.converged:
                     return TileRecord(
@@ -195,11 +181,7 @@ def run_storage_benchmark(
                     tile_id, m, n, r_int, load, cut.ber, sol.power, True
                 )
 
-            if threads == 1 or len(tiled) == 1:
-                records = [read_tile(item) for item in tiled]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    records = list(pool.map(read_tile, tiled))
+            records = runio.parallel_map(read_tile, tiled, threads)
             failures += sum(not r.converged for r in records)
             per_tile.extend(records)
 

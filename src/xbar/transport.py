@@ -16,8 +16,6 @@ Energies are in eV throughout; currents come out in amperes.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +37,7 @@ OVERLAP_EIG_FLOOR = 1e-10
 # Fermi factors decay below 1e-4 within ten thermal energies of the window.
 WINDOW_KT_MARGIN = 10.0
 
-DEFAULT_ENERGY_SPACING = 1e-3  # eV
+ENERGY_SPACING = 1e-3  # eV
 
 # Energies per stacked solve in transmission_spectrum.  At 28 orbitals the
 # time per energy falls from ~200 us one at a time to ~55 us at 32 and
@@ -330,12 +328,6 @@ def probe_transmissions(g_r, partition, config: ContactProbeConfig) -> np.ndarra
     return t + np.swapaxes(t, -1, -2)
 
 
-def reflection_coefficients(t_terminals) -> np.ndarray:
-    """R_kk = 1 - sum of transmissions out of terminal k."""
-    t = np.asarray(t_terminals)
-    return 1.0 - t.sum(axis=1)
-
-
 def _probe_system(t_terminals):
     """W matrices of the zero-net-probe-current conditions, one per
     terminal matrix of the stack."""
@@ -402,18 +394,15 @@ def transmission_at(energy: float, h_b, partition, config: ContactProbeConfig):
 
 
 def transmission_spectrum(
-    h_b, partition, config: ContactProbeConfig, energies, threads: int | None = None
+    h_b, partition, config: ContactProbeConfig, energies
 ) -> TransmissionSpectrum:
     """Evaluate the transmission over an energy grid.
 
     The grid is solved ENERGY_BLOCK energies at a time through the stacked
     forms of retarded_green, probe_transmissions and effective_transmission,
     so every energy gets exactly the arithmetic of transmission_at.
-    threads is validated and otherwise unused; iv_sweep parallelizes over
-    biases instead.
     """
     energies = np.asarray(energies, dtype=float)
-    runio.resolve_threads(threads)
     t_eff = np.empty(energies.shape)
     t_coh = np.empty(energies.shape)
     for start in range(0, energies.size, ENERGY_BLOCK):
@@ -453,7 +442,7 @@ def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
             f"[{energies[0]:.6f}, {energies[-1]:.6f}] eV, "
             f"need [{lo:.6f}, {hi:.6f}] eV"
         )
-    h_fine = min(DEFAULT_ENERGY_SPACING, kt / 4.0)
+    h_fine = min(ENERGY_SPACING, kt / 4.0)
     grid = np.union1d(
         np.arange(lo, hi + 0.5 * h_fine, h_fine),
         energies[(energies >= lo) & (energies <= hi)],
@@ -477,7 +466,6 @@ def iv_sweep(
     v_grid,
     delta_grid,
     temperature: float = 300.0,
-    energy_spacing: float = DEFAULT_ENERGY_SPACING,
     threads: int | None = None,
     strand_id: str = "system",
 ) -> IVTable:
@@ -489,7 +477,7 @@ def iv_sweep(
     transmission spectrum covering the windows of every delta, on a grid
     anchored at the lowest delta's window start; each delta then integrates
     its own window of that spectrum.  When delta steps are multiples of
-    energy_spacing every delta reads its energies at the points of its own
+    ENERGY_SPACING every delta reads its energies at the points of its own
     window grid, to round-off.  Biases are independent and computed in
     parallel when asked, one table column each; the table is always
     assembled in grid order.
@@ -500,7 +488,6 @@ def iv_sweep(
         raise ValueError("v_grid must be non-empty and strictly increasing")
     if delta_grid.ndim != 1 or delta_grid.size == 0 or np.any(np.diff(delta_grid) <= 0):
         raise ValueError("delta_grid must be non-empty and strictly increasing")
-    threads = runio.resolve_threads(threads)
     h_b0, _ = orthogonal_block_hamiltonian(system)
     margin = WINDOW_KT_MARGIN * (KB_EV * temperature)
 
@@ -513,16 +500,12 @@ def iv_sweep(
         lo = min(biases[0].e_fermi_left, biases[0].e_fermi_right) - margin
         hi = max(biases[-1].e_fermi_left, biases[-1].e_fermi_right) + margin
         # two spacings of slack so the coverage check never trips on rounding
-        energies = np.arange(lo - 2 * energy_spacing, hi + 2.5 * energy_spacing, energy_spacing)
+        energies = np.arange(lo - 2 * ENERGY_SPACING, hi + 2.5 * ENERGY_SPACING, ENERGY_SPACING)
         ramped = apply_bias_ramp(h_b0, v, system.partition)
         spec = transmission_spectrum(ramped, system.partition, config, energies)
         return [landauer_current(spec, bias) for bias in biases]
 
-    if threads == 1:
-        columns = [column(float(v)) for v in v_grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, v_grid.tolist()))
+    columns = runio.parallel_map(column, v_grid.tolist(), threads)
     return IVTable(strand_id, v_grid, delta_grid, np.column_stack(columns))
 
 
@@ -578,23 +561,16 @@ def suggest_homo_energy(
     system: QuantumSystem,
     config: ContactProbeConfig | None = None,
     gap_reference: float = 0.0,
-    e_min: float | None = None,
-    e_max: float | None = None,
-    spacing: float = DEFAULT_ENERGY_SPACING,
 ) -> float:
     """Propose a HOMO reference: the tallest zero-bias transmission peak
-    below gap_reference.
+    within 3 eV below gap_reference.
 
     Only a proposal; occupancy counting is impossible from the matrices
     alone, so the caller stays responsible for the final homo_energy.
     """
     config = config or ContactProbeConfig()
-    if e_max is None:
-        e_max = gap_reference
-    if e_min is None:
-        e_min = gap_reference - 3.0
     h_b, _ = orthogonal_block_hamiltonian(system)
-    energies = np.arange(e_min, e_max + 0.5 * spacing, spacing)
+    energies = np.arange(gap_reference - 3.0, gap_reference + 0.5 * ENERGY_SPACING, ENERGY_SPACING)
     spec = transmission_spectrum(h_b, system.partition, config, energies)
     t = spec.t_eff
     interior = (t[1:-1] > t[:-2]) & (t[1:-1] >= t[2:])

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import xbar.cli as cli
-from xbar import runio, transport as tp
+from xbar import crossbar, runio, transport as tp
 from xbar.ivtable import IVTable, StrandPair, load_table, save_table, synthesize_table
 from xbar.model import CrossbarSpec, ReadoutSolution, load_crossbar_spec, save_crossbar_spec
 from xbar.runio import RunManifest
@@ -94,7 +94,7 @@ def test_solve_exit_two_when_not_converged(tmp_path, monkeypatch):
             solver="parametric",
         )
 
-    monkeypatch.setattr(cli, "parametric_solve", stuck)
+    monkeypatch.setattr(crossbar, "parametric_solve", stuck)
     code = cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
 
@@ -105,7 +105,7 @@ def test_numerical_runtime_error_maps_to_exit_two(tmp_path, monkeypatch):
     def explode(spec, threads=None):
         raise RuntimeError("singular system")
 
-    monkeypatch.setattr(cli, "kirchhoff_solve", explode)
+    monkeypatch.setattr(crossbar, "kirchhoff_solve", explode)
     code = cli.main(["oracle", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
 

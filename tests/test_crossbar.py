@@ -19,7 +19,7 @@ from xbar.crossbar import (
 )
 from xbar.defaults import shipped_pair
 from xbar.ivtable import IVTable, StrandPair, synthesize_table
-from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_RELAX
+from xbar.fixedpoint import DEFAULT_MAX_ITER
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import kirchhoff_solve
 
@@ -269,7 +269,7 @@ def test_rows_solved_together_match_rows_solved_alone():
     spec, params = mixed_rows_case()
 
     def solve(rows):
-        return _solve_rows(spec, params, np.asarray(rows), 1e-15, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+        return _solve_rows(spec, params, np.asarray(rows), 1e-15, DEFAULT_MAX_ITER)
 
     v, sweeps, converged, residual = solve(np.arange(spec.m))
     assert np.any(sweeps <= 60)
@@ -290,10 +290,10 @@ def test_rows_out_of_sweeps_on_the_bias_ramp_are_not_converged():
     spec = disordered_spec(3, 12, 32, 1e7)
     params = calibrate_sneak_params(spec)
     every = np.arange(spec.m)
-    ref, _, ref_converged, _ = _solve_rows(spec, params, every, 1e-6, DEFAULT_MAX_ITER, DEFAULT_RELAX)
+    ref, _, ref_converged, _ = _solve_rows(spec, params, every, 1e-6, DEFAULT_MAX_ITER)
     assert ref_converged.all()
     for max_iter in range(61, 80):
-        v, _, converged, _ = _solve_rows(spec, params, every, 1e-15, max_iter, DEFAULT_RELAX)
+        v, _, converged, _ = _solve_rows(spec, params, every, 1e-15, max_iter)
         off = np.abs(v - ref).max(axis=1) > 1e-3
         assert not np.any(converged & off), f"max_iter {max_iter}"
 

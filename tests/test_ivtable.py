@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xbar import ivtable as ivt
+from xbar.defaults import build_shipped_tables, shipped_pair
 from xbar.ivtable import IVTable, StrandPair
 
 
@@ -206,6 +207,19 @@ def test_strand_pair_warns_on_inverted_mapping():
     lo = ivt.synthesize_table(1e7, 8e7, strand_id="lo")
     with pytest.warns(UserWarning, match="inverted"):
         StrandPair(logic0_table=hi, logic1_table=lo)
+
+
+def test_shipped_tables_are_their_generators_output():
+    """The packaged data/logic{0,1}.json are what build_shipped_tables
+    writes, bit for bit, so the defining parameters in xbar.defaults stay
+    the source of truth for them."""
+    built, shipped = build_shipped_tables(), shipped_pair()
+    for bit in (0, 1):
+        b, s = built.table_for(bit), shipped.table_for(bit)
+        assert b.strand_id == s.strand_id
+        np.testing.assert_array_equal(b.v_grid, s.v_grid)
+        np.testing.assert_array_equal(b.delta_grid, s.delta_grid)
+        np.testing.assert_array_equal(b.current, s.current)
 
 
 # -------------------------------------------------------------------- io

@@ -11,6 +11,7 @@ route against direct sparse LU of every sweep.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,26 @@ def test_stalled_conjugate_gradients_fall_back_to_direct_solves(monkeypatch):
     row = kirchhoff_row_solve(spec, 3)
     assert_same_state(row, ref, nodal.DEFAULT_TOL)
     assert row.iterations == ref.iterations
+
+
+def test_row_drawing_little_current_stops_at_the_rounding_floor(monkeypatch):
+    """A lone knee-0 cell at r_int 1e5 draws ~1e-11 A through wires of
+    1e-5 S, so KCL_RTOL of its source current lies below one rounding of a
+    wire current, g eps v_in.  Conjugate gradients stop at that floor
+    rather than chase it into overflow and a direct solve."""
+    spec = CrossbarSpec(
+        m=1, n=1, r_int=1e5, bits=np.zeros((1, 1), np.int8), pair=knee_pair(), v_in=1.0
+    )
+    ref = kirchhoff_row_solve(spec, 0, backend="sparse")
+
+    def no_direct_solve(*args):
+        raise AssertionError("a sweep fell back to the direct solve")
+
+    monkeypatch.setattr(nodal, "_solve_direct", no_direct_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = kirchhoff_row_solve(spec, 0)
+    assert_same_state(row, ref, nodal.DEFAULT_TOL)
 
 
 def test_unknown_backend_rejected():

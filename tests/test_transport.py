@@ -427,17 +427,6 @@ def test_transmission_peak_shifts_with_positive_bias():
     assert peak(0.4) > peak(0.0) > peak(-0.4)
 
 
-def test_transmission_spectrum_thread_count_does_not_change_results():
-    system = seven_block_system(seed=37)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
-    config = ContactProbeConfig()
-    energies = np.arange(-5.5, -5.0, 0.01)
-    serial = tp.transmission_spectrum(h_b, system.partition, config, energies, threads=1)
-    pooled = tp.transmission_spectrum(h_b, system.partition, config, energies, threads=4)
-    np.testing.assert_array_equal(serial.t_eff, pooled.t_eff)
-    np.testing.assert_array_equal(serial.t_coherent, pooled.t_coherent)
-
-
 def test_iv_sweep_thread_count_does_not_change_results():
     system = seven_block_system(seed=39)
     config = ContactProbeConfig()
