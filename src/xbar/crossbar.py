@@ -35,7 +35,7 @@ from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
 from xbar.ivtable import StrandPair, cell_lookup, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
-from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
+from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power
 from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
 
 INIT_BIAS = 0.05  # volts, first chord linearization point
@@ -152,22 +152,6 @@ def normalized_voltages(
     """Cell voltages with the row scale divided out, isolating the in-row
     degradation profile."""
     return v_cell / (spec.v_in * params.alpha[:, None])
-
-
-def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float:
-    """Total power drawn from the source across the m row activations.
-
-    Summing over activations (rather than averaging) keeps the number
-    monotone in array size, which is how read cost scales in practice.
-    The nodal path reports the source current directly; the parametric
-    path recovers it as the sum of measured column currents, which is the
-    same number whenever charge is conserved.
-    """
-    if solution.source_current is not None:
-        total = float(np.sum(solution.source_current))
-    else:
-        total = float(np.sum(solution.i_out))
-    return spec.v_in * total
 
 
 def parametric_solve(

@@ -107,6 +107,23 @@ class ReadoutSolution:
     v_normalized: np.ndarray | None = None
 
 
+def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float:
+    """Total power drawn from the source across the m row activations.
+
+    Summing over activations (rather than averaging) keeps the number
+    monotone in array size, which is how read cost scales in practice.
+    Both solvers report power through this rule.  The nodal oracle reports
+    the source current directly; the parametric model recovers it as the
+    sum of measured column currents, which is the same number whenever
+    charge is conserved.
+    """
+    if solution.source_current is not None:
+        total = float(np.sum(solution.source_current))
+    else:
+        total = float(np.sum(solution.i_out))
+    return spec.v_in * total
+
+
 def save_readout_solution(solution: ReadoutSolution, out_dir) -> None:
     """CSV matrices plus a small JSON summary."""
     out = Path(out_dir)

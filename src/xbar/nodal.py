@@ -15,7 +15,7 @@ solves every sweep of every row from those two factorizations: the first
 sweep exactly, through a rank-one update for the driven row's source, and
 the later ones by preconditioned conjugate gradients, each stopped on the
 current-law residual.  The other route ("sparse") factors every sweep's
-assembled matrix directly; the two must agree.
+assembled matrix directly; it is the reference the default must match.
 
 The parametric model's calibration reference, every cell at one
 conductance, is separable: solve_linear_homogeneous solves it mode by
@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
 from xbar.ivtable import cell_lookup
-from xbar.model import CrossbarSpec, ReadoutSolution
+from xbar.model import CrossbarSpec, ReadoutSolution, compute_power
 
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
 CG_MAX_STEPS = 100  # conjugate-gradient steps before a sweep is solved directly
@@ -66,60 +66,38 @@ def chord_conductances(spec: CrossbarSpec, v: np.ndarray) -> np.ndarray:
     return cell_lookup(spec.pair, spec.bits, spec.delta, v, chord=True)
 
 
-def _assemble(
-    m: int,
-    n: int,
-    g: float,
-    v_in: float,
-    g_cell: np.ndarray,
-    active_row: int | None,
-):
-    """Sparse conductance matrix over [wordline nodes; bitline nodes].
+def _path_laplacian(size: int, grounded: bool):
+    """Laplacian of a path of `size` nodes joined by unit segments: free at
+    both ends (a wordline) or grounded through one more segment below its
+    last node (a bitline).  _path_modes gives its eigenpairs in closed form."""
+    diag = np.full(size, 2.0)
+    diag[0] = 1.0
+    if not grounded:
+        diag[-1] -= 1.0
+    off = -np.ones(size - 1)
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csc")
 
-    active_row = None leaves the source segment out entirely (the
-    sourceless network MeshFactor factors for the rank-one update path).
+
+def _assemble(g: float, g_cell: np.ndarray, active_row: int | None = None):
+    """Sparse conductance matrix over [wordline nodes; bitline nodes]:
+
+        [[g (I_m x L_free(n)) + C,  -C                         ],
+         [-C,                       g (L_grounded(m) x I_n) + C]]
+
+    with C = diag(g_cell), plus the source segment's stamp g at the driven
+    row's first wordline node.  active_row = None leaves the source segment
+    out entirely (the sourceless network MeshFactor factors for the
+    rank-one update path).
     """
-    mn = m * n
-    size = 2 * mn
-
-    # two-node conductances: (p, q, value)
-    word_p = (np.arange(m)[:, None] * n + np.arange(n - 1)[None, :]).ravel()
-    word_q = word_p + 1
-    bit_p = mn + (np.arange(m - 1)[:, None] * n + np.arange(n)[None, :]).ravel()
-    bit_q = bit_p + n
-    cell_p = np.arange(mn)
-    cell_q = mn + cell_p
-
-    p = np.concatenate([word_p, bit_p, cell_p])
-    q = np.concatenate([word_q, bit_q, cell_q])
-    gv = np.concatenate(
-        [
-            np.full(word_p.size, g),
-            np.full(bit_p.size, g),
-            g_cell.ravel(),
-        ]
-    )
-
-    rows = np.concatenate([p, q, p, q])
-    cols = np.concatenate([p, q, q, p])
-    vals = np.concatenate([gv, gv, -gv, -gv])
-
-    # one-node conductances to fixed potentials: ground and source segments
-    ground_idx = mn + (m - 1) * n + np.arange(n)
-    rows = np.concatenate([rows, ground_idx])
-    cols = np.concatenate([cols, ground_idx])
-    vals = np.concatenate([vals, np.full(n, g)])
-
-    b = np.zeros(size)
-    if active_row is not None:
-        src = active_row * n
-        rows = np.concatenate([rows, [src]])
-        cols = np.concatenate([cols, [src]])
-        vals = np.concatenate([vals, [g]])
-        b[src] = g * v_in
-
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
-    return a, b
+    m, n = g_cell.shape
+    c = sp.diags(g_cell.ravel(), format="csc")
+    word = g * sp.kron(sp.identity(m), _path_laplacian(n, grounded=False), format="csc")
+    bit = g * sp.kron(_path_laplacian(m, grounded=True), sp.identity(n), format="csc")
+    a = sp.bmat([[word + c, -c], [-c, bit + c]], format="csc")
+    if active_row is None:
+        return a
+    src = active_row * n
+    return a + sp.csc_matrix(([g], ([src], [src])), shape=a.shape)
 
 
 def start_conductances(spec: CrossbarSpec) -> np.ndarray:
@@ -132,18 +110,20 @@ def start_conductances(spec: CrossbarSpec) -> np.ndarray:
 
 
 def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, v_source: float):
-    """Sparse LU of the assembled mesh plus one refinement step.
+    """Sparse LU of the assembled mesh, applied twice to the edge-walk
+    residual from the zero state.
 
-    Where g_cell r_int is large the assembled diagonal 2g + g_cell rounds
-    most of g away, and the LU solve alone misses cell drops by up to
-    ~1e-9 relative; one step against the edge-walk residual, which keeps g
-    and g_cell apart, reuses the factor and brings that to ~1e-10.
+    At zero the residual is the source current alone, so the first step is
+    the plain LU solve.  Where g_cell r_int is large the assembled diagonal
+    2g + g_cell rounds most of g away, and that solve misses cell drops by
+    up to ~1e-9 relative; the second step, against the residual that keeps
+    g and g_cell apart, reuses the factor and brings that to ~1e-10.
     """
-    m, n = g_cell.shape
-    a, b = _assemble(m, n, g, v_source, g_cell, active_row)
-    lu = splu(a)
-    x = lu.solve(b)
-    return x + lu.solve(_inflow(g, g_cell, active_row, v_source, x))
+    lu = splu(_assemble(g, g_cell, active_row))
+    x = np.zeros(2 * g_cell.size)
+    for _ in range(2):
+        x = x + lu.solve(_inflow(g, g_cell, active_row, v_source, x))
+    return x
 
 
 def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
@@ -189,7 +169,7 @@ class MeshFactor:
     def __init__(self, g: float, g_cell: np.ndarray):
         self.g = g
         self.shape = g_cell.shape
-        a0, _ = _assemble(*self.shape, g, 0.0, g_cell, None)
+        a0 = _assemble(g, g_cell)
         # the matrix is symmetric: ordering on A + A^T keeps the fill, and
         # with it every solve, about half of what the default ordering gives
         self.lu = splu(a0, permc_spec="MMD_AT_PLUS_A")
@@ -353,48 +333,41 @@ def kirchhoff_solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     threads: int | None = None,
-    backend: str = "pcg",
 ) -> ReadoutSolution:
     """Readout of the whole array: every row activated in turn.
 
     Row activations are independent; with threads > 1 they run on a pool
-    and are merged back in row order.  The default backend factors the
-    network once for all rows (see kirchhoff_row_solve); each row reads
-    that factorization and its own iterates only, so its result does not
-    depend on the thread count or the order rows run in.
+    and are merged back in row order.  The network is factored once for
+    all rows (see kirchhoff_row_solve); each row reads that factorization
+    and its own iterates only, so its result does not depend on the thread
+    count or the order rows run in.
     """
-    factors = GeometryFactors(spec) if backend == "pcg" else None
+    factors = GeometryFactors(spec)
 
     def solve_row(i):
-        return kirchhoff_row_solve(
-            spec, i, tol=tol, max_iter=max_iter, backend=backend, factors=factors
-        )
+        return kirchhoff_row_solve(spec, i, tol=tol, max_iter=max_iter, factors=factors)
 
     rows = runio.parallel_map(solve_row, range(spec.m), threads)
 
-    v_cell = np.vstack([r.v_cell for r in rows])
-    i_out = np.vstack([r.i_out for r in rows])
-    source_current = np.array([r.source_current for r in rows])
-    # total over the m activations, matching the parametric convention
-    power = float(spec.v_in * source_current.sum())
-    return ReadoutSolution(
-        v_cell=v_cell,
-        i_out=i_out,
-        power=power,
+    solution = ReadoutSolution(
+        v_cell=np.vstack([r.v_cell for r in rows]),
+        i_out=np.vstack([r.i_out for r in rows]),
+        power=0.0,
         iterations=max(r.iterations for r in rows),
         converged=all(r.converged for r in rows),
         residual=max(r.residual for r in rows),
         solver="kirchhoff",
-        source_current=source_current,
+        source_current=np.array([r.source_current for r in rows]),
     )
+    solution.power = compute_power(spec, solution)
+    return solution
 
 
 def _path_modes(size: int, grounded: bool):
-    """Eigenvalues and orthonormal eigenvectors (columns) of the Laplacian
-    of a path of `size` nodes joined by unit segments: with free ends
-    (diagonal 1, 2, ..., 2, 1; the cosine-transform modes) or grounded
-    through one more segment below its last node (1, 2, ..., 2, 2; cosines
-    that vanish one node past the end).  In closed form the free path's
+    """Eigenvalues and orthonormal eigenvectors (columns) of
+    _path_laplacian(size, grounded): for free ends (diagonal 1, 2, ..., 2,
+    1) the cosine-transform modes, for a grounded end (1, 2, ..., 2, 2)
+    cosines that vanish one node past it.  In closed form the free path's
     zero eigenvalue is an exact zero and small ones keep full precision."""
     k = np.arange(size)
     angle = np.pi * (2 * k + 1) / (2 * size + 1) if grounded else np.pi * k / size
@@ -408,9 +381,10 @@ def solve_linear_homogeneous(
     """All cells at one fixed conductance, solved for every activated row.
 
     With every cell equal the sourceless network is separable: in the
-    eigenbasis of the wordline path (U, lambda) and of the grounded
-    bitline path (V, mu) it splits into m*n independent two-node word/bit
-    systems with determinant g^2 mu lambda + g g_cell (mu + lambda) > 0
+    eigenbasis (_path_modes) of the wordline path (U, lambda) and of the
+    grounded bitline path (V, mu) that _assemble is built from, it splits
+    into m*n independent two-node word/bit systems with determinant
+    g^2 mu lambda + g g_cell (mu + lambda) > 0
     (Buzbee, Golub & Nielson's matrix decomposition for grid Poisson
     problems).  The driven row's source segment is the rank-one
     Sherman-Morrison update of DrivenFactor: with w_i the voltage a unit

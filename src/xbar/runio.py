@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -98,43 +98,33 @@ def parallel_map(func, items, threads: int | None) -> list:
         return list(pool.map(func, items))
 
 
-def write_matrix_csv(path, matrix, header=None) -> None:
+def _write_csv(path, rows) -> None:
+    """The one CSV row writer: floats go through fmt17, everything else
+    through str."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [fmt17(v) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+
+def write_matrix_csv(path, matrix) -> None:
     """Dense matrix as CSV rows of exact decimals."""
-    matrix = np.asarray(matrix)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([fmt17(v) for v in row])
+    _write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=float)))
 
 
-def write_long_csv(path, matrix, value_name="value") -> None:
+def write_long_csv(path, matrix) -> None:
     """Matrix flattened to (row, col, value) rows, gnuplot-friendly."""
-    matrix = np.atleast_2d(np.asarray(matrix))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", value_name])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                writer.writerow([i, j, fmt17(matrix[i, j])])
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    cells = ((i, j, v) for (i, j), v in np.ndenumerate(matrix))
+    _write_csv(path, [("row", "col", "value"), *cells])
 
 
 def write_rows_csv(path, header, rows) -> None:
-    """Generic CSV writer; floats go through fmt17, everything else through str."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [fmt17(v) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+    """Header row, then one CSV row per item of rows."""
+    _write_csv(path, [header, *rows])
 
 
 @dataclass

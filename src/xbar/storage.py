@@ -150,7 +150,8 @@ def run_storage_benchmark(
     sizes = [(int(m), int(n)) for (m, n) in sizes]
 
     per_tile = []
-    failures = 0
+    binned = []
+    powers = []
     for m, n in sizes:
         tiled = []
         for j, job in enumerate(jobs):
@@ -182,46 +183,23 @@ def run_storage_benchmark(
                 )
 
             records = runio.parallel_map(read_tile, tiled, threads)
-            failures += sum(not r.converged for r in records)
             per_tile.extend(records)
-
-    binned = []
-    powers = []
-    for m, n in sizes:
-        for r_int in r_ints:
-            group = [
-                r
-                for r in per_tile
-                if r.converged and (r.m, r.n) == (m, n) and r.r_int == r_int
-            ]
-            for b in sorted({int(round(r.bit_load_pct)) for r in group}):
-                vals = np.array(
-                    [r.ber for r in group if int(round(r.bit_load_pct)) == b]
-                )
-                binned.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "r_int_ohm": r_int,
-                        "bit_load_pct": b,
-                        **_box_stats(vals),
-                    }
-                )
-            if group:
+            condition = {"m": m, "n": n, "r_int_ohm": r_int}
+            read_ok = [r for r in records if r.converged]
+            loads = [int(round(r.bit_load_pct)) for r in read_ok]
+            for b in sorted(set(loads)):
+                vals = np.array([r.ber for r, load in zip(read_ok, loads) if load == b])
+                binned.append({**condition, "bit_load_pct": b, **_box_stats(vals)})
+            if read_ok:
                 powers.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "r_int_ohm": r_int,
-                        "power_mean_w": float(np.mean([r.power_w for r in group])),
-                    }
+                    {**condition, "power_mean_w": float(np.mean([r.power_w for r in read_ok]))}
                 )
 
     return StorageReport(
         per_tile=per_tile,
         binned_ber=binned,
         power_vs_rint=powers,
-        failures=failures,
+        failures=sum(not r.converged for r in per_tile),
     )
 
 

@@ -105,31 +105,17 @@ class QuantumSystem:
 
 @dataclass
 class ContactProbeConfig:
-    """Broadenings for the two contacts and the interior probes.
-
-    left_block/right_block are zero-based block indices; right_block = None
-    resolves to the last block.  Every other block carries a probe.
-    """
+    """Broadenings for the two contacts and the interior probes (see
+    terminal_blocks for where they attach)."""
 
     gamma_contact: float = 1.0  # eV
     gamma_probe: float = 0.010  # eV
-    left_block: int = 0
-    right_block: int | None = None
 
     def __post_init__(self):
         if self.gamma_contact <= 0:
             raise ValueError("gamma_contact must be positive")
         if self.gamma_probe < 0:
             raise ValueError("gamma_probe must be non-negative")
-
-    def resolve(self, n_blocks: int):
-        """(left, right, probe indices) for a chain of n_blocks blocks."""
-        left = self.left_block
-        right = self.right_block if self.right_block is not None else n_blocks - 1
-        if not (0 <= left < n_blocks and 0 <= right < n_blocks):
-            raise ValueError("contact block index out of range")
-        probes = tuple(k for k in range(n_blocks) if k != left and k != right)
-        return left, right, probes
 
 
 @dataclass
@@ -252,16 +238,11 @@ def apply_bias_ramp(h_b, v_bias: float, partition) -> np.ndarray:
 
 
 def broadening_vector(partition, config: ContactProbeConfig) -> np.ndarray:
-    """Per-orbital level broadening from contacts and probes (eV)."""
-    n_orb = int(sum(partition))
-    left, right, probes = config.resolve(len(partition))
-    slices = _block_slices(partition)
-    gvec = np.zeros(n_orb)
-    gvec[slices[left]] += config.gamma_contact
-    gvec[slices[right]] += config.gamma_contact
-    for k in probes:
-        gvec[slices[k]] += config.gamma_probe
-    return gvec
+    """Per-orbital level broadening from contacts and probes (eV): each
+    block's terminal broadenings summed, repeated over its orbitals."""
+    blocks, gammas = terminal_blocks(len(partition), config)
+    per_block = np.bincount(blocks, weights=gammas, minlength=len(partition))
+    return np.repeat(per_block, partition)
 
 
 def retarded_green(energy, h_b, partition, config: ContactProbeConfig):
@@ -295,16 +276,16 @@ def retarded_green(energy, h_b, partition, config: ContactProbeConfig):
 
 
 def terminal_blocks(n_blocks: int, config: ContactProbeConfig):
-    """Terminal ordering used by all transmission matrices.
+    """Where the terminals attach, in the order of all transmission matrices.
 
-    Index 0 is the left contact, 1 the right contact, then the interior
-    probe blocks in chain order.  Returns (block indices, gammas).
+    The left contact sits on the first block (index 0), the right contact
+    on the last (index 1; a one-block chain carries both), and a probe on
+    every block between, in chain order.  Returns (block indices, gammas).
     """
-    left, right, probes = config.resolve(n_blocks)
-    blocks = [left, right, *probes]
+    blocks = [0, n_blocks - 1, *range(1, n_blocks - 1)]
     gammas = np.array(
         [config.gamma_contact, config.gamma_contact]
-        + [config.gamma_probe] * len(probes)
+        + [config.gamma_probe] * (len(blocks) - 2)
     )
     return blocks, gammas
 

@@ -345,6 +345,17 @@ def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("grounded", [False, True])
+@pytest.mark.parametrize("size", range(1, 13))
+def test_path_modes_diagonalize_the_assembled_path(size, grounded):
+    """Calibration's closed-form eigenpairs are those of the very path
+    Laplacian the oracle's mesh is assembled from."""
+    lam, u = nodal._path_modes(size, grounded)
+    lap = nodal._path_laplacian(size, grounded).toarray()
+    np.testing.assert_allclose(u.T @ u, np.eye(size), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(lap @ u, u * lam, rtol=0.0, atol=1e-13)
+
+
 def test_direct_solve_resolves_cell_drops_where_cells_short_the_wires():
     """A 12x1 column at g_cell r_int = 1e5: the exact drop of the driven
     cell is v_in / (1 + g_cell r_int (1 + m - i)).  LU of the assembled

@@ -4,6 +4,7 @@ readback reconstruction, and the end-to-end benchmark."""
 import numpy as np
 import pytest
 
+from xbar import crossbar
 from xbar.ivtable import IVTable, StrandPair
 from xbar.storage import (
     ImageJob,
@@ -230,6 +231,60 @@ def test_binned_stats_group_by_condition_and_load():
     for row in report.binned_ber:
         assert row["q1"] <= row["median"] <= row["q3"]
         assert row["min"] <= row["q1"] and row["q3"] <= row["max"]
+
+
+def test_aggregates_regroup_per_tile_records_by_condition(monkeypatch):
+    """Two sizes by two interconnect values, every tile of one condition
+    forced unconverged: the binned BER rows and mean powers are exactly a
+    regrouping of the per-tile records by condition and rounded load, and
+    the failed condition contributes to neither."""
+    read = crossbar.parametric_solve
+
+    def fail_one_condition(spec, params, **kwargs):
+        sol = read(spec, params, **kwargs)
+        if (spec.m, spec.r_int) == (8, 1e5):
+            sol.converged = False
+        return sol
+
+    monkeypatch.setattr(crossbar, "parametric_solve", fail_one_condition)
+    rng = np.random.default_rng(79)
+    jobs = [
+        ImageJob(source=bytes(rng.integers(0, 256, size=40, dtype=np.uint8)), name="a"),
+        ImageJob(
+            source=bytes(rng.integers(0, 256, size=96, dtype=np.uint8)),
+            binarization="gray-threshold",
+            name="b",
+        ),
+    ]
+    sizes, r_ints = [(4, 4), (8, 8)], [1e4, 1e5]
+    report = run_storage_benchmark(jobs, r_ints, sizes, separable_pair())
+
+    failed = [r for r in report.per_tile if not r.converged]
+    assert failed and {(r.m, r.r_int) for r in failed} == {(8, 1e5)}
+    assert report.failures == len(failed)
+    binned, powers = [], []
+    for m, n in sizes:
+        for r_int in r_ints:
+            group = [
+                r for r in report.per_tile
+                if r.converged and (r.m, r.n, r.r_int) == (m, n, r_int)
+            ]
+            for load in sorted({int(round(r.bit_load_pct)) for r in group}):
+                bers = [r.ber for r in group if int(round(r.bit_load_pct)) == load]
+                q1, med, q3 = np.percentile(bers, [25.0, 50.0, 75.0])
+                binned.append(
+                    {"m": m, "n": n, "r_int_ohm": r_int, "bit_load_pct": load,
+                     "count": len(bers), "median": med, "q1": q1, "q3": q3,
+                     "min": min(bers), "max": max(bers)}
+                )
+            if group:
+                powers.append(
+                    {"m": m, "n": n, "r_int_ohm": r_int,
+                     "power_mean_w": np.mean([r.power_w for r in group])}
+                )
+    assert len(powers) == 3
+    assert report.binned_ber == binned
+    assert report.power_vs_rint == powers
 
 
 def test_save_storage_report_writes_stable_files(tmp_path):

@@ -45,7 +45,7 @@ def one_level_hamiltonian(eps=-5.2):
 
 
 ONE_SITE = [1]
-ONE_SITE_CONFIG = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.0, right_block=0)
+ONE_SITE_CONFIG = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.0)
 
 IV_PINS = Path(__file__).parent / "data" / "iv_sweep_pins.json"
 
