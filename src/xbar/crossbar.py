@@ -14,13 +14,13 @@ resistance of (m - i) segments, which is what makes the 1x1 case exact.
 Runtime scales with the number of cells instead of the number of mesh
 nodes, which is the whole point: bit-error statistics need thousands of
 array reads.  The rows of a readout are independent fixed points, so they
-iterate as one batch: each sweep is one stacked ladder solve, one table
-lookup per bit value and one stacked Anderson fit over every row still
-active.  The iteration itself (convergence, resets, the bias-ramp rescue,
-all decided row by row) belongs to the driver in xbar.fixedpoint, which
-the nodal oracle shares; this module supplies the ladder solve and the
-chord lookup.  A row's result does not depend on which rows share its
-batch.
+iterate as one batch: each sweep is one stacked ladder solve, one lookup
+through the readout's ivtable.LookupPlan and one stacked Anderson fit
+over every row still active.  The iteration itself (convergence, resets,
+the bias-ramp rescue, all decided row by row) belongs to the driver in
+xbar.fixedpoint, which the nodal oracle shares; this module supplies the
+ladder solve and the chord lookup.  A row's result does not depend on
+which rows share its batch.
 
 array_reader is the one place callers choose between this model and the
 nodal oracle.
@@ -33,7 +33,7 @@ from scipy.linalg import solve_banded
 
 from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
-from xbar.ivtable import StrandPair, cell_lookup, small_signal_conductance
+from xbar.ivtable import LookupPlan, StrandPair, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power
 from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
@@ -114,21 +114,20 @@ def calibrate_sneak_params(
     )
 
 
-def _solve_rows(spec, params, rows, tol, max_iter):
+def _solve_rows(spec, params, plan, rows, tol, max_iter):
     """Fixed point of the rows `rows` of the array, solved together by
     the shared driver (see fixedpoint.solve).  Each sweep is one stacked
-    ladder solve and one table lookup per bit value over every row still
-    active.  Returns per-row voltages, sweep counts, convergence flags and
-    final residuals.
+    ladder solve and one lookup through the array's plan over every row
+    still active.  Returns per-row voltages, sweep counts, convergence
+    flags and final residuals.
     """
     segments = spec.m - rows
-    bits, delta = spec.bits[rows], spec.delta[rows]
 
     def evaluate(ids, scale, g, state):
         return scale[:, None] * _ladder_fractions(_cell_loads(g, spec.r_int, segments[ids, None]))
 
     def relinearize(ids, state):
-        return cell_lookup(spec.pair, bits[ids], delta[ids], state, chord=True)
+        return plan.chord(state, rows[ids])
 
     g_start = relinearize(slice(None), np.full((rows.size, spec.n), INIT_BIAS))
     v, _, total, converged, residual = fixedpoint.solve(
@@ -138,12 +137,12 @@ def _solve_rows(spec, params, rows, tol, max_iter):
 
 
 def readout_currents(
-    v_cell: np.ndarray, params: SneakParams, spec: CrossbarSpec
+    v_cell: np.ndarray, params: SneakParams, plan: LookupPlan
 ) -> np.ndarray:
     """Measurable column currents: each cell's table current at its solved
-    voltage, attenuated by the column factor."""
-    currents = cell_lookup(spec.pair, spec.bits, spec.delta, v_cell)
-    return currents * params.beta[None, :]
+    voltage (through the array's lookup plan), attenuated by the column
+    factor."""
+    return plan.current(v_cell) * params.beta[None, :]
 
 
 def normalized_voltages(
@@ -164,8 +163,9 @@ def parametric_solve(
     """Read every row of the array through the calibrated ladder model.
 
     All rows iterate together as one batch (see _solve_rows), on the
-    calling thread; `threads` is accepted for a uniform solver signature
-    and changes nothing.
+    calling thread, and read their tables through one LookupPlan;
+    `threads` is accepted for a uniform solver signature and changes
+    nothing.
     """
     if params.alpha.size != spec.m or params.beta.size != spec.n:
         raise ValueError(
@@ -173,10 +173,11 @@ def parametric_solve(
             f"a {spec.m}x{spec.n} array"
         )
     runio.resolve_threads(threads)
+    plan = LookupPlan(spec.pair, spec.bits, spec.delta)
     v_cell, iterations, converged, residual = _solve_rows(
-        spec, params, np.arange(spec.m), tol, max_iter
+        spec, params, plan, np.arange(spec.m), tol, max_iter
     )
-    i_out = readout_currents(v_cell, params, spec)
+    i_out = readout_currents(v_cell, params, plan)
     solution = ReadoutSolution(
         v_cell=v_cell,
         i_out=i_out,

@@ -89,16 +89,27 @@ class StrandPair:
         return self.logic1_table if bit else self.logic0_table
 
 
-def _axis_weights(grid: np.ndarray, q: np.ndarray, name: str):
+def _admissible(grid: np.ndarray):
+    """The query range a grid accepts: its own span plus a relative edge
+    slack of 1e-12, so that queries rounded onto an end node still pass."""
     lo, hi = grid[0], grid[-1]
     span = max(abs(lo), abs(hi), 1.0)
-    bad = (q < lo - 1e-12 * span) | (q > hi + 1e-12 * span)
+    return lo - 1e-12 * span, hi + 1e-12 * span
+
+
+def _range_error(grid: np.ndarray, q: np.ndarray, bad: np.ndarray, name: str):
+    worst = np.asarray(q)[bad].ravel()[0]
+    return ValueError(
+        f"{name} = {worst:.6g} outside table range [{grid[0]:.6g}, {grid[-1]:.6g}]"
+    )
+
+
+def _axis_weights(grid: np.ndarray, q: np.ndarray, name: str):
+    lower, upper = _admissible(grid)
+    bad = (q < lower) | (q > upper)
     if np.any(bad):
-        worst = np.asarray(q)[bad].ravel()[0]
-        raise ValueError(
-            f"{name} = {worst:.6g} outside table range [{lo:.6g}, {hi:.6g}]"
-        )
-    q = np.clip(q, lo, hi)
+        raise _range_error(grid, q, bad, name)
+    q = np.clip(q, grid[0], grid[-1])
     if grid.size == 1:  # degenerate axis: exact-node queries only
         return np.zeros_like(q, dtype=int), np.zeros_like(q, dtype=float)
     idx = np.clip(np.searchsorted(grid, q, side="right") - 1, 0, grid.size - 2)
@@ -144,26 +155,122 @@ def small_signal_conductance(table: IVTable, v, delta):
     return g
 
 
-def cell_lookup(pair: StrandPair, bits, delta, v, chord: bool = False) -> np.ndarray:
-    """Per-cell lookup through the table of each cell's stored bit.
+class LookupPlan:
+    """Per-cell lookups of one array, each cell through the table of its
+    stored bit.
 
-    bits, delta and v share one shape, any shape.  Returns the current at
-    bias v or, with chord=True, the chord conductance at |v| clamped to each
-    table's bias range: iterates may overshoot the physical window, and a
-    linearization point is free to sit anywhere.  One table call per bit
-    value, however many cells are asked for.
+    bits and delta share one shape, any shape, and do not change within a
+    readout; the plan fixes them once.  It holds both tables' currents in
+    one flat array, and for every cell the offset-axis rows it reads there
+    and their weights, computed on its own table's delta grid.  A lookup
+    then only locates the bias: one search on the union of the two bias
+    grids, whose every interval lies inside one interval of each table
+    (every node of either table is a node of the union), mapped to that
+    interval of each cell's own table.  The four-corner sum is
+    interpolate_current's, in the same order, so every result is bit for
+    bit that of the per-cell table query, clamps and range checks included.
+
+    Lookups take biases shaped like bits, or like the entries `cells` of
+    its first axis (rows of an array).
     """
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.shape)
-    for bit, table in ((0, pair.logic0_table), (1, pair.logic1_table)):
-        mask = bits == bit
-        if np.any(mask):
-            if chord:
-                v_eval = np.minimum(np.abs(v[mask]), table.v_grid[-1])
-                out[mask] = small_signal_conductance(table, v_eval, delta[mask])
-            else:
-                out[mask] = interpolate_current(table, v[mask], delta[mask])
-    return out
+
+    def __init__(self, pair: StrandPair, bits, delta):
+        bits = np.asarray(bits)
+        delta = np.asarray(delta, dtype=float)
+        self._tables = (pair.logic0_table, pair.logic1_table)
+        self._grid = grid = np.union1d(*(t.v_grid for t in self._tables))
+        # per cell, stacked so that a lookup on some rows gathers twice: the
+        # weights of its two offset rows (1 - wd, wd), its table's clamp
+        # (lo, hi) and admissible range; its search offset (bit * grid size,
+        # with the search's "- 1" folded in) and its two offset rows' starts
+        # in the flat current array
+        which = (bits == 1).astype(np.intp)
+        bounds = np.array(
+            [(t.v_grid[0], t.v_grid[-1], *_admissible(t.v_grid)) for t in self._tables]
+        )
+        self._cell = np.empty((6,) + bits.shape)
+        for row, bound in zip(self._cell[2:], bounds.T):
+            row[...] = bound[which]
+        self._cell_index = np.empty((3,) + bits.shape, dtype=np.intp)
+        self._cell_index[0] = which * grid.size - 1
+        current, col, node, width = [], [], [], []
+        offset = 0
+        for bit, table in enumerate(self._tables):
+            v, c = table.v_grid, table.current
+            if v.size == 1:
+                # one node: the clamp pins the weight to 0 on a unit interval
+                # past it, whose far corner reads the node again
+                v, c = np.append(v, v[0] + 1.0), np.repeat(c, 2, axis=1)
+            j = np.clip(np.searchsorted(v, grid, side="right") - 1, 0, v.size - 2)
+            col.append(j)
+            node.append(v[j])
+            width.append(v[j + 1] - v[j])
+            current.append(c.ravel())
+            mask = which == bit
+            if np.any(mask):
+                idl, wd = _axis_weights(table.delta_grid, delta[mask], "delta")
+                self._cell[0][mask], self._cell[1][mask] = 1 - wd, wd
+                idl1 = np.minimum(idl + 1, c.shape[0] - 1)
+                self._cell_index[1][mask] = offset + idl * c.shape[1]
+                self._cell_index[2][mask] = offset + idl1 * c.shape[1]
+            offset += c.size
+        self._current = np.concatenate(current)
+        self._col = np.concatenate(col)
+        self._node = np.concatenate(node)
+        self._width = np.concatenate(width)
+
+    def current(self, v, cells=slice(None)) -> np.ndarray:
+        """Each cell's current (interpolate_current) at bias v."""
+        return self._interpolate(np.asarray(v, dtype=float), *self._select(cells))
+
+    def chord(self, v, cells=slice(None)) -> np.ndarray:
+        """Each cell's chord conductance (small_signal_conductance) at |v|
+        clamped to its table's bias range: iterates may overshoot the
+        physical window, and a linearization point is free to sit anywhere."""
+        cell, index = self._select(cells)
+        v_eval = np.maximum(np.minimum(np.abs(v), cell[3]), V_FLOOR)
+        return self._interpolate(v_eval, cell, index) / v_eval
+
+    def _select(self, cells):
+        """The per-cell rows of the cells asked for; views, not copies, when
+        that is every cell in order."""
+        if not isinstance(cells, slice) and np.array_equal(cells, np.arange(len(self._cell[0]))):
+            cells = slice(None)
+        return self._cell[:, cells], self._cell_index[:, cells]
+
+    def _interpolate(self, q, cell, index):
+        w0, w1, lo, hi, lower, upper = cell
+        key, row0, row1 = index
+        bad = (q < lower) | (q > upper)
+        if np.any(bad):
+            bits = (key + 1) // self._grid.size
+            for bit, table in enumerate(self._tables):
+                if np.any(bad & (bits == bit)):
+                    raise _range_error(table.v_grid, q, bad & (bits == bit), "v")
+        q = np.clip(q, lo, hi)
+        k = np.searchsorted(self._grid, q, side="right")
+        k += key
+        wv = q - self._node[k]
+        wv /= self._width[k]
+        uv = 1 - wv
+        col = self._col[k]
+        i0, i1 = row0 + col, row1 + col
+        c = self._current
+        # interpolate_current's sum, term by term in place to spare temporaries
+        out = w0 * uv
+        out *= c[i0]
+        for w_delta, w_v, i in ((w0, wv, i0 + 1), (w1, uv, i1), (w1, wv, i1 + 1)):
+            term = w_delta * w_v
+            term *= c[i]
+            out += term
+        return out
+
+
+def cell_lookup(pair: StrandPair, bits, delta, v, chord: bool = False) -> np.ndarray:
+    """One-shot LookupPlan: the current of every cell at bias v or, with
+    chord=True, its chord conductance."""
+    plan = LookupPlan(pair, bits, delta)
+    return plan.chord(v) if chord else plan.current(v)
 
 
 def validate_table(table: IVTable) -> ValidationReport:

@@ -35,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
-from xbar.ivtable import cell_lookup
+from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution, compute_power
 
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
@@ -58,12 +58,6 @@ class RowSolve:
     iterations: int
     converged: bool
     residual: float
-
-
-def chord_conductances(spec: CrossbarSpec, v: np.ndarray) -> np.ndarray:
-    """Per-cell chord conductance at drop v from each cell's own table,
-    clamped to the table's bias range (see ivtable.cell_lookup)."""
-    return cell_lookup(spec.pair, spec.bits, spec.delta, v, chord=True)
 
 
 def _path_laplacian(size: int, grounded: bool):
@@ -100,13 +94,13 @@ def _assemble(g: float, g_cell: np.ndarray, active_row: int | None = None):
     return a + sp.csc_matrix(([g], ([src], [src])), shape=a.shape)
 
 
-def start_conductances(spec: CrossbarSpec) -> np.ndarray:
+def start_conductances(spec: CrossbarSpec, plan: LookupPlan) -> np.ndarray:
     """Every cell's chord at the applied bias, the first linearization.
 
     The driven row dominates the source current and sits near v_in, and
     strongly nonlinear tables start one to two sweeps closer than from a
     near-zero-bias chord."""
-    return chord_conductances(spec, np.full((spec.m, spec.n), spec.v_in))
+    return plan.chord(np.full((spec.m, spec.n), spec.v_in))
 
 
 def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, v_source: float):
@@ -237,7 +231,8 @@ class DrivenFactor:
 
 
 class GeometryFactors:
-    """The two factorizations every row of one array shares.
+    """The two factorizations every row of one array shares, and the
+    array's table lookup plan, which every sweep of every row reads.
 
     `start` is the network at the start chord conductances, so the first
     sweep of each row is exact through it.  `settled` is the network at the
@@ -247,11 +242,10 @@ class GeometryFactors:
     """
 
     def __init__(self, spec: CrossbarSpec):
-        self.g_start = start_conductances(spec)
+        self.plan = LookupPlan(spec.pair, spec.bits, spec.delta)
+        self.g_start = start_conductances(spec, self.plan)
         self.start = MeshFactor(spec.g_int, self.g_start)
-        self.settled = MeshFactor(
-            spec.g_int, chord_conductances(spec, np.zeros((spec.m, spec.n)))
-        )
+        self.settled = MeshFactor(spec.g_int, self.plan.chord(np.zeros((spec.m, spec.n))))
 
 
 def kirchhoff_row_solve(
@@ -282,7 +276,7 @@ def kirchhoff_row_solve(
 
     if backend == "pcg":
         factors = factors or GeometryFactors(spec)
-        g_start = factors.g_start
+        plan, g_start = factors.plan, factors.g_start
         exact = DrivenFactor(factors.start, active_row)
         settled = DrivenFactor(factors.settled, active_row)
 
@@ -291,7 +285,8 @@ def kirchhoff_row_solve(
             return settled.solve(g_cell, v_source, start)
 
     elif backend == "sparse":
-        g_start = start_conductances(spec)
+        plan = LookupPlan(spec.pair, spec.bits, spec.delta)
+        g_start = start_conductances(spec, plan)
 
         def solve_mesh(v_source, g_cell, warm):
             return _solve_direct(g, g_cell, active_row, v_source)
@@ -304,7 +299,7 @@ def kirchhoff_row_solve(
 
     def relinearize(ids, state):
         x = state[0]
-        return chord_conductances(spec, x[:mn].reshape(m, n) - x[mn:].reshape(m, n))[None]
+        return plan.chord(x[:mn].reshape(m, n) - x[mn:].reshape(m, n))[None]
 
     x, g_cell, total, converged, residual = fixedpoint.solve(
         evaluate, relinearize, np.array([spec.v_in]), g_start[None], tol, max_iter

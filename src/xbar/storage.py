@@ -143,11 +143,19 @@ def run_storage_benchmark(
     """Store every job on every array size at every interconnect value.
 
     Tiles are independent work items; aggregation is index-ordered so the
-    thread count never changes any reported number.
+    thread count never changes any reported number.  Each condition is read
+    once, so a size or interconnect value listed twice is rejected.
     """
     jobs = list(jobs)
     r_ints = [float(r) for r in r_ints]
     sizes = [(int(m), int(n)) for (m, n) in sizes]
+    for label, values, show in (
+        ("size", sizes, lambda s: f"{s[0]}x{s[1]}"),
+        ("r_int", r_ints, lambda r: f"{r:g}"),
+    ):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{label} {show(value)} is listed more than once")
 
     per_tile = []
     binned = []

@@ -191,7 +191,7 @@ def test_manifest_digests_are_pinned(tmp_path):
         assert manifest.config_digest == PINNED_DIGESTS[command], command
 
 
-def test_store_benchmark_writes_report(tmp_path):
+def write_store_config(tmp_path):
     rng = np.random.default_rng(5)
     (tmp_path / "img.bin").write_bytes(bytes(rng.integers(0, 256, 64, dtype=np.uint8)))
     save_table(linear_table(1e6, "lin1"), tmp_path / "t1.json")
@@ -206,13 +206,27 @@ def test_store_benchmark_writes_report(tmp_path):
         },
         tmp_path / "store.json",
     )
+    return tmp_path / "store.json"
+
+
+def test_store_benchmark_writes_report(tmp_path):
+    config = write_store_config(tmp_path)
     out = tmp_path / "st"
-    code = cli.main(["store", "--config", str(tmp_path / "store.json"), "--out", str(out)])
+    code = cli.main(["store", "--config", str(config), "--out", str(out)])
     assert code == 0
     tiles = (out / "storage_tiles.csv").read_text().splitlines()
     assert tiles[0] == "tile_id,size,r_int_ohm,bit_load_pct,ber,power_w"
     assert len(tiles) == 1 + 16  # 8 tiles per interconnect value
     assert (out / runio.MANIFEST_NAME).exists()
+
+
+def test_store_with_a_repeated_rint_exits_one(tmp_path, capsys):
+    config = write_store_config(tmp_path)
+    out = tmp_path / "st"
+    code = cli.main(["store", "--config", str(config), "--rint", "1e4,1e4", "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "r_int 10000 is listed more than once" in capsys.readouterr().err
+    assert not (out / "storage_tiles.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:.*does not span")

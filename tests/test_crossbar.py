@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xbar import ivtable
 from xbar.crossbar import (
     _ladder_fractions,
     _solve_rows,
@@ -18,7 +19,7 @@ from xbar.crossbar import (
     readout_currents,
 )
 from xbar.defaults import shipped_pair
-from xbar.ivtable import IVTable, StrandPair, synthesize_table
+from xbar.ivtable import IVTable, LookupPlan, StrandPair, synthesize_table
 from xbar.fixedpoint import DEFAULT_MAX_ITER
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import kirchhoff_solve
@@ -54,6 +55,10 @@ def knee_pair(r1=1e10, ratio=12.0):
 def homogeneous_spec(m, n, r_int, pair, v_in=1.0):
     bits = np.ones((m, n), dtype=np.int8)
     return CrossbarSpec(m=m, n=n, r_int=r_int, v_in=v_in, bits=bits, pair=pair)
+
+
+def plan_of(spec):
+    return LookupPlan(spec.pair, spec.bits, spec.delta)
 
 
 def random_spec(seed, m, n, r_int, pair):
@@ -267,9 +272,10 @@ def test_rows_solved_together_match_rows_solved_alone():
     turns on the last bits of alpha, so the case runs on pinned
     calibration factors rather than on a fresh calibration."""
     spec, params = mixed_rows_case()
+    plan = plan_of(spec)
 
     def solve(rows):
-        return _solve_rows(spec, params, np.asarray(rows), 1e-15, DEFAULT_MAX_ITER)
+        return _solve_rows(spec, params, plan, np.asarray(rows), 1e-15, DEFAULT_MAX_ITER)
 
     v, sweeps, converged, residual = solve(np.arange(spec.m))
     assert np.any(sweeps <= 60)
@@ -289,11 +295,12 @@ def test_rows_out_of_sweeps_on_the_bias_ramp_are_not_converged():
     must be reported unconverged, never as a solution."""
     spec = disordered_spec(3, 12, 32, 1e7)
     params = calibrate_sneak_params(spec)
+    plan = plan_of(spec)
     every = np.arange(spec.m)
-    ref, _, ref_converged, _ = _solve_rows(spec, params, every, 1e-6, DEFAULT_MAX_ITER)
+    ref, _, ref_converged, _ = _solve_rows(spec, params, plan, every, 1e-6, DEFAULT_MAX_ITER)
     assert ref_converged.all()
     for max_iter in range(61, 80):
-        v, _, converged, _ = _solve_rows(spec, params, every, 1e-15, max_iter)
+        v, _, converged, _ = _solve_rows(spec, params, plan, every, 1e-15, max_iter)
         off = np.abs(v - ref).max(axis=1) > 1e-3
         assert not np.any(converged & off), f"max_iter {max_iter}"
 
@@ -331,8 +338,42 @@ def test_readout_currents_pass_through_when_beta_is_one():
         interpolate_current(spec.pair.logic1_table, 0.3, 0.0),
         interpolate_current(spec.pair.logic0_table, 0.3, 0.0),
     )
-    assert np.allclose(readout_currents(v_cell, params, spec), expect, rtol=1e-12)
-    assert np.all(readout_currents(np.zeros((4, 4)), params, spec) == 0.0)
+    assert np.allclose(readout_currents(v_cell, params, plan_of(spec)), expect, rtol=1e-12)
+    assert np.all(readout_currents(np.zeros((4, 4)), params, plan_of(spec)) == 0.0)
+
+
+@pytest.fixture
+def delta_weightings(monkeypatch):
+    """Records every offset-axis weight computation of a table lookup."""
+    calls = []
+    original = ivtable._axis_weights
+
+    def counting(grid, q, name):
+        if name == "delta":
+            calls.append(np.size(q))
+        return original(grid, q, name)
+
+    monkeypatch.setattr(ivtable, "_axis_weights", counting)
+    return calls
+
+
+def test_readout_weighs_offsets_once_per_table_not_per_sweep(delta_weightings):
+    """Offsets do not change within a readout, so their table weights are
+    computed once per table, however many sweeps the readout takes."""
+    spec = disordered_spec(3, 16, 16, 1e7)
+    params = calibrate_sneak_params(spec)
+    delta_weightings.clear()
+    sol = parametric_solve(spec, params)
+    assert sol.iterations >= 5
+    assert len(delta_weightings) <= 2
+
+
+def test_oracle_weighs_offsets_once_per_table_per_array(delta_weightings):
+    spec = disordered_spec(3, 8, 8, 1e7)
+    delta_weightings.clear()
+    sol = kirchhoff_solve(spec)
+    assert sol.iterations >= 3
+    assert len(delta_weightings) <= 2
 
 
 def test_readout_currents_scale_with_beta():
@@ -340,7 +381,7 @@ def test_readout_currents_scale_with_beta():
     beta = np.array([0.5, 0.75, 1.0])
     params = SneakParams(alpha=np.ones(3), beta=beta)
     v_cell = np.full((3, 3), 0.4)
-    currents = readout_currents(v_cell, params, spec)
+    currents = readout_currents(v_cell, params, plan_of(spec))
     assert np.allclose(currents, (0.4 / 1e6) * beta[None, :], rtol=1e-12)
 
 

@@ -343,3 +343,143 @@ def test_cell_lookup_matches_per_cell_table_queries(shape, data):
         assert current[idx] == ivt.interpolate_current(table, abs(v[idx]) % 1.0, delta[idx])
         clamped = min(abs(v[idx]), 1.0)
         assert chord[idx] == ivt.small_signal_conductance(table, clamped, delta[idx])
+
+
+@st.composite
+def pair_tables(draw, strand_id):
+    """A strand table on its own grids: bias nodes from 0 to a v_max in
+    [1, 1.5] and offset nodes from 0 to [0.1, 0.3], spaced at random."""
+    steps = st.floats(0.05, 1.0)
+    nv = draw(st.integers(2, 8))
+    nd = draw(st.integers(1, 5))
+    v = np.cumsum([0.0] + draw(st.lists(steps, min_size=nv - 1, max_size=nv - 1)))
+    v = v / v[-1] * draw(st.floats(1.0, 1.5))
+    d = np.cumsum([0.0] + draw(st.lists(steps, min_size=nd - 1, max_size=nd - 1)))
+    if nd > 1:
+        d = d / d[-1] * draw(st.floats(0.1, 0.3))
+    rises = draw(hnp.arrays(float, (nd, nv), elements=st.floats(0.0, 1e-6)))
+    return IVTable(strand_id, v, d, np.cumsum(rises, axis=1))
+
+
+@st.composite
+def pairs_on_their_own_grids(draw):
+    t0 = draw(pair_tables("p0"))
+    t1 = draw(pair_tables("p1"))
+    if draw(st.booleans()):  # the common case: both tables on one grid
+        t1 = IVTable("p1", t0.v_grid, t0.delta_grid, 0.5 * t0.current)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # either mapping will do here
+        return StrandPair(logic0_table=t0, logic1_table=t1)
+
+
+def per_table_lookup(pair, bits, delta, v, chord=False):
+    """The reference: every cell queried through its own table, one table
+    call per bit value."""
+    out = np.empty(np.shape(v))
+    for bit in (0, 1):
+        mask = bits == bit
+        if np.any(mask):
+            table = pair.table_for(bit)
+            if chord:
+                clamped = np.minimum(np.abs(v[mask]), table.v_grid[-1])
+                out[mask] = ivt.small_signal_conductance(table, clamped, delta[mask])
+            else:
+                out[mask] = ivt.interpolate_current(table, v[mask], delta[mask])
+    return out
+
+
+def in_own_range(pair, bits, unit, axis):
+    """Per-cell values at fraction `unit` of each cell's own table range."""
+    grid0, grid1 = getattr(pair.logic0_table, axis), getattr(pair.logic1_table, axis)
+    lo, hi = (np.where(bits == 1, grid1[end], grid0[end]) for end in (0, -1))
+    return np.minimum(lo + unit * (hi - lo), hi)
+
+
+@given(
+    pairs_on_their_own_grids(), hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), st.data()
+)
+def test_lookup_plan_matches_per_cell_table_queries(pair, shape, data):
+    """Current and chord lookups of a plan, on all cells or on any subset of
+    rows, equal each cell's own table query bit for bit, also when the two
+    tables have different bias and offset grids and bias ranges.  Biases
+    fall between nodes, on or next to nodes of either table (inside the
+    edge slack of a range end too) and, for chords, past either range."""
+    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    fractions = hnp.arrays(float, shape, elements=unit)
+    delta = in_own_range(pair, bits, data.draw(fractions), "delta_grid")
+    nodes = np.union1d(pair.logic0_table.v_grid, pair.logic1_table.v_grid)
+    signed = st.one_of(st.floats(-1.6, 1.6), st.sampled_from(list(nodes) + list(-nodes)))
+    v_chord = data.draw(hnp.arrays(float, shape, elements=signed))
+    v_current = np.minimum(
+        np.abs(data.draw(hnp.arrays(float, shape, elements=st.sampled_from(list(nodes))))),
+        in_own_range(pair, bits, np.ones(shape), "v_grid"),
+    )
+    v_current = np.where(
+        data.draw(hnp.arrays(bool, shape)),
+        v_current,
+        in_own_range(pair, bits, data.draw(fractions), "v_grid"),
+    ) + data.draw(hnp.arrays(float, shape, elements=st.sampled_from([0.0, 5e-13, -5e-13])))
+    plan = ivt.LookupPlan(pair, bits, delta)
+    np.testing.assert_array_equal(
+        plan.current(v_current), per_table_lookup(pair, bits, delta, v_current)
+    )
+    np.testing.assert_array_equal(
+        plan.chord(v_chord), per_table_lookup(pair, bits, delta, v_chord, chord=True)
+    )
+    rows = data.draw(
+        st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=shape[0], unique=True)
+    )
+    for v, chord in ((v_current, False), (v_chord, True)):
+        want = per_table_lookup(pair, bits[rows], delta[rows], v[rows], chord)
+        got = plan.chord(v[rows], rows) if chord else plan.current(v[rows], rows)
+        np.testing.assert_array_equal(got, want)
+
+
+@given(
+    pairs_on_their_own_grids(), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), st.data()
+)
+def test_lookup_plan_rejects_what_the_tables_reject(pair, shape, data):
+    """A bias or an offset outside a cell's own table range raises the
+    message the per-table query raises, naming the first offending table's
+    range: offsets when the plan is made, biases when it is read."""
+    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+    fractions = hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))
+    delta = in_own_range(pair, bits, data.draw(fractions), "delta_grid")
+    v = in_own_range(pair, bits, data.draw(fractions), "v_grid")
+    bad = data.draw(hnp.arrays(bool, shape))
+    if not bad.any():
+        bad.flat[0] = True
+    off = data.draw(st.sampled_from([-0.05, 0.4, 2.0]))
+    if data.draw(st.booleans()):
+        delta = np.where(bad, off, delta)
+        with pytest.raises(ValueError) as want:
+            per_table_lookup(pair, bits, delta, v)
+        with pytest.raises(ValueError, match="^delta = .* outside table range") as got:
+            ivt.LookupPlan(pair, bits, delta)
+    else:
+        v = np.where(bad, off if off < 0 else 1.5 + off, v)
+        with pytest.raises(ValueError) as want:
+            per_table_lookup(pair, bits, delta, v)
+        with pytest.raises(ValueError, match="^v = .* outside table range") as got:
+            ivt.LookupPlan(pair, bits, delta).current(v)
+    assert str(got.value) == str(want.value)
+
+
+def test_lookup_plan_reads_a_single_node_bias_axis():
+    """A one-node bias axis admits only its node; the plan reads it there,
+    through the chord clamp too, and rejects anything else like the table."""
+    one = IVTable("one", [1.0], [0.0, 0.2], [[2e-8], [1e-8]])
+    hi = ivt.synthesize_table(1e6, 8e6, strand_id="hi")
+    pair = StrandPair(logic0_table=one, logic1_table=hi)
+    bits = np.array([0, 1, 0, 0], dtype=np.int8)
+    delta = np.array([0.0, 0.1, 0.05, 0.2])
+    v = np.array([1.0, 0.37, 1.0 + 1e-13, 1.0])
+    plan = ivt.LookupPlan(pair, bits, delta)
+    np.testing.assert_array_equal(plan.current(v), per_table_lookup(pair, bits, delta, v))
+    v_chord = np.array([1.2, -0.4, -1.0, 3.0])
+    np.testing.assert_array_equal(
+        plan.chord(v_chord), per_table_lookup(pair, bits, delta, v_chord, chord=True)
+    )
+    with pytest.raises(ValueError, match=r"^v = 0.5 outside table range \[1, 1\]$"):
+        plan.current(np.array([0.5, 0.5, 1.0, 1.0]))

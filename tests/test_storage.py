@@ -216,6 +216,22 @@ def test_benchmark_is_thread_invariant():
     assert one.binned_ber == three.binned_ber
 
 
+@pytest.mark.parametrize(
+    "sizes, r_ints, repeated",
+    [([(8, 8), (4, 4), (8, 8)], [1e4], "size 8x8"), ([(4, 4)], [1e4, 1e5, 1e4], "r_int 10000")],
+)
+def test_benchmark_rejects_a_condition_listed_twice(sizes, r_ints, repeated):
+    """A repeated size or interconnect value would read every tile of the
+    condition twice and report each tile id twice."""
+    with pytest.raises(ValueError, match=f"^{repeated} is listed more than once$"):
+        run_storage_benchmark(
+            jobs=[ImageJob(source=bytes([7, 9]), name="img")],
+            r_ints=r_ints,
+            sizes=sizes,
+            pair=separable_pair(),
+        )
+
+
 def test_binned_stats_group_by_condition_and_load():
     rng = np.random.default_rng(71)
     payload = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
