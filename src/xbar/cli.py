@@ -150,7 +150,7 @@ def _run_readout(args, solver: str) -> int:
     _write_manifest(solver, payload, None, args.out)
     save_readout_solution(solution, args.out)
     print(
-        f"{solver}: power {solution.power:.6e} W in {solution.iterations} sweeps,"
+        f"{solver}: power {solution.power:.6e} W in {solution.iterations} Newton steps,"
         f" residual {solution.residual:.3e} V"
     )
     if not solution.converged:

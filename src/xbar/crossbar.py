@@ -13,14 +13,15 @@ resistance of (m - i) segments, which is what makes the 1x1 case exact.
 
 Runtime scales with the number of cells instead of the number of mesh
 nodes, which is the whole point: bit-error statistics need thousands of
-array reads.  The rows of a readout are independent fixed points, so they
-iterate as one batch: each sweep is one stacked ladder solve, one lookup
-through the readout's ivtable.LookupPlan and one stacked Anderson fit
-over every row still active.  The iteration itself (convergence, resets,
-the bias-ramp rescue, all decided row by row) belongs to the driver in
-xbar.fixedpoint, which the nodal oracle shares; this module supplies the
-ladder solve and the chord lookup.  A row's result does not depend on
-which rows share its batch.
+array reads.  A cell in series with its return path R carries
+I_L(w) = w I / (w + R I) at wordline voltage w, nondecreasing in w like
+the cell's own current I, so each row's ladder is a network of monotone
+resistors and its node voltages minimize a convex co-content.  The rows
+of a readout are independent, so they iterate as one batch under the
+Newton driver in xbar.fixedpoint, which the nodal oracle shares: each
+step is one lookup of chords and tangents through the readout's
+ivtable.LookupPlan and one stacked tridiagonal solve over every row still
+active.  A row's result does not depend on which rows share its batch.
 
 array_reader is the one place callers choose between this model and the
 nodal oracle.
@@ -61,7 +62,15 @@ def _ladder_fractions(c: np.ndarray) -> np.ndarray:
     """Exact in-row voltage profile of the loaded ladder, normalized to the
     source node, for every row of loads along the last axis: wordline nodes
     joined by unit segments, each node loaded to ground by c_j, the first
-    node fed from the source through one segment.
+    node fed from the source through one segment."""
+    rhs = np.zeros(c.shape)
+    rhs[..., 0] = 1.0
+    return _ladder_solve(c, rhs)
+
+
+def _ladder_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Node voltages of that ladder (source grounded) under the node
+    currents rhs, in units of one segment's conductance.
 
     All rows go through one tridiagonal solve of their block-diagonal
     stack.  The couplings between neighbouring rows are exact zeros, so
@@ -77,8 +86,6 @@ def _ladder_fractions(c: np.ndarray) -> np.ndarray:
     ab[0, 1:] = off.ravel()[:-1]
     ab[1] = diag.ravel()
     ab[2, :-1] = off.ravel()[:-1]
-    rhs = np.zeros(diag.shape)
-    rhs[:, 0] = 1.0
     return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
 
 
@@ -115,25 +122,35 @@ def calibrate_sneak_params(
 
 
 def _solve_rows(spec, params, plan, rows, tol, max_iter):
-    """Fixed point of the rows `rows` of the array, solved together by
-    the shared driver (see fixedpoint.solve).  Each sweep is one stacked
-    ladder solve and one lookup through the array's plan over every row
-    still active.  Returns per-row voltages, sweep counts, convergence
-    flags and final residuals.
+    """Node voltages of the rows `rows` of the array, solved together by
+    the shared Newton driver (see fixedpoint.solve).  Row i's ladder is
+    driven at v_in alpha_i; its first state is the ladder solved at every
+    cell's chord at INIT_BIAS.  Currents are in units of one segment's
+    conductance, so a cell's load is r_int I_L, whose tangent is
+    r_int (R g^2 + t) / (1 + R g)^2 at chord g and cell tangent t.
+    Returns per-row voltages, Newton step counts, convergence flags and
+    the size of each row's last step.
     """
-    segments = spec.m - rows
+    r_int = spec.r_int
+    scale = spec.v_in * params.alpha[rows]
+    segments = (spec.m - rows)[:, None]
 
-    def evaluate(ids, scale, g, state):
-        return scale[:, None] * _ladder_fractions(_cell_loads(g, spec.r_int, segments[ids, None]))
+    def residual(ids, w):
+        g, t = plan.chord_tangent(w, rows[ids])
+        r_return = segments[ids] * r_int
+        f = -_cell_loads(g, r_int, segments[ids]) * w
+        flow = np.diff(w, axis=1)
+        f[:, :-1] += flow
+        f[:, 1:] -= flow
+        f[:, 0] += scale[ids] - w[:, 0]
+        return f, r_int * (r_return * g * g + t) / (1.0 + r_return * g) ** 2
 
-    def relinearize(ids, state):
-        return plan.chord(state, rows[ids])
+    def step(ids, w, f, jac):
+        return _ladder_solve(jac, f)
 
-    g_start = relinearize(slice(None), np.full((rows.size, spec.n), INIT_BIAS))
-    v, _, total, converged, residual = fixedpoint.solve(
-        evaluate, relinearize, spec.v_in * params.alpha[rows], g_start, tol, max_iter
-    )
-    return v, total, converged, residual
+    g_start = plan.chord(np.full((rows.size, spec.n), INIT_BIAS), rows)
+    w = scale[:, None] * _ladder_fractions(_cell_loads(g_start, r_int, segments))
+    return fixedpoint.solve(residual, step, w, tol, max_iter)
 
 
 def readout_currents(

@@ -231,6 +231,20 @@ class LookupPlan:
         v_eval = np.maximum(np.minimum(np.abs(v), cell[3]), V_FLOOR)
         return self._interpolate(v_eval, cell, index) / v_eval
 
+    def chord_tangent(self, v, cells=slice(None)):
+        """Each cell's chord at v (as chord returns it) and the slope at v
+        of the current chord(v) v the cell carries: the table's interval
+        slope where |v| lies strictly between V_FLOOR and the table's end,
+        the chord itself outside, where that current is the secant through
+        V_FLOOR or the ray through the table's end.  Both come from one
+        search."""
+        cell, index = self._select(cells)
+        a = np.abs(v)
+        v_eval = np.maximum(np.minimum(a, cell[3]), V_FLOOR)
+        current, slope = self._interpolate(v_eval, cell, index, slope=True)
+        g = current / v_eval
+        return g, np.where((a > V_FLOOR) & (a < cell[3]), slope, g)
+
     def _select(self, cells):
         """The per-cell rows of the cells asked for; views, not copies, when
         that is every cell in order."""
@@ -238,7 +252,7 @@ class LookupPlan:
             cells = slice(None)
         return self._cell[:, cells], self._cell_index[:, cells]
 
-    def _interpolate(self, q, cell, index):
+    def _interpolate(self, q, cell, index, slope=False):
         w0, w1, lo, hi, lower, upper = cell
         key, row0, row1 = index
         bad = (q < lower) | (q > upper)
@@ -263,7 +277,11 @@ class LookupPlan:
             term = w_delta * w_v
             term *= c[i]
             out += term
-        return out
+        if not slope:
+            return out
+        rise = w0 * (c[i0 + 1] - c[i0])
+        rise += w1 * (c[i1 + 1] - c[i1])
+        return out, rise / self._width[k]
 
 
 def cell_lookup(pair: StrandPair, bits, delta, v, chord: bool = False) -> np.ndarray:

@@ -4,18 +4,20 @@ One wordline is driven at a time.  The source reaches the row through one
 interconnect segment, every column is grounded through one segment below
 its last cell, undriven rows stay in the network as floating sneak-path
 carriers, and each cell conducts between its wordline and bitline node.
-Cell nonlinearity is handled by re-linearizing chord conductances between
-linear mesh solves.  The iteration belongs to xbar.fixedpoint, the driver
-the parametric model shares: each driven row is a batch of one whose state
-is its 2mn node voltages, and this module supplies the mesh solve and the
-chord lookup.  The nodal matrix is a symmetric positive-definite
-grid Laplacian, so the default route ("pcg") factors the sourceless
-network once per array, at the start and at the settled conductances, and
-solves every sweep of every row from those two factorizations: the first
-sweep exactly, through a rank-one update for the driven row's source, and
-the later ones by preconditioned conjugate gradients, each stopped on the
-current-law residual.  The other route ("sparse") factors every sweep's
-assembled matrix directly; it is the reference the default must match.
+Every cell is a monotone resistor, so the node voltages minimize the
+network's convex co-content, and the shared Newton driver in
+xbar.fixedpoint finds them: each driven row is a batch of one whose state
+is its 2mn node voltages, and this module supplies the current-law
+residual and the Newton step, the solve of the mesh with every cell at
+its tangent.  The nodal matrix is a symmetric positive-definite grid
+Laplacian, so the default route ("pcg") factors the sourceless network
+once per array, at the start and at the settled conductances.  The first
+state of every row is exact through the start factorization and a
+rank-one update for the driven row's source; every Newton step runs
+preconditioned conjugate gradients on the settled factorization, stopped
+on the current-law residual the step leaves.  The other route ("sparse")
+solves every step by direct sparse LU of the assembled tangent matrix;
+it is the reference the default must match.
 
 The parametric model's calibration reference, every cell at one
 conductance, is separable: solve_linear_homogeneous solves it mode by
@@ -39,7 +41,7 @@ from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution, compute_power
 
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
-CG_MAX_STEPS = 100  # conjugate-gradient steps before a sweep is solved directly
+CG_MAX_STEPS = 100  # conjugate-gradient steps before a Newton step is solved directly
 
 
 @dataclass
@@ -54,7 +56,7 @@ class RowSolve:
     v_cell: np.ndarray  # n, drops across the active row's cells
     i_out: np.ndarray  # n, currents through the ground segments
     source_current: float
-    g_cell: np.ndarray  # m x n chord conductances used in the last solve
+    g_cell: np.ndarray  # m x n chord conductances at the final state
     iterations: int
     converged: bool
     residual: float
@@ -97,27 +99,23 @@ def _assemble(g: float, g_cell: np.ndarray, active_row: int | None = None):
 def start_conductances(spec: CrossbarSpec, plan: LookupPlan) -> np.ndarray:
     """Every cell's chord at the applied bias, the first linearization.
 
-    The driven row dominates the source current and sits near v_in, and
-    strongly nonlinear tables start one to two sweeps closer than from a
-    near-zero-bias chord."""
+    The driven row dominates the source current and sits near v_in, so
+    the mesh solved at these chords starts close to the solution."""
     return plan.chord(np.full((spec.m, spec.n), spec.v_in))
 
 
-def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, v_source: float):
-    """Sparse LU of the assembled mesh, applied twice to the edge-walk
-    residual from the zero state.
+def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, rhs: np.ndarray):
+    """Sparse LU of the assembled mesh applied to the node currents rhs,
+    then once more to the edge-walk residual that solve leaves.
 
-    At zero the residual is the source current alone, so the first step is
-    the plain LU solve.  Where g_cell r_int is large the assembled diagonal
-    2g + g_cell rounds most of g away, and that solve misses cell drops by
-    up to ~1e-9 relative; the second step, against the residual that keeps
-    g and g_cell apart, reuses the factor and brings that to ~1e-10.
+    Where g_cell r_int is large the assembled diagonal 2g + g_cell rounds
+    most of g away, and the plain solve misses cell drops by up to ~1e-9
+    relative; the second step, against the residual that keeps g and
+    g_cell apart, reuses the factor and brings that to ~1e-10.
     """
     lu = splu(_assemble(g, g_cell, active_row))
-    x = np.zeros(2 * g_cell.size)
-    for _ in range(2):
-        x = x + lu.solve(_inflow(g, g_cell, active_row, v_source, x))
-    return x
+    x = lu.solve(rhs)
+    return x + lu.solve(rhs + _inflow(g, g_cell, active_row, 0.0, x))
 
 
 def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
@@ -125,7 +123,7 @@ def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
 
     With the driver at v_source this is the Kirchhoff current-law residual
     b - A x of the assembled system; with v_source = 0 it is -A x, the
-    matrix-free product the conjugate-gradient sweeps use.  Every flow is
+    matrix-free product the conjugate-gradient steps use.  Every flow is
     formed from a voltage difference, so the residual resolves imbalances
     far below the branch currents themselves.
     """
@@ -189,56 +187,58 @@ class DrivenFactor:
         w = self.lu.solve(y)
         return w - (self.gain * w[self.src]) * self.unit
 
-    def solve(self, g_cell: np.ndarray, v_source: float, x: np.ndarray) -> np.ndarray:
-        """Mesh state at g_cell by conjugate gradients from the start state x.
+    def solve(self, g_cell: np.ndarray, rhs: np.ndarray, target: float, floor: float):
+        """The mesh at g_cell solved against the node currents rhs, by
+        conjugate gradients from zero.
 
         The matrix is symmetric positive definite and this factor a close
         approximation of it, so a handful of steps suffice.  The loop stops
-        on the current-law residual itself: once no node is out of balance
-        by more than KCL_RTOL of the source current.  Where that lies below
-        one rounding of a wire current at the source, g eps v_source (a row
-        drawing little current against its wires), steps only chase rounding
-        into overflow: a state at that floor is taken if the network's total
-        charge balances to it as well.  Any other end of the loop (the floor
+        on the residual rhs - A p itself: once no node is out of balance by
+        more than target.  Where that lies below floor, one rounding of a
+        wire current at the source (a row drawing little current against
+        its wires), steps only chase rounding into overflow: a solution
+        whose residual is inside that floor at every node is taken if its
+        total, the charge it leaves unbalanced, is inside it as well.  Any other end of the loop (the floor
         without that total, a breakdown, CG_MAX_STEPS steps) is solved by
         direct sparse LU.
         """
         g, row = self.g, self.active_row
-        floor = g * np.finfo(float).eps * abs(v_source)
 
-        def residual(x):
-            r = _inflow(g, g_cell, row, v_source, x)
+        def residual(p):
+            r = rhs + _inflow(g, g_cell, row, 0.0, p)
             worst = np.max(np.abs(r))
-            return r, worst <= KCL_RTOL * abs(g * (v_source - x[self.src])), worst <= floor
+            return r, worst <= target, worst <= floor
 
-        r, balanced, at_floor = residual(x)
-        p = None
+        p = np.zeros_like(rhs)
+        r, balanced, at_floor = residual(p)
+        d = None
         rz = 0.0
         for _ in range(CG_MAX_STEPS):
             if balanced or at_floor:
                 break
             z = self.precondition(r)
             rz, rz_prev = float(r @ z), rz
-            p = z if p is None else z + (rz / rz_prev) * p
-            curvature = float(p @ -_inflow(g, g_cell, row, 0.0, p))
+            d = z if d is None else z + (rz / rz_prev) * d
+            curvature = float(d @ -_inflow(g, g_cell, row, 0.0, d))
             if not (curvature > 0.0 and np.isfinite(rz / curvature)):
                 break
-            x = x + (rz / curvature) * p
-            r, balanced, at_floor = residual(x)
+            p = p + (rz / curvature) * d
+            r, balanced, at_floor = residual(p)
         if balanced or (at_floor and abs(np.sum(r)) <= floor):
-            return x
-        return _solve_direct(g, g_cell, row, v_source)
+            return p
+        return _solve_direct(g, g_cell, row, rhs)
 
 
 class GeometryFactors:
     """The two factorizations every row of one array shares, and the
-    array's table lookup plan, which every sweep of every row reads.
+    array's table lookup plan, which every step of every row reads.
 
     `start` is the network at the start chord conductances, so the first
-    sweep of each row is exact through it.  `settled` is the network at the
-    zero-bias chord, where every cell off the driven row ends up; it
-    preconditions the later sweeps, which then differ from it essentially
-    in the driven row alone.
+    state of each row is exact through it.  `settled` is the network at
+    the zero-bias chord, where every cell off the driven row ends up; below
+    a table's first bias node a cell's tangent is its chord, so it
+    preconditions the Newton steps, whose tangent matrices differ from it
+    essentially in the driven row alone.
     """
 
     def __init__(self, spec: CrossbarSpec):
@@ -256,59 +256,62 @@ def kirchhoff_row_solve(
     backend: str = "pcg",
     factors: GeometryFactors | None = None,
 ) -> RowSolve:
-    """Drive one row and iterate chord conductances to a fixed point.
+    """Drive one row and run Newton's method on the mesh to its solution.
 
-    Every sweep solves the mesh linearized at the latest chord
-    conductances.  The default backend ("pcg") uses the array's
-    GeometryFactors (built here, or passed in by kirchhoff_solve, which
-    shares one set across rows): the first sweep is exact through the
-    rank-one source update of the start factorization, and later sweeps
-    run conjugate gradients preconditioned by the settled factorization
-    and warm-started from this row's previous iterate.  "sparse" solves
-    every sweep by direct sparse LU of the assembled matrix; it is the
-    reference the default must match.
+    The first state is the mesh solved at the start conductances; every
+    Newton step solves the mesh with each cell at its tangent against the
+    current-law residual, each cell carrying its chord current.  The
+    default backend ("pcg") uses the array's GeometryFactors (built here,
+    or passed in by kirchhoff_solve, which shares one set across rows):
+    the first state is exact through the rank-one source update of the
+    start factorization, and every step runs conjugate gradients
+    preconditioned by the settled factorization, until the step leaves no
+    node out of balance by more than KCL_RTOL of the source current.
+    "sparse" solves the first state and every step by direct sparse LU of
+    the assembled matrix; it is the reference the default must match.
     """
     if not 0 <= active_row < spec.m:
         raise ValueError(f"active row {active_row} outside 0..{spec.m - 1}")
     m, n = spec.m, spec.n
     mn = m * n
     g = spec.g_int
+    src = active_row * n
 
     if backend == "pcg":
         factors = factors or GeometryFactors(spec)
-        plan, g_start = factors.plan, factors.g_start
-        exact = DrivenFactor(factors.start, active_row)
-        settled = DrivenFactor(factors.settled, active_row)
-
-        def solve_mesh(v_source, g_cell, warm):
-            start = exact.state(v_source) if warm is None else warm
-            return settled.solve(g_cell, v_source, start)
+        plan = factors.plan
+        x = DrivenFactor(factors.start, active_row).state(spec.v_in)
+        solve_step = DrivenFactor(factors.settled, active_row).solve
 
     elif backend == "sparse":
         plan = LookupPlan(spec.pair, spec.bits, spec.delta)
         g_start = start_conductances(spec, plan)
+        x = np.zeros(2 * mn)
+        x = _solve_direct(g, g_start, active_row, _inflow(g, g_start, active_row, spec.v_in, x))
 
-        def solve_mesh(v_source, g_cell, warm):
-            return _solve_direct(g, g_cell, active_row, v_source)
+        def solve_step(g_cell, rhs, target, floor):
+            return _solve_direct(g, g_cell, active_row, rhs)
 
     else:
         raise ValueError(f"unknown backend '{backend}', expected 'pcg' or 'sparse'")
 
-    def evaluate(ids, scale, g_cell, state):
-        return solve_mesh(scale[0], g_cell[0], None if state is None else state[0])[None]
+    floor = g * np.finfo(float).eps * abs(spec.v_in)
 
-    def relinearize(ids, state):
+    def residual(ids, state):
         x = state[0]
-        return plan.chord(x[:mn].reshape(m, n) - x[mn:].reshape(m, n))[None]
+        g_cell, tangent = plan.chord_tangent(x[:mn].reshape(m, n) - x[mn:].reshape(m, n))
+        return _inflow(g, g_cell, active_row, spec.v_in, x)[None], tangent[None]
 
-    x, g_cell, total, converged, residual = fixedpoint.solve(
-        evaluate, relinearize, np.array([spec.v_in]), g_start[None], tol, max_iter
-    )
-    x, g_cell = x[0], g_cell[0]
+    def step(ids, state, f, jac):
+        target = KCL_RTOL * abs(g * (spec.v_in - state[0, src]))
+        return solve_step(jac[0], f[0], target, floor)[None]
+
+    x, total, converged, size = fixedpoint.solve(residual, step, x[None], tol, max_iter)
+    x = x[0]
     v_word = x[:mn].reshape(m, n)
     v_bit = x[mn:].reshape(m, n)
-    i_out = spec.g_int * x[mn + (m - 1) * n : mn + m * n].copy()
-    source_current = spec.g_int * (spec.v_in - x[active_row * n])
+    i_out = g * x[mn + (m - 1) * n : mn + m * n].copy()
+    source_current = g * (spec.v_in - x[src])
     return RowSolve(
         active_row=active_row,
         v_word=v_word,
@@ -316,10 +319,10 @@ def kirchhoff_row_solve(
         v_cell=(v_word - v_bit)[active_row].copy(),
         i_out=i_out,
         source_current=float(source_current),
-        g_cell=g_cell,
+        g_cell=plan.chord(v_word - v_bit),
         iterations=int(total[0]),
         converged=bool(converged[0]),
-        residual=float(residual[0]),
+        residual=float(size[0]),
     )
 
 
@@ -387,7 +390,7 @@ def solve_linear_homogeneous(
     gain_i * v_in, gain_i = g / (1 + g w_i), and every node follows the
     unit response scaled by that current.  So every output for all rows is
     a pair of small dense products.  This is the calibration reference; it
-    bypasses the Picard loop entirely.
+    needs no Newton iteration.
 
     Returns (v_cell, i_out, source_current) with shapes (m, n), (m, n), (m,).
     """

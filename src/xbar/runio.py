@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.8.0"
+ARTIFACT_VERSION = "0.9.0"
 
 MANIFEST_NAME = "run_manifest.json"
 

@@ -437,6 +437,46 @@ def test_lookup_plan_matches_per_cell_table_queries(pair, shape, data):
 
 
 @given(
+    pairs_on_their_own_grids(), hnp.array_shapes(min_dims=1, max_dims=2, max_side=5), st.data()
+)
+def test_chord_tangent_is_the_slope_of_the_chord_current(pair, shape, data):
+    """A cell carries chord(v) v.  Strictly inside a bias interval of its
+    own table, between V_FLOOR and the table's end, that current is linear
+    and the tangent is its central difference; below V_FLOOR and past the
+    table's end it is a ray through the origin and the tangent is the
+    chord.  Biases of either sign."""
+    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+    fractions = hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))
+    delta = in_own_range(pair, bits, data.draw(fractions), "delta_grid")
+    kind = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 2)))
+    sign = data.draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
+    at = data.draw(hnp.arrays(float, shape, elements=st.floats(0.05, 0.95)))
+    v, h = np.empty(shape), np.zeros(shape)
+    for idx in np.ndindex(shape):
+        grid = pair.table_for(bits[idx]).v_grid
+        hi = grid[-1]
+        if kind[idx] == 0:  # inside an interval of the cell's own table
+            k = data.draw(st.integers(0, grid.size - 2))
+            lo, up = max(grid[k], ivt.V_FLOOR), grid[k + 1]
+            v[idx] = lo + at[idx] * (up - lo)
+            h[idx] = 0.5 * min(v[idx] - lo, up - v[idx])
+        else:  # below V_FLOOR or past the table's end
+            v[idx] = at[idx] * ivt.V_FLOOR if kind[idx] == 1 else hi * (1.0 + at[idx])
+    v *= sign
+    plan = ivt.LookupPlan(pair, bits, delta)
+    chord, tangent = plan.chord_tangent(v)
+    np.testing.assert_array_equal(chord, plan.chord(v))
+    outside = kind != 0
+    np.testing.assert_array_equal(tangent[outside], chord[outside])
+    inside = ~outside
+    up, down = ((v + s * h) * plan.chord(v + s * h) for s in (1.0, -1.0))
+    h = np.where(inside, h, 1.0)
+    slope = (up - down) / (2.0 * h)
+    rounding = (1e-13 * (np.abs(up) + np.abs(down)) + 1e-320) / h  # subnormal currents too
+    assert np.all((np.abs(tangent - slope) <= 1e-9 * np.abs(slope) + rounding)[inside])
+
+
+@given(
     pairs_on_their_own_grids(), hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), st.data()
 )
 def test_lookup_plan_rejects_what_the_tables_reject(pair, shape, data):
