@@ -9,19 +9,14 @@ network's convex co-content, and the shared Newton driver in
 xbar.fixedpoint finds them: each driven row is a batch of one whose state
 is its 2mn node voltages, and this module supplies the current-law
 residual and the Newton step, the solve of the mesh with every cell at
-its tangent.  The nodal matrix is a symmetric positive-definite grid
-Laplacian, so the default route ("pcg") factors the sourceless network
-once per array, at the start and at the settled conductances.  The first
-state of every row is exact through the start factorization and a
-rank-one update for the driven row's source; every Newton step runs
-preconditioned conjugate gradients on the settled factorization, stopped
-on the current-law residual the step leaves.  The other route ("sparse")
-solves every step by direct sparse LU of the assembled tangent matrix;
-it is the reference the default must match.
+its tangent.
 
-The parametric model's calibration reference, every cell at one
-conductance, is separable: solve_linear_homogeneous solves it mode by
-mode in closed form, every driven row at once.
+With every cell at one conductance the network is separable; ModalMesh
+solves it mode by mode.  That one operator is the calibration reference
+(solve_linear_homogeneous), each row's first state and the preconditioner
+of the conjugate gradients that solve each Newton step on the default
+route ("pcg"), which factors no sparse matrix.  The "sparse" route solves
+each step by direct sparse LU, the reference the default must match.
 
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
@@ -74,34 +69,34 @@ def _path_laplacian(size: int, grounded: bool):
     return sp.diags([off, diag, off], [-1, 0, 1], format="csc")
 
 
-def _assemble(g: float, g_cell: np.ndarray, active_row: int | None = None):
+def _path_modes(size: int, grounded: bool):
+    """Eigenvalues and orthonormal eigenvectors (columns) of
+    _path_laplacian(size, grounded): for free ends (diagonal 1, 2, ..., 2,
+    1) the cosine-transform modes, for a grounded end (1, 2, ..., 2, 2)
+    cosines that vanish one node past it.  In closed form the free path's
+    zero eigenvalue is an exact zero and small ones keep full precision."""
+    k = np.arange(size)
+    angle = np.pi * (2 * k + 1) / (2 * size + 1) if grounded else np.pi * k / size
+    modes = np.cos(np.outer(k + 0.5, angle))
+    return 4.0 * np.sin(0.5 * angle) ** 2, modes / np.linalg.norm(modes, axis=0)
+
+
+def _assemble(g: float, g_cell: np.ndarray, active_row: int):
     """Sparse conductance matrix over [wordline nodes; bitline nodes]:
 
         [[g (I_m x L_free(n)) + C,  -C                         ],
          [-C,                       g (L_grounded(m) x I_n) + C]]
 
     with C = diag(g_cell), plus the source segment's stamp g at the driven
-    row's first wordline node.  active_row = None leaves the source segment
-    out entirely (the sourceless network MeshFactor factors for the
-    rank-one update path).
+    row's first wordline node.
     """
     m, n = g_cell.shape
     c = sp.diags(g_cell.ravel(), format="csc")
     word = g * sp.kron(sp.identity(m), _path_laplacian(n, grounded=False), format="csc")
     bit = g * sp.kron(_path_laplacian(m, grounded=True), sp.identity(n), format="csc")
     a = sp.bmat([[word + c, -c], [-c, bit + c]], format="csc")
-    if active_row is None:
-        return a
     src = active_row * n
     return a + sp.csc_matrix(([g], ([src], [src])), shape=a.shape)
-
-
-def start_conductances(spec: CrossbarSpec, plan: LookupPlan) -> np.ndarray:
-    """Every cell's chord at the applied bias, the first linearization.
-
-    The driven row dominates the source current and sits near v_in, so
-    the mesh solved at these chords starts close to the solution."""
-    return plan.chord(np.full((spec.m, spec.n), spec.v_in))
 
 
 def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, rhs: np.ndarray):
@@ -148,66 +143,98 @@ def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
     return out
 
 
-class MeshFactor:
-    """Sparse LU of the sourceless network at one set of cell conductances.
+class ModalMesh:
+    """The sourceless network with every cell at one conductance g_cell,
+    solved mode by mode.
 
-    Driving a row only adds the source segment's diagonal stamp at that
-    row's first wordline node, a rank-one change, so this one factorization
-    serves every row of the geometry through the Sherman-Morrison formula.
-    At the conductances it was built with it gives the mesh state exactly;
-    at any other chord linearization it preconditions conjugate gradients.
+    In the eigenbasis (_path_modes) of the wordline path (U, lambda) and of
+    the grounded bitline path (V, mu) that _assemble is built from, the
+    network splits into m*n two-node word/bit systems [[g lambda + g_cell,
+    -g_cell], [-g_cell, g mu + g_cell]] with determinant
+    g^2 mu lambda + g g_cell (mu + lambda) > 0 (Buzbee, Golub & Nielson's
+    matrix decomposition for grid Poisson problems).  `word`, `cross` and
+    `bit` are the entries of their inverses but for one part: a wordline's
+    uniform mode (lambda = 0) reaches the rest only through its n cells,
+    and its word entry's 1/g_cell lifts the wordline by `lift` per ampere.
     """
 
-    def __init__(self, g: float, g_cell: np.ndarray):
-        self.g = g
-        self.shape = g_cell.shape
-        a0 = _assemble(g, g_cell)
-        # the matrix is symmetric: ordering on A + A^T keeps the fill, and
-        # with it every solve, about half of what the default ordering gives
-        self.lu = splu(a0, permc_spec="MMD_AT_PLUS_A")
+    def __init__(self, g: float, m: int, n: int, g_cell: float):
+        self.g, self.shape, self.lift = g, (m, n), 1.0 / (n * g_cell)
+        lam, self.u = _path_modes(n, grounded=False)
+        mu, self.v = _path_modes(m, grounded=True)
+        self.g_mu = g * mu[:, None]
+        self.det = self.g_mu * (g * lam + g_cell) + g * g_cell * lam
+        self.cross = g_cell / self.det
+        self.bit = (g * lam + g_cell) / self.det
+        self.word = (self.g_mu + g_cell) / self.det
+        self.word[:, 0] = self.cross[:, 0]  # the uniform mode's, less its 1/g_cell
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Node voltages, over [wordline nodes; bitline nodes], that node
+        currents y drive through the network, less each wordline's lift:
+        four dense mode products and one 2x2 solve per mode pair."""
+        m, n = self.shape
+        w, b = self.v.T @ y.reshape(2, m, n) @ self.u
+        x = np.stack((self.word * w + self.cross * b, self.cross * w + self.bit * b))
+        return (self.v @ x @ self.u.T).ravel()
 
 
 class DrivenFactor:
-    """A MeshFactor with one row's source stamp added by rank-one update."""
+    """A ModalMesh with one row's source segment added.
 
-    def __init__(self, factor: MeshFactor, active_row: int):
-        m, n = factor.shape
-        self.lu, self.g, self.active_row = factor.lu, factor.g, active_row
+    Driving a row only adds the source segment's diagonal stamp g at that
+    row's first wordline node, a rank-one change, so one mode operator
+    serves every row through the Sherman-Morrison formula.  At the
+    operator's conductance it gives the mesh state exactly; at any chord
+    linearization an approximation: a row's first state and the
+    preconditioner of its conjugate gradients.  The driven row's lift is
+    updated apart: where n g_cell << g it and the update grow alike as
+    1/(n g_cell), and subtracting them would lose the digits of g/(n g_cell).
+    """
+
+    def __init__(self, mesh: ModalMesh, active_row: int):
+        m, n = mesh.shape
+        self.mesh, self.g, self.active_row = mesh, mesh.g, active_row
         self.src = active_row * n
         e = np.zeros(2 * m * n)
         e[self.src] = 1.0
-        self.unit = self.lu.solve(e)  # response to a unit current at the source node
-        self.gain = self.g / (1.0 + self.g * self.unit[self.src])
-
-    def state(self, v_source: float) -> np.ndarray:
-        """Node voltages at the factored conductances with the driver at v_source."""
-        return (self.gain * v_source) * self.unit
+        self.unit = mesh.solve(e)  # response to a unit current at the source node, less mesh.lift
+        self.denom = 1.0 + self.g * (self.unit[self.src] + mesh.lift)
 
     def precondition(self, y: np.ndarray) -> np.ndarray:
-        w = self.lu.solve(y)
-        return w - (self.gain * w[self.src]) * self.unit
+        """Node voltages at the operator's conductance that node currents y
+        drive through the mesh with the driver at zero."""
+        m, n = self.mesh.shape
+        g, i, src = self.g, self.active_row, self.src
+        a = self.mesh.solve(y)
+        lift = self.mesh.lift * y[: m * n].reshape(m, n).sum(axis=1)
+        w_src = a[src] + lift[i]
+        # lift[i] - g w_src mesh.lift / denom, taken over the one denominator
+        lift[i] = (lift[i] * (1.0 + g * self.unit[src]) - g * self.mesh.lift * a[src]) / self.denom
+        z = a - (g * w_src / self.denom) * self.unit
+        z[: m * n] += np.repeat(lift, n)
+        return z
 
-    def solve(self, g_cell: np.ndarray, rhs: np.ndarray, target: float, floor: float):
-        """The mesh at g_cell solved against the node currents rhs, by
-        conjugate gradients from zero.
+    def solve(self, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
+        """The mesh at g_cell (symmetric positive definite) solved against
+        the node currents rhs by conjugate gradients from zero.
 
-        The matrix is symmetric positive definite and this factor a close
-        approximation of it, so a handful of steps suffice.  The loop stops
-        on the residual rhs - A p itself: once no node is out of balance by
-        more than target.  Where that lies below floor, one rounding of a
-        wire current at the source (a row drawing little current against
-        its wires), steps only chase rounding into overflow: a solution
-        whose residual is inside that floor at every node is taken if its
-        total, the charge it leaves unbalanced, is inside it as well.  Any other end of the loop (the floor
-        without that total, a breakdown, CG_MAX_STEPS steps) is solved by
-        direct sparse LU.
+        The loop stops on the residual rhs - A p itself: once no node is
+        out of balance by more than KCL_RTOL of the source current the step
+        leaves, g |gap - p_src|, gap being the source segment's drop before
+        it.  Where that lies below floor, one rounding of a wire current at
+        the source (a row drawing little current against its wires), steps
+        only chase rounding into overflow: a residual inside that floor at
+        every node is taken if its total, the charge it leaves unbalanced,
+        is inside it as well.  Any other end of the loop (the floor without
+        that total, a breakdown, CG_MAX_STEPS steps) is solved directly.
         """
-        g, row = self.g, self.active_row
+        g, row, src = self.g, self.active_row, self.src
 
         def residual(p):
             r = rhs + _inflow(g, g_cell, row, 0.0, p)
             worst = np.max(np.abs(r))
-            return r, worst <= target, worst <= floor
+            return r, worst <= KCL_RTOL * abs(g * (gap - p[src])), worst <= floor
 
         p = np.zeros_like(rhs)
         r, balanced, at_floor = residual(p)
@@ -230,22 +257,22 @@ class DrivenFactor:
 
 
 class GeometryFactors:
-    """The two factorizations every row of one array shares, and the
-    array's table lookup plan, which every step of every row reads.
+    """The two mode operators every row of one array shares, each at the
+    arithmetic mean of the array's chords at one bias, and the array's
+    table lookup plan, which every step of every row reads.
 
-    `start` is the network at the start chord conductances, so the first
-    state of each row is exact through it.  `settled` is the network at
-    the zero-bias chord, where every cell off the driven row ends up; below
-    a table's first bias node a cell's tangent is its chord, so it
-    preconditions the Newton steps, whose tangent matrices differ from it
-    essentially in the driven row alone.
+    `start` is at the applied bias: the driven row dominates the source
+    current and sits near v_in, so it gives a first state close to the
+    solution.  `settled` is at zero bias, where every cell off the driven
+    row ends up; below a table's first bias node a cell's tangent is its
+    chord, so it preconditions the Newton steps.
     """
 
     def __init__(self, spec: CrossbarSpec):
+        m, n = spec.m, spec.n
         self.plan = LookupPlan(spec.pair, spec.bits, spec.delta)
-        self.g_start = start_conductances(spec, self.plan)
-        self.start = MeshFactor(spec.g_int, self.g_start)
-        self.settled = MeshFactor(spec.g_int, self.plan.chord(np.zeros((spec.m, spec.n))))
+        self.start = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.full((m, n), spec.v_in))))
+        self.settled = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.zeros((m, n)))))
 
 
 def kirchhoff_row_solve(
@@ -258,42 +285,34 @@ def kirchhoff_row_solve(
 ) -> RowSolve:
     """Drive one row and run Newton's method on the mesh to its solution.
 
-    The first state is the mesh solved at the start conductances; every
-    Newton step solves the mesh with each cell at its tangent against the
-    current-law residual, each cell carrying its chord current.  The
-    default backend ("pcg") uses the array's GeometryFactors (built here,
-    or passed in by kirchhoff_solve, which shares one set across rows):
-    the first state is exact through the rank-one source update of the
-    start factorization, and every step runs conjugate gradients
-    preconditioned by the settled factorization, until the step leaves no
-    node out of balance by more than KCL_RTOL of the source current.
-    "sparse" solves the first state and every step by direct sparse LU of
-    the assembled matrix; it is the reference the default must match.
+    The first state is the row driven through the array's start operator
+    (GeometryFactors, built here or shared across rows by kirchhoff_solve)
+    and its rank-one source update.  Every Newton step solves the mesh with
+    each cell at its tangent against the current-law residual, each cell
+    carrying its chord current.  The default backend ("pcg") runs conjugate
+    gradients preconditioned by the settled operator, until the step leaves
+    no node out of balance by more than KCL_RTOL of the source current.
+    "sparse", the reference, solves every step by direct sparse LU.
     """
     if not 0 <= active_row < spec.m:
         raise ValueError(f"active row {active_row} outside 0..{spec.m - 1}")
+    if backend not in ("pcg", "sparse"):
+        raise ValueError(f"unknown backend '{backend}', expected 'pcg' or 'sparse'")
     m, n = spec.m, spec.n
     mn = m * n
     g = spec.g_int
     src = active_row * n
+    factors = factors or GeometryFactors(spec)
+    plan = factors.plan
+    drive = np.zeros(2 * mn)
+    drive[src] = g * spec.v_in  # what the driver injects with every node at zero
+    x = DrivenFactor(factors.start, active_row).precondition(drive)
 
     if backend == "pcg":
-        factors = factors or GeometryFactors(spec)
-        plan = factors.plan
-        x = DrivenFactor(factors.start, active_row).state(spec.v_in)
         solve_step = DrivenFactor(factors.settled, active_row).solve
-
-    elif backend == "sparse":
-        plan = LookupPlan(spec.pair, spec.bits, spec.delta)
-        g_start = start_conductances(spec, plan)
-        x = np.zeros(2 * mn)
-        x = _solve_direct(g, g_start, active_row, _inflow(g, g_start, active_row, spec.v_in, x))
-
-        def solve_step(g_cell, rhs, target, floor):
-            return _solve_direct(g, g_cell, active_row, rhs)
-
     else:
-        raise ValueError(f"unknown backend '{backend}', expected 'pcg' or 'sparse'")
+        def solve_step(g_cell, rhs, gap, floor):
+            return _solve_direct(g, g_cell, active_row, rhs)
 
     floor = g * np.finfo(float).eps * abs(spec.v_in)
 
@@ -303,8 +322,7 @@ def kirchhoff_row_solve(
         return _inflow(g, g_cell, active_row, spec.v_in, x)[None], tangent[None]
 
     def step(ids, state, f, jac):
-        target = KCL_RTOL * abs(g * (spec.v_in - state[0, src]))
-        return solve_step(jac[0], f[0], target, floor)[None]
+        return solve_step(jac[0], f[0], spec.v_in - state[0, src], floor)[None]
 
     x, total, converged, size = fixedpoint.solve(residual, step, x[None], tol, max_iter)
     x = x[0]
@@ -335,10 +353,10 @@ def kirchhoff_solve(
     """Readout of the whole array: every row activated in turn.
 
     Row activations are independent; with threads > 1 they run on a pool
-    and are merged back in row order.  The network is factored once for
-    all rows (see kirchhoff_row_solve); each row reads that factorization
-    and its own iterates only, so its result does not depend on the thread
-    count or the order rows run in.
+    and are merged back in row order.  The mode operators are built once
+    for all rows (see kirchhoff_row_solve); each row reads them and its own
+    iterates only, so its result does not depend on the thread count or
+    the order rows run in.
     """
     factors = GeometryFactors(spec)
 
@@ -361,52 +379,32 @@ def kirchhoff_solve(
     return solution
 
 
-def _path_modes(size: int, grounded: bool):
-    """Eigenvalues and orthonormal eigenvectors (columns) of
-    _path_laplacian(size, grounded): for free ends (diagonal 1, 2, ..., 2,
-    1) the cosine-transform modes, for a grounded end (1, 2, ..., 2, 2)
-    cosines that vanish one node past it.  In closed form the free path's
-    zero eigenvalue is an exact zero and small ones keep full precision."""
-    k = np.arange(size)
-    angle = np.pi * (2 * k + 1) / (2 * size + 1) if grounded else np.pi * k / size
-    modes = np.cos(np.outer(k + 0.5, angle))
-    return 4.0 * np.sin(0.5 * angle) ** 2, modes / np.linalg.norm(modes, axis=0)
-
-
 def solve_linear_homogeneous(
     m: int, n: int, r_int: float, g_cell: float, v_in: float = 1.0
 ):
     """All cells at one fixed conductance, solved for every activated row.
 
-    With every cell equal the sourceless network is separable: in the
-    eigenbasis (_path_modes) of the wordline path (U, lambda) and of the
-    grounded bitline path (V, mu) that _assemble is built from, it splits
-    into m*n independent two-node word/bit systems with determinant
-    g^2 mu lambda + g g_cell (mu + lambda) > 0
-    (Buzbee, Golub & Nielson's matrix decomposition for grid Poisson
-    problems).  The driven row's source segment is the rank-one
-    Sherman-Morrison update of DrivenFactor: with w_i the voltage a unit
-    current into row i's source node raises there, the row draws
-    gain_i * v_in, gain_i = g / (1 + g w_i), and every node follows the
-    unit response scaled by that current.  So every output for all rows is
-    a pair of small dense products.  This is the calibration reference; it
-    needs no Newton iteration.
+    The ModalMesh's modes give every row's unit-current responses directly.
+    The driven row's source segment is the rank-one Sherman-Morrison update
+    of DrivenFactor: with w_i the voltage a unit current into row i's source
+    node raises there, the row draws gain_i * v_in, gain_i = g / (1 + g w_i),
+    and every node follows the unit response scaled by that current.  So
+    every output for all rows is a pair of small dense products.  This is
+    the calibration reference; it needs no Newton iteration.
 
     Returns (v_cell, i_out, source_current) with shapes (m, n), (m, n), (m,).
     """
     if min(m, n) < 1 or r_int <= 0 or g_cell <= 0 or v_in <= 0:
         raise ValueError("need positive dimensions, resistances, and bias")
     g = 1.0 / r_int
-    lam, u = _path_modes(n, grounded=False)
-    mu, v = _path_modes(m, grounded=True)
-    g_mu = g * mu[:, None]
-    det = g_mu * (g * lam + g_cell) + g * g_cell * lam
+    mesh = ModalMesh(g, m, n, g_cell)
+    u, v = mesh.u, mesh.v
     row_weight = v * v  # (i, p): row i's share of bitline mode p
     source_modes = u[0] * u  # (j, q): column j seen from the source column
     # unit-current responses of row i: cell drops, bottom bitline nodes, source node
-    drop = row_weight @ (g_mu / det) @ source_modes.T
-    bottom = (v * v[-1]) @ (g_cell / det) @ source_modes.T
-    w = row_weight @ ((g_mu + g_cell) / det) @ (u[0] * u[0])
+    drop = row_weight @ (mesh.g_mu / mesh.det) @ source_modes.T
+    bottom = (v * v[-1]) @ mesh.cross @ source_modes.T
+    w = row_weight @ ((mesh.g_mu + g_cell) / mesh.det) @ (u[0] * u[0])
     source_current = g / (1.0 + g * w) * v_in
     return (
         source_current[:, None] * drop,

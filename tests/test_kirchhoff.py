@@ -414,6 +414,24 @@ def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+@settings(deadline=None)
+@given(homogeneous_arrays, st.integers(0, 11), st.integers(0, 2**32 - 1))
+@example(one_row, 0, 0)
+@example(one_column, 8, 0)
+def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, seed):
+    """The oracle's preconditioner against the sparse reference route's
+    direct solve of the same driven mesh, for arbitrary node currents: a
+    wrong preconditioner only slows conjugate gradients down, so no
+    readout would show it."""
+    m, n, r_int, g_cell, _ = array
+    row %= m
+    g = 1.0 / r_int
+    y = np.random.default_rng(seed).standard_normal(2 * m * n)
+    got = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_cell), row).precondition(y)
+    ref = nodal._solve_direct(g, np.full((m, n), g_cell), row, y)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("grounded", [False, True])
 @pytest.mark.parametrize("size", range(1, 13))
 def test_path_modes_diagonalize_the_assembled_path(size, grounded):
@@ -473,6 +491,23 @@ def test_default_route_matches_direct_sparse_route(m, n, r_int):
         assert_same_state(row, ref, tol)
         worst, _, _ = node_balance(spec, row)
         assert worst <= 1e-9 * row.source_current
+
+
+def test_default_route_factors_no_sparse_matrix(monkeypatch):
+    """The default route's first states and preconditioners are mode
+    operators, and its conjugate gradients need no direct fallback on
+    these arrays, so no sparse LU is ever computed."""
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the default route factored a sparse matrix")
+
+    monkeypatch.setattr(nodal, "splu", no_factorization)
+    for spec in (
+        disordered_spec(7, 12, 12, 1e5),
+        disordered_spec(7, 12, 12, 1e7),
+        perfbench_oracle_spec(931, 1),
+    ):
+        assert kirchhoff_solve(spec).converged
 
 
 def test_stalled_conjugate_gradients_fall_back_to_direct_solves(monkeypatch):
@@ -544,7 +579,7 @@ def test_thread_count_does_not_change_values():
 
 
 def test_rows_sharing_one_factorization_agree_under_thread_stress():
-    # every pooled row reads the same two factorizations; a switch interval
+    # every pooled row reads the same two mode operators; a switch interval
     # of a microsecond interleaves their solves as finely as the lock allows
     spec = disordered_spec(33, 10, 10, 1e6)
     serial = kirchhoff_solve(spec, threads=1)
