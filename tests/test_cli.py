@@ -173,22 +173,49 @@ def test_mc_thread_flag_and_env_agree(tmp_path, monkeypatch):
     assert (out_a / "mc_trials.csv").read_bytes() == (out_b / "mc_trials.csv").read_bytes()
 
 
-# config digests of one `solve` and one `mc` run on the fixtures above; a
+# config digests of one run of each command on the fixtures in this file; a
 # change to how the CLI serializes its inputs must leave them byte-identical
 PINNED_DIGESTS = {
     "solve": "3730b4db52eec0838689294706ab0e4910568569dff04a19e6c5fb8fc11efce1",
+    "oracle": "79f0acf8903788f72f04d9a2d1fbd529401068171f2e450f9281d1ff3978e27c",
     "mc": "e421dab6d428183f759f943f07f464d8832f3e76b88bf7b682b2567fd7248662",
+    "store": "c696c1b8b91e8a75a8ccc2de04ca8aaf28b2fdbf7bc927c49e0ec8e953bf51c4",
+    "store-shipped": "1ae402a335bcb57bd142ea7ac148a163c4f64d072c846b65096f49130a833649",
+    "iv-synth": "92a58d312ad719d6c1a2064e9dc23addbe0346aff1911c39957e4c38bcb696bd",
+    "iv-gen": "9b686a41e13129f71fc82dc1ab1014caa9648edb71291014596c382c4a3866c1",
 }
 
 
-def test_manifest_digests_are_pinned(tmp_path):
-    spec = write_single_cell_spec(tmp_path)
-    mc = write_mc_config(tmp_path)
-    assert cli.main(["solve", "--config", str(spec), "--out", str(tmp_path / "s")]) == 0
-    assert cli.main(["mc", "--config", str(mc), "--out", str(tmp_path / "m")]) == 0
-    for command, out in (("solve", "s"), ("mc", "m")):
-        manifest = RunManifest.from_file(tmp_path / out / runio.MANIFEST_NAME)
-        assert manifest.config_digest == PINNED_DIGESTS[command], command
+def pinned_run(tmp_path, case):
+    """argv of the run whose digest PINNED_DIGESTS[case] records."""
+    if case in ("solve", "oracle"):
+        spec = write_single_cell_spec(tmp_path)
+        write_mc_config(tmp_path)  # the readout pins read the spec with the mc tables
+        return [case, "--config", str(spec)]
+    if case == "mc":
+        return ["mc", "--config", str(write_mc_config(tmp_path))]
+    if case == "store":
+        return ["store", "--config", str(write_store_config(tmp_path))]
+    if case == "store-shipped":
+        config = write_store_config(tmp_path)
+        raw = runio.load_json(config)
+        del raw["logic1_table"], raw["logic0_table"]
+        runio.dump_json(raw, config)
+        return ["store", "--config", str(config), "--size", "16x16"]
+    if case == "iv-synth":
+        return ["iv-synth", "--r-low", "1e6", "--r-high", "2e7", "--strand-id", "pin"]
+    tp.save_quantum_system(
+        tp.QuantumSystem([[-5.3]], [[1.0]], [1], homo_energy=-5.3), tmp_path / "site.json"
+    )
+    return ["iv-gen", "--config", str(tmp_path / "site.json"), "--v-points", "3", "--delta-points", "2"]
+
+
+@pytest.mark.parametrize("case", list(PINNED_DIGESTS))
+def test_manifest_digests_are_pinned(tmp_path, case):
+    out = tmp_path / "out"
+    assert cli.main(pinned_run(tmp_path, case) + ["--out", str(out)]) == 0
+    manifest = RunManifest.from_file(out / runio.MANIFEST_NAME)
+    assert manifest.config_digest == PINNED_DIGESTS[case]
 
 
 def write_store_config(tmp_path):
