@@ -19,11 +19,10 @@ import numpy as np
 
 from . import runio
 from .crossbar import SOLVERS, array_reader
-from .defaults import shipped_pair
-from .ivtable import StrandPair, load_table, save_table, synthesize_table, table_payload
-from .model import load_crossbar_spec, save_readout_solution
-from .montecarlo import load_mc_config, run_mc, save_mc_report
-from .storage import ImageJob, run_storage_benchmark, save_storage_report
+from .ivtable import pair_payload, save_table, synthesize_table
+from .model import load_crossbar_spec, save_readout_solution, spec_payload
+from .montecarlo import load_mc_config, mc_config_payload, run_mc, save_mc_report
+from .storage import load_store_config, run_storage_benchmark, save_storage_report, store_payload
 from .transport import ContactProbeConfig, iv_sweep, load_quantum_system
 
 EXIT_OK = 0
@@ -72,6 +71,12 @@ def _write_manifest(command: str, payload, seed, out_dir) -> None:
 # --- table generation -------------------------------------------------------
 
 
+def _flag_payload(args) -> dict:
+    """The parsed flags that shape a table, under their argparse names."""
+    skip = ("subcommand", "func", "config", "out", "threads")
+    return {key: value for key, value in vars(args).items() if key not in skip}
+
+
 def cmd_iv_gen(args) -> int:
     system = load_quantum_system(args.config)
     config = ContactProbeConfig(
@@ -88,17 +93,7 @@ def cmd_iv_gen(args) -> int:
         threads=args.threads,
         strand_id=args.strand_id,
     )
-    payload = {
-        "system": runio.load_json(args.config),
-        "gamma_contact": args.gamma_contact,
-        "gamma_probe": args.gamma_probe,
-        "v_max": args.v_max,
-        "v_points": args.v_points,
-        "delta_max": args.delta_max,
-        "delta_points": args.delta_points,
-        "temperature": args.temperature,
-        "strand_id": args.strand_id,
-    }
+    payload = {**_flag_payload(args), "system": runio.load_json(args.config)}
     _write_manifest("iv-gen", payload, None, args.out)
     save_table(table, Path(args.out) / "iv_table.json")
     print(f"iv-gen: {table.v_grid.size}x{table.delta_grid.size} grid -> iv_table.json")
@@ -113,14 +108,7 @@ def cmd_iv_synth(args) -> int:
         delta_sensitivity=args.sensitivity,
         strand_id=args.strand_id,
     )
-    payload = {
-        "r_low": args.r_low,
-        "r_high": args.r_high,
-        "knee": args.knee,
-        "sensitivity": args.sensitivity,
-        "strand_id": args.strand_id,
-    }
-    _write_manifest("iv-synth", payload, None, args.out)
+    _write_manifest("iv-synth", _flag_payload(args), None, args.out)
     save_table(table, Path(args.out) / "iv_table.json")
     print(f"iv-synth: strand '{table.strand_id}' -> iv_table.json")
     return EXIT_OK
@@ -129,24 +117,11 @@ def cmd_iv_synth(args) -> int:
 # --- readout ----------------------------------------------------------------
 
 
-def _spec_payload(spec) -> dict:
-    return {
-        "m": spec.m,
-        "n": spec.n,
-        "r_int_ohm": spec.r_int,
-        "v_in_v": spec.v_in,
-        "bits": spec.bits.ravel().tolist(),
-        "delta_ev": spec.delta.ravel().tolist(),
-        "logic1": table_payload(spec.pair.logic1_table),
-        "logic0": table_payload(spec.pair.logic0_table),
-    }
-
-
 def _run_readout(args, solver: str) -> int:
     spec = load_crossbar_spec(args.config)
     read = array_reader(solver, spec.m, spec.n, spec.r_int, spec.pair, spec.v_in, args.threads)
     solution = read(spec)
-    payload = {"spec": _spec_payload(spec), "solver": solver}
+    payload = {"spec": {**spec_payload(spec), **pair_payload(spec.pair)}, "solver": solver}
     _write_manifest(solver, payload, None, args.out)
     save_readout_solution(solution, args.out)
     print(
@@ -190,21 +165,7 @@ def cmd_mc(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = run_mc(config, threads=args.threads)
-    payload = {
-        "m": config.m,
-        "n": config.n,
-        "r_int_ohm": config.r_int,
-        "delta_max_ev": config.delta_max,
-        "seed": config.seed,
-        "trials": config.trials,
-        "p_one": config.p_one,
-        "v_in_v": config.v_in,
-        "solver": config.solver,
-        "per_cell": config.per_cell,
-        "logic1": table_payload(config.pair.logic1_table),
-        "logic0": table_payload(config.pair.logic0_table),
-    }
-    _write_manifest("mc", payload, config.seed, args.out)
+    _write_manifest("mc", mc_config_payload(config), config.seed, args.out)
     save_mc_report(report, args.out)
     print(
         f"mc: {report.trials} trials, mean BER {report.ber_mean:.6f},"
@@ -213,68 +174,15 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _load_store_config(path):
-    path = Path(path)
-    raw = runio.load_json(path)
-    base = path.parent
-    jobs = []
-    image_digests = []
-    for entry in runio.require(raw, "images", path):
-        img_path = base / str(runio.require(entry, "path", path))
-        payload = img_path.read_bytes()
-        job = ImageJob(
-            source=payload,
-            binarization=str(entry.get("binarization", "raw-bits")),
-            level=int(entry.get("level", 128)),
-            name=str(entry.get("name", img_path.stem)),
-        )
-        jobs.append(job)
-        image_digests.append(
-            {
-                "name": job.name,
-                "binarization": job.binarization,
-                "level": job.level,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-            }
-        )
-    sizes = [tuple(int(x) for x in pair) for pair in runio.require(raw, "sizes", path)]
-    r_ints = [float(r) for r in runio.require(raw, "r_int_ohm", path)]
-    v_in = float(raw.get("v_in_v", 1.0))
-    if "logic1_table" in raw or "logic0_table" in raw:
-        pair = StrandPair(
-            logic0_table=load_table(base / str(runio.require(raw, "logic0_table", path))),
-            logic1_table=load_table(base / str(runio.require(raw, "logic1_table", path))),
-        )
-    else:
-        pair = shipped_pair()
-    return jobs, sizes, r_ints, v_in, pair, image_digests
-
-
 def cmd_store(args) -> int:
-    jobs, sizes, r_ints, v_in, pair, image_digests = _load_store_config(args.config)
+    jobs, shapes, r_ints, v_in, pair = load_store_config(args.config)
     if args.size is not None:
-        sizes = [args.size]
+        shapes = [args.size]
     if args.rint is not None:
         r_ints = args.rint
     solver = args.solver or "parametric"
-    report = run_storage_benchmark(
-        jobs,
-        r_ints=r_ints,
-        sizes=sizes,
-        pair=pair,
-        v_in=v_in,
-        solver=solver,
-        threads=args.threads,
-    )
-    payload = {
-        "images": image_digests,
-        "sizes": [list(s) for s in sizes],
-        "r_int_ohm": r_ints,
-        "v_in_v": v_in,
-        "solver": solver,
-        "logic1": table_payload(pair.logic1_table),
-        "logic0": table_payload(pair.logic0_table),
-    }
+    report = run_storage_benchmark(jobs, r_ints, shapes, pair, v_in, solver, args.threads)
+    payload = store_payload(jobs, shapes, r_ints, v_in, solver, pair)
     _write_manifest("store", payload, None, args.out)
     save_storage_report(report, args.out)
     print(f"store: {len(report.per_tile)} tiles, {report.failures} failed")

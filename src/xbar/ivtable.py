@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -383,19 +384,36 @@ def save_table(table: IVTable, path) -> None:
 def load_table(path) -> IVTable:
     """Read a table file; invariant violations surface as warnings."""
     raw = runio.load_json(path)
-    strand = runio.require(raw, "strand_id", path)
-    v = np.asarray(runio.require(raw, "v_grid_v", path), dtype=float)
-    d = np.asarray(runio.require(raw, "delta_grid_ev", path), dtype=float)
-    cur = np.asarray(runio.require(raw, "current_a", path), dtype=float)
+    strand = runio.require(raw, "strand_id", path, str)
+    v = np.asarray(runio.require(raw, "v_grid_v", path, [float]), dtype=float)
+    d = np.asarray(runio.require(raw, "delta_grid_ev", path, [float]), dtype=float)
+    cur = np.asarray(runio.require(raw, "current_a", path, [float]), dtype=float)
     if cur.size != v.size * d.size:
         raise ValueError(
             f"{path}: current_a has {cur.size} entries, expected {v.size * d.size}"
         )
     try:
-        table = IVTable(str(strand), v, d, cur.reshape(d.size, v.size))
+        table = IVTable(strand, v, d, cur.reshape(d.size, v.size))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
     report = validate_table(table)
     for violation in report.violations:
         warnings.warn(f"{path}: {violation}", stacklevel=2)
     return table
+
+
+# the keys under which a config file references its two tables
+PAIR_KEYS = ("logic1_table", "logic0_table")
+
+
+def load_pair(raw: dict, path) -> StrandPair:
+    """The pair a config file references, its paths relative to the file."""
+    logic1, logic0 = (
+        load_table(Path(path).parent / runio.require(raw, key, path, str)) for key in PAIR_KEYS
+    )
+    return StrandPair(logic0_table=logic0, logic1_table=logic1)
+
+
+def pair_payload(pair: StrandPair) -> dict:
+    """Both tables' contents, as a manifest digests the pair."""
+    return {"logic1": table_payload(pair.logic1_table), "logic0": table_payload(pair.logic0_table)}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from xbar import runio
-from xbar.ivtable import StrandPair, load_table
+from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair
 
 
 @dataclass
@@ -147,42 +147,34 @@ def load_crossbar_spec(path) -> CrossbarSpec:
     """Read an array description; table paths resolve relative to the file."""
     path = Path(path)
     raw = runio.load_json(path)
-    m = int(runio.require(raw, "m", path))
-    n = int(runio.require(raw, "n", path))
-    r_int = float(runio.require(raw, "r_int_ohm", path))
-    v_in = float(raw.get("v_in_v", 1.0))
-    bits = np.asarray(runio.require(raw, "bits", path), dtype=np.int8)
-    if bits.size != m * n:
-        raise ValueError(f"{path}: bits has {bits.size} entries, expected {m * n}")
-    delta = raw.get("delta_ev")
-    if delta is not None:
-        delta = np.asarray(delta, dtype=float)
-        if delta.size != m * n:
-            raise ValueError(
-                f"{path}: delta_ev has {delta.size} entries, expected {m * n}"
-            )
-        delta = delta.reshape(m, n)
-    base = path.parent
-    logic1 = load_table(base / str(runio.require(raw, "logic1_table", path)))
-    logic0 = load_table(base / str(runio.require(raw, "logic0_table", path)))
-    pair = StrandPair(logic0_table=logic0, logic1_table=logic1)
-    return CrossbarSpec(
-        m=m, n=n, r_int=r_int, bits=bits.reshape(m, n), pair=pair, delta=delta, v_in=v_in
-    )
+    m = runio.require(raw, "m", path, int)
+    n = runio.require(raw, "n", path, int)
+    r_int = runio.require(raw, "r_int_ohm", path, float)
+    v_in = runio.require(raw, "v_in_v", path, float, 1.0)
+    bits = runio.require(raw, "bits", path, [int])
+    delta = runio.require(raw, "delta_ev", path, [float], None)
+    for key, cells in (("bits", bits), ("delta_ev", delta)):
+        if cells is not None and len(cells) != m * n:
+            raise ValueError(f"{path}: {key} has {len(cells)} entries, expected {m * n}")
+    bits = np.asarray(bits, dtype=np.int8).reshape(m, n)
+    delta = None if delta is None else np.reshape(delta, (m, n))
+    pair = load_pair(raw, path)
+    return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
+
+
+def spec_payload(spec: CrossbarSpec) -> dict:
+    """The array less its tables, as a spec file and a readout manifest hold it."""
+    return {
+        "m": spec.m,
+        "n": spec.n,
+        "r_int_ohm": spec.r_int,
+        "v_in_v": spec.v_in,
+        "bits": spec.bits.ravel().tolist(),
+        "delta_ev": spec.delta.ravel().tolist(),
+    }
 
 
 def save_crossbar_spec(spec: CrossbarSpec, path, logic1_path: str, logic0_path: str) -> None:
     """Write the array description; the tables are referenced, not embedded."""
-    runio.dump_json(
-        {
-            "m": spec.m,
-            "n": spec.n,
-            "r_int_ohm": spec.r_int,
-            "v_in_v": spec.v_in,
-            "bits": spec.bits.ravel().tolist(),
-            "delta_ev": spec.delta.ravel().tolist(),
-            "logic1_table": logic1_path,
-            "logic0_table": logic0_path,
-        },
-        path,
-    )
+    refs = dict(zip(PAIR_KEYS, (logic1_path, logic0_path)))
+    runio.dump_json({**spec_payload(spec), **refs}, path)

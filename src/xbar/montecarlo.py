@@ -13,7 +13,7 @@ any number of threads without coupling their randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from xbar import runio
 from xbar.crossbar import SOLVERS, array_reader
-from xbar.ivtable import StrandPair, interpolate_current, load_table
+from xbar.ivtable import StrandPair, interpolate_current, load_pair, pair_payload
 from xbar.model import CrossbarSpec
 
 # fixed sub-stream labels per trial; changing these invalidates every
@@ -310,23 +310,38 @@ def save_mc_report(report: McReport, out_dir) -> None:
     )
 
 
+# McConfig's fields besides its pair: the key a campaign file gives each
+# and the JSON kind it is read as; a field with a default may be left out
+_MC_FIELDS = (
+    ("m", "m", int),
+    ("n", "n", int),
+    ("r_int", "r_int_ohm", float),
+    ("delta_max", "delta_max_ev", float),
+    ("seed", "seed", int),
+    ("trials", "trials", int),
+    ("p_one", "p_one", float),
+    ("v_in", "v_in_v", float),
+    ("solver", "solver", str),
+    ("per_cell", "per_cell", bool),
+)
+
+
 def load_mc_config(path) -> McConfig:
     """Read a campaign description; table paths resolve relative to it."""
     path = Path(path)
     raw = runio.load_json(path)
-    base = path.parent
-    logic1 = load_table(base / str(runio.require(raw, "logic1_table", path)))
-    logic0 = load_table(base / str(runio.require(raw, "logic0_table", path)))
+    pair = load_pair(raw, path)
+    defaults = {f.name: f.default for f in fields(McConfig) if f.default is not MISSING}
     return McConfig(
-        m=int(runio.require(raw, "m", path)),
-        n=int(runio.require(raw, "n", path)),
-        r_int=float(runio.require(raw, "r_int_ohm", path)),
-        pair=StrandPair(logic0_table=logic0, logic1_table=logic1),
-        delta_max=float(runio.require(raw, "delta_max_ev", path)),
-        seed=int(runio.require(raw, "seed", path)),
-        trials=int(raw.get("trials", 1000)),
-        p_one=float(raw.get("p_one", 0.5)),
-        v_in=float(raw.get("v_in_v", 1.0)),
-        solver=str(raw.get("solver", "parametric")),
-        per_cell=bool(raw.get("per_cell", True)),
+        pair=pair,
+        **{
+            name: runio.require(raw, key, path, kind, defaults.get(name, runio.REQUIRED))
+            for name, key, kind in _MC_FIELDS
+        },
     )
+
+
+def mc_config_payload(config: McConfig) -> dict:
+    """The campaign as a manifest digests it: each field by its file key, the tables."""
+    values = {key: getattr(config, name) for name, key, _ in _MC_FIELDS}
+    return {**values, **pair_payload(config.pair)}

@@ -224,25 +224,26 @@ class DrivenFactor:
         leaves, g |gap - p_src|, gap being the source segment's drop before
         it.  Where that lies below floor, one rounding of a wire current at
         the source (a row drawing little current against its wires), steps
-        only chase rounding into overflow: a residual inside that floor at
-        every node is taken if its total, the charge it leaves unbalanced,
-        is inside it as well.  Any other end of the loop (the floor without
-        that total, a breakdown, CG_MAX_STEPS steps) is solved directly.
+        only chase rounding into overflow: the loop also stops once the
+        residual is inside that floor at every node and in its total, the
+        charge it leaves unbalanced.  A breakdown, or CG_MAX_STEPS steps
+        with neither, is solved directly.
         """
         g, row, src = self.g, self.active_row, self.src
 
         def residual(p):
             r = rhs + _inflow(g, g_cell, row, 0.0, p)
             worst = np.max(np.abs(r))
-            return r, worst <= KCL_RTOL * abs(g * (gap - p[src])), worst <= floor
+            balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
+            return r, balanced or (worst <= floor and abs(np.sum(r)) <= floor)
 
         p = np.zeros_like(rhs)
-        r, balanced, at_floor = residual(p)
+        r, done = residual(p)
         d = None
         rz = 0.0
         for _ in range(CG_MAX_STEPS):
-            if balanced or at_floor:
-                break
+            if done:
+                return p
             z = self.precondition(r)
             rz, rz_prev = float(r @ z), rz
             d = z if d is None else z + (rz / rz_prev) * d
@@ -250,8 +251,8 @@ class DrivenFactor:
             if not (curvature > 0.0 and np.isfinite(rz / curvature)):
                 break
             p = p + (rz / curvature) * d
-            r, balanced, at_floor = residual(p)
-        if balanced or (at_floor and abs(np.sum(r)) <= floor):
+            r, done = residual(p)
+        if done:
             return p
         return _solve_direct(g, g_cell, row, rhs)
 

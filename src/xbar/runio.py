@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.10.0"
+ARTIFACT_VERSION = "0.11.0"
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -33,6 +33,9 @@ def _exact_floats(obj):
     # only normalizes numpy scalars/arrays into plain Python containers.
     if isinstance(obj, np.ndarray):
         return [_exact_floats(v) for v in obj.tolist()]
+    # before the int branch: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -64,11 +67,42 @@ def load_json(path):
         ) from err
 
 
-def require(mapping: dict, key: str, path) -> object:
-    """Fetch a required field from a loaded JSON mapping."""
+REQUIRED = object()  # require's default: the field must be present
+
+# the kinds require reads, as its messages name one value of each
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def _kind_name(kind, plural=False) -> str:
+    if isinstance(kind, list):
+        return ("lists" if plural else "a list") + " of " + _kind_name(kind[0], plural=True)
+    return _KINDS[kind].split()[1] + "s" if plural else _KINDS[kind]
+
+
+def _is_kind(value, kind) -> bool:
+    # exact types, as json.load makes them: a bool is no int here
+    if isinstance(kind, list):
+        return type(value) is list and all(_is_kind(v, kind[0]) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def require(mapping, key: str, path, kind=None, default=REQUIRED):
+    """Read one field of a loaded JSON object as a JSON kind: int (a JSON
+    integer), float (any JSON number, read as a float), bool, str, list,
+    dict, or [kind], a list of that kind; None takes any value.  A missing
+    key takes default, and is an error without one."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: field '{key}' must be in a JSON object")
     if key not in mapping:
-        raise ValueError(f"{path}: missing field '{key}'")
-    return mapping[key]
+        if default is REQUIRED:
+            raise ValueError(f"{path}: missing field '{key}'")
+        return default
+    value = mapping[key]
+    if kind is not None and not _is_kind(value, kind):
+        got = json.dumps(value)
+        raise ValueError(f"{path}: field '{key}' must be {_kind_name(kind)}, got {got[:40]}")
+    return float(value) if kind is float else value
 
 
 def digest_payload(obj) -> str:
@@ -143,36 +177,25 @@ class RunManifest:
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "artifact_version": self.artifact_version,
-            "created_utc": self.created_utc,
-        }
-
     def write(self, out_dir) -> Path:
         path = Path(out_dir) / MANIFEST_NAME
-        dump_json(self.to_dict(), path)
+        dump_json(asdict(self), path)
         return path
 
     @classmethod
     def from_file(cls, path) -> "RunManifest":
         raw = load_json(path)
         return cls(
-            command=require(raw, "command", path),
-            config_digest=require(raw, "config_digest", path),
-            seed=raw.get("seed"),
-            artifact_version=require(raw, "artifact_version", path),
-            created_utc=require(raw, "created_utc", path),
+            **{
+                f.name: require(raw, f.name, path, default=None if f.name == "seed" else REQUIRED)
+                for f in fields(cls)
+            }
         )
 
     def same_inputs(self, other: "RunManifest") -> bool:
         """Equality ignoring timestamps."""
-        return (
-            self.command == other.command
-            and self.config_digest == other.config_digest
-            and self.seed == other.seed
-            and self.artifact_version == other.artifact_version
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.name != "created_utc"
         )

@@ -8,6 +8,7 @@ mirroring a per-array post-fabrication calibration.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from xbar import runio
 from xbar.crossbar import array_reader
-from xbar.ivtable import StrandPair
+from xbar.defaults import shipped_pair
+from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair, pair_payload
 from xbar.model import CrossbarSpec
 from xbar.montecarlo import optimal_threshold
 
@@ -237,3 +239,43 @@ def save_storage_report(report: StorageReport, out_dir) -> None:
         },
         out / "storage_summary.json",
     )
+
+
+def load_store_config(path):
+    """Read a sweep file as (jobs, sizes, r_ints, v_in, pair); paths resolve relative to it."""
+    path = Path(path)
+    raw = runio.load_json(path)
+    jobs = []
+    for entry in runio.require(raw, "images", path, [dict]):
+        image = path.parent / runio.require(entry, "path", path, str)
+        binarization = runio.require(entry, "binarization", path, str, "raw-bits")
+        level = runio.require(entry, "level", path, int, 128)
+        name = runio.require(entry, "name", path, str, image.stem)
+        jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
+    sizes = [tuple(s) for s in runio.require(raw, "sizes", path, [[int]])]
+    if any(len(s) != 2 for s in sizes):
+        raise ValueError(f"{path}: field 'sizes' must list [m, n] pairs")
+    r_ints = runio.require(raw, "r_int_ohm", path, [float])
+    v_in = runio.require(raw, "v_in_v", path, float, 1.0)
+    pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
+    return jobs, sizes, [float(r) for r in r_ints], v_in, pair
+
+
+def store_payload(jobs, sizes, r_ints, v_in, solver, pair) -> dict:
+    """The sweep as a manifest digests it: images by content hash, the axes, the tables."""
+    return {
+        "images": [
+            {
+                "name": job.name,
+                "binarization": job.binarization,
+                "level": job.level,
+                "sha256": hashlib.sha256(job.source).hexdigest(),
+            }
+            for job in jobs
+        ],
+        "sizes": [list(s) for s in sizes],
+        "r_int_ohm": r_ints,
+        "v_in_v": v_in,
+        "solver": solver,
+        **pair_payload(pair),
+    }

@@ -578,11 +578,11 @@ def save_quantum_system(system: QuantumSystem, path) -> None:
 def load_quantum_system(path) -> QuantumSystem:
     """Read a system file; symmetry/definiteness are validated on load."""
     raw = runio.load_json(path)
-    n_orb = int(runio.require(raw, "n_orb", path))
-    partition = [int(p) for p in runio.require(raw, "partition", path)]
-    homo = float(runio.require(raw, "homo_energy_ev", path))
-    fock = np.array(runio.require(raw, "fock", path), dtype=float)
-    overlap = np.array(runio.require(raw, "overlap", path), dtype=float)
+    n_orb = runio.require(raw, "n_orb", path, int)
+    partition = runio.require(raw, "partition", path, [int])
+    homo = runio.require(raw, "homo_energy_ev", path, float)
+    fock = np.array(runio.require(raw, "fock", path, [float]), dtype=float)
+    overlap = np.array(runio.require(raw, "overlap", path, [float]), dtype=float)
     if fock.size != n_orb * n_orb:
         raise ValueError(f"{path}: fock has {fock.size} entries, expected {n_orb * n_orb}")
     if overlap.size != n_orb * n_orb:

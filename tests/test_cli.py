@@ -174,11 +174,14 @@ def test_mc_thread_flag_and_env_agree(tmp_path, monkeypatch):
 
 
 # config digests of one run of each command on the fixtures in this file; a
-# change to how the CLI serializes its inputs must leave them byte-identical
+# change to how the CLI serializes its inputs must leave them byte-identical.
+# mc was re-pinned once, when booleans began to serialize as JSON booleans:
+# its payload's only boolean, per_cell, went from 1 to true (before that the
+# pin was e421dab6d428183f759f943f07f464d8832f3e76b88bf7b682b2567fd7248662)
 PINNED_DIGESTS = {
     "solve": "3730b4db52eec0838689294706ab0e4910568569dff04a19e6c5fb8fc11efce1",
     "oracle": "79f0acf8903788f72f04d9a2d1fbd529401068171f2e450f9281d1ff3978e27c",
-    "mc": "e421dab6d428183f759f943f07f464d8832f3e76b88bf7b682b2567fd7248662",
+    "mc": "10e84baed9bf75552a8f9d7ad664c871c55f8776b487a23ad7cfe68de5c9221a",
     "store": "c696c1b8b91e8a75a8ccc2de04ca8aaf28b2fdbf7bc927c49e0ec8e953bf51c4",
     "store-shipped": "1ae402a335bcb57bd142ea7ac148a163c4f64d072c846b65096f49130a833649",
     "iv-synth": "92a58d312ad719d6c1a2064e9dc23addbe0346aff1911c39957e4c38bcb696bd",
@@ -418,6 +421,46 @@ def test_truncated_config_exits_one_and_names_field(tmp_path, capsys):
     code = cli.main(["solve", "--config", str(tmp_path / "broken.json"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "r_int_ohm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("store", "r_int_ohm", 1e5),
+        ("store", "sizes", [8, 8]),
+        ("store", "images", {"path": "img.bin"}),
+        ("store", "images", ["img.bin"]),
+        ("mc", "m", None),
+        ("mc", "m", 8.7),
+        ("mc", "per_cell", "false"),
+        ("solve", "m", 2.5),
+    ],
+    ids=["store-rint-scalar", "store-sizes-flat", "store-images-object", "store-image-string",
+         "mc-m-null", "mc-m-fraction", "mc-per-cell-string", "spec-m-fraction"],
+)
+def test_mistyped_config_field_exits_one_and_names_it(tmp_path, capsys, command, key, value):
+    """A field of the wrong JSON kind is an input error naming the file and
+    the field: never a traceback, and never coerced into a run."""
+    write = {"store": write_store_config, "mc": write_mc_config, "solve": write_single_cell_spec}
+    config = write[command](tmp_path)
+    raw = runio.load_json(config)
+    raw[key] = value
+    runio.dump_json(raw, config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(config) in err and f"'{key}'" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dump_json_writes_booleans_as_json_booleans(tmp_path):
+    path = tmp_path / "flags.json"
+    runio.dump_json({"t": True, "f": False, "np": np.bool_(True), "arr": np.array([False])}, path)
+    text = path.read_text()
+    for key, word in (("t", "true"), ("f", "false"), ("np", "true")):
+        assert f'"{key}": {word}' in text
+    assert runio.load_json(path)["arr"] == [False] and "0" not in text
 
 
 def test_unknown_flag_prints_usage_and_exits_one(tmp_path, capsys):

@@ -539,6 +539,27 @@ def test_row_drawing_little_current_stops_at_the_rounding_floor(monkeypatch):
     assert_same_state(row, ref, nodal.DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("n, r_int, bit", [(1, 1e2, 0), (1, 1e2, 1), (6, 1e2, 0), (6, 1e3, 1)])
+def test_rows_inside_the_floor_but_off_balance_keep_stepping(monkeypatch, n, r_int, bit):
+    """Rows whose residual lies inside the rounding floor at every node,
+    but not in the charge it leaves unbalanced, take further conjugate
+    gradient steps until the total is inside the floor too, rather than a
+    direct solve."""
+    spec = CrossbarSpec(
+        m=1, n=n, r_int=r_int, bits=np.full((1, n), bit, np.int8), pair=knee_pair(), v_in=1.0
+    )
+    ref = kirchhoff_row_solve(spec, 0, backend="sparse")
+
+    def no_direct_solve(*args):
+        raise AssertionError("a Newton step fell back to the direct solve")
+
+    monkeypatch.setattr(nodal, "_solve_direct", no_direct_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = kirchhoff_row_solve(spec, 0)
+    assert_same_state(row, ref, nodal.DEFAULT_TOL)
+
+
 def test_unknown_backend_rejected():
     spec = random_spec(1, m=3, n=3)
     with pytest.raises(ValueError, match="backend"):
