@@ -21,10 +21,13 @@ of a readout are independent, so they iterate as one batch under the
 Newton driver in xbar.fixedpoint, which the nodal oracle shares: each
 step is one lookup of chords and tangents through the readout's
 ivtable.LookupPlan and one stacked tridiagonal solve over every row still
-active.  A row's result does not depend on which rows share its batch.
+active.  A row's result does not depend on which rows share its batch,
+so one call reads a whole stack of arrays (CrossbarSpec) as one batch of
+rows: the small arrays of a campaign then pay the per-call and per-step
+overhead once per stack instead of once per array.
 
 array_reader is the one place callers choose between this model and the
-nodal oracle.
+nodal oracle, and map_in_stacks the one place campaigns size their stacks.
 """
 
 from __future__ import annotations
@@ -36,10 +39,15 @@ from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
 from xbar.ivtable import LookupPlan, StrandPair, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
-from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power
+from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power, stack_solutions
 from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
 
 INIT_BIAS = 0.05  # volts, first chord linearization point
+
+# cells per stack a campaign reads in one call: one 128x128 array, four
+# 64x64 or sixteen 32x32.  Past one 128x128 array a taller batch reads
+# slower per array than a stack of one.
+STACK_CELLS = 2**14
 
 SOLVERS = ("parametric", "kirchhoff")
 
@@ -122,18 +130,20 @@ def calibrate_sneak_params(
 
 
 def _solve_rows(spec, params, plan, rows, tol, max_iter):
-    """Node voltages of the rows `rows` of the array, solved together by
-    the shared Newton driver (see fixedpoint.solve).  Row i's ladder is
-    driven at v_in alpha_i; its first state is the ladder solved at every
-    cell's chord at INIT_BIAS.  Currents are in units of one segment's
-    conductance, so a cell's load is r_int I_L, whose tangent is
+    """Node voltages of the rows `rows` of the plan, solved together by
+    the shared Newton driver (see fixedpoint.solve).  Plan row b m + i is
+    row i of the stack's array b: its ladder is driven at v_in alpha_i and
+    returns through m - i segments, and its first state is the ladder
+    solved at every cell's chord at INIT_BIAS.  Currents are in units of
+    one segment's conductance, so a cell's load is r_int I_L, whose tangent is
     r_int (R g^2 + t) / (1 + R g)^2 at chord g and cell tangent t.
     Returns per-row voltages, Newton step counts, convergence flags and
     the size of each row's last step.
     """
     r_int = spec.r_int
-    scale = spec.v_in * params.alpha[rows]
-    segments = (spec.m - rows)[:, None]
+    in_array = rows % spec.m
+    scale = spec.v_in * params.alpha[in_array]
+    segments = (spec.m - in_array)[:, None]
 
     def residual(ids, w):
         g, t = plan.chord_tangent(w, rows[ids])
@@ -177,12 +187,13 @@ def parametric_solve(
     max_iter: int = DEFAULT_MAX_ITER,
     threads: int | None = None,
 ) -> ReadoutSolution:
-    """Read every row of the array through the calibrated ladder model.
+    """Read every row of the array, or of every array of a stack, through
+    the calibrated ladder model.
 
     All rows iterate together as one batch (see _solve_rows), on the
-    calling thread, and read their tables through one LookupPlan;
-    `threads` is accepted for a uniform solver signature and changes
-    nothing.
+    calling thread, and read their tables through one LookupPlan; every
+    array gets the bits it would get read alone.  `threads` is accepted
+    for a uniform solver signature and changes nothing.
     """
     if params.alpha.size != spec.m or params.beta.size != spec.n:
         raise ValueError(
@@ -190,17 +201,20 @@ def parametric_solve(
             f"a {spec.m}x{spec.n} array"
         )
     runio.resolve_threads(threads)
-    plan = LookupPlan(spec.pair, spec.bits, spec.delta)
+    bits = spec.bits.reshape(-1, spec.n)  # the stack's rows, array by array
+    plan = LookupPlan(spec.pair, bits, spec.delta.reshape(bits.shape))
     v_cell, iterations, converged, residual = _solve_rows(
-        spec, params, plan, np.arange(spec.m), tol, max_iter
+        spec, params, plan, np.arange(len(bits)), tol, max_iter
     )
     i_out = readout_currents(v_cell, params, plan)
+    converged = converged.reshape(spec.stack_shape + (spec.m,)).all(axis=-1)
+    v_cell = v_cell.reshape(spec.bits.shape)
     solution = ReadoutSolution(
         v_cell=v_cell,
-        i_out=i_out,
+        i_out=i_out.reshape(spec.bits.shape),
         power=0.0,
         iterations=int(iterations.max()),
-        converged=bool(converged.all()),
+        converged=converged if spec.stack_shape else bool(converged),
         residual=float(residual.max()),
         solver="parametric",
         v_normalized=normalized_voltages(v_cell, params, spec),
@@ -213,8 +227,9 @@ def array_reader(
     solver: str, m: int, n: int, r_int: float, pair: StrandPair, v_in: float,
     threads: int | None,
 ):
-    """Readout function for every m x n array at r_int on pair, read at
-    v_in: spec -> ReadoutSolution through the named solver.
+    """Readout function for every m x n array, or stack of them, at r_int
+    on pair, read at v_in: spec -> ReadoutSolution through the named
+    solver.  The oracle reads a stack array by array.
 
     The parametric model is calibrated here, once: calibration depends on
     geometry and tables only, never on the bits or offsets of the arrays
@@ -225,9 +240,24 @@ def array_reader(
         raise ValueError(f"unknown solver '{solver}', expected {SOLVERS}")
     threads = runio.resolve_threads(threads)
     if solver == "kirchhoff":
-        return lambda spec: kirchhoff_solve(spec, threads=threads)
+        def read(spec):
+            if not spec.stack_shape:
+                return kirchhoff_solve(spec, threads=threads)
+            return stack_solutions([kirchhoff_solve(one, threads=threads) for one in spec.arrays()])
+        return read
     probe = CrossbarSpec(
         m=m, n=n, r_int=r_int, bits=np.zeros((m, n), dtype=np.int8), pair=pair, v_in=v_in
     )
     params = calibrate_sneak_params(probe)
     return lambda spec: parametric_solve(spec, params)
+
+
+def map_in_stacks(read_stack, items, m: int, n: int, threads: int | None) -> list:
+    """read_stack over items in order, in stacks of as many m x n arrays
+    as fit in STACK_CELLS cells (at least one), on runio.parallel_map.
+    read_stack takes a list of items and returns one result per item; the
+    results come back flat, in item order."""
+    items = list(items)
+    size = max(1, STACK_CELLS // (m * n))
+    stacks = [items[k : k + size] for k in range(0, len(items), size)]
+    return [r for results in runio.parallel_map(read_stack, stacks, threads) for r in results]

@@ -3,7 +3,7 @@ parameters, and the solved readout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,11 @@ from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair
 @dataclass
 class CrossbarSpec:
     """An m x n array with its bit pattern, per-cell Fermi offsets, uniform
-    interconnect segments, and the strand pair the bits map to."""
+    interconnect segments, and the strand pair the bits map to.
+
+    bits and delta may also hold a stack of B arrays, shaped (B, m, n),
+    that share everything else; a solver then reads every array of the
+    stack and reports each on its own (see ReadoutSolution)."""
 
     m: int
     n: int
@@ -34,19 +38,21 @@ class CrossbarSpec:
             raise ValueError("interconnect resistance must be positive")
         if self.v_in <= 0:
             raise ValueError("input bias must be positive")
-        self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.shape != (self.m, self.n):
+        bits = np.asarray(self.bits)
+        if bits.ndim not in (2, 3) or bits.shape[-2:] != (self.m, self.n) or bits.size == 0:
             raise ValueError(
-                f"bits shape {self.bits.shape} does not match {self.m}x{self.n}"
+                f"bits shape {bits.shape} does not match {self.m}x{self.n}"
             )
-        if not np.all((self.bits == 0) | (self.bits == 1)):
+        # before the cast, which would wrap 257 to 1
+        if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must be 0 or 1")
+        self.bits = bits.astype(np.int8, copy=False)
         if self.delta is None:
-            self.delta = np.zeros((self.m, self.n))
+            self.delta = np.zeros(self.bits.shape)
         self.delta = np.asarray(self.delta, dtype=float)
-        if self.delta.shape != (self.m, self.n):
+        if self.delta.shape != self.bits.shape:
             raise ValueError(
-                f"delta shape {self.delta.shape} does not match {self.m}x{self.n}"
+                f"delta shape {self.delta.shape} does not match bits shape {self.bits.shape}"
             )
         for table in (self.pair.logic0_table, self.pair.logic1_table):
             d_lo, d_hi = table.delta_grid[0], table.delta_grid[-1]
@@ -64,6 +70,15 @@ class CrossbarSpec:
     @property
     def g_int(self) -> float:
         return 1.0 / self.r_int
+
+    @property
+    def stack_shape(self) -> tuple:
+        """() for a single array, (B,) for a stack of B arrays."""
+        return self.bits.shape[:-2]
+
+    def arrays(self) -> list:
+        """Each array of a stack as a spec of its own."""
+        return [replace(self, bits=b, delta=d) for b, d in zip(self.bits, self.delta)]
 
 
 @dataclass
@@ -94,21 +109,47 @@ class SneakParams:
 @dataclass
 class ReadoutSolution:
     """Converged cell voltages and measurable column currents, one activated
-    row per matrix row, plus convergence bookkeeping."""
+    row per matrix row, plus convergence bookkeeping.
+
+    The readout of a stack mirrors its spec: v_cell, i_out, v_normalized
+    and source_current carry the stack axis first, and power and converged
+    hold one entry per array.  iterations and residual are the maxima over
+    every row read."""
 
     v_cell: np.ndarray
     i_out: np.ndarray
-    power: float
+    power: float | np.ndarray
     iterations: int
-    converged: bool
+    converged: bool | np.ndarray
     residual: float
     solver: str
     source_current: np.ndarray | None = None
     v_normalized: np.ndarray | None = None
 
 
-def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float:
-    """Total power drawn from the source across the m row activations.
+def stack_solutions(solutions) -> ReadoutSolution:
+    """The readout of a stack from the readouts of its arrays, in order."""
+
+    def stacked(name):
+        parts = [getattr(s, name) for s in solutions]
+        return None if parts[0] is None else np.stack(parts)
+
+    return ReadoutSolution(
+        v_cell=stacked("v_cell"),
+        i_out=stacked("i_out"),
+        power=stacked("power"),
+        iterations=max(s.iterations for s in solutions),
+        converged=stacked("converged"),
+        residual=max(s.residual for s in solutions),
+        solver=solutions[0].solver,
+        source_current=stacked("source_current"),
+        v_normalized=stacked("v_normalized"),
+    )
+
+
+def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float | np.ndarray:
+    """Total power drawn from the source across the m row activations, for
+    each array of a stack.
 
     Summing over activations (rather than averaging) keeps the number
     monotone in array size, which is how read cost scales in practice.
@@ -117,11 +158,9 @@ def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float:
     sum of measured column currents, which is the same number whenever
     charge is conserved.
     """
-    if solution.source_current is not None:
-        total = float(np.sum(solution.source_current))
-    else:
-        total = float(np.sum(solution.i_out))
-    return spec.v_in * total
+    current = solution.i_out if solution.source_current is None else solution.source_current
+    total = np.sum(np.reshape(current, spec.stack_shape + (-1,)), axis=-1)
+    return spec.v_in * (total if spec.stack_shape else float(total))
 
 
 def save_readout_solution(solution: ReadoutSolution, out_dir) -> None:
@@ -156,10 +195,13 @@ def load_crossbar_spec(path) -> CrossbarSpec:
     for key, cells in (("bits", bits), ("delta_ev", delta)):
         if cells is not None and len(cells) != m * n:
             raise ValueError(f"{path}: {key} has {len(cells)} entries, expected {m * n}")
-    bits = np.asarray(bits, dtype=np.int8).reshape(m, n)
+    bits = np.reshape(bits, (m, n))
     delta = None if delta is None else np.reshape(delta, (m, n))
     pair = load_pair(raw, path)
-    return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
+    try:
+        return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def spec_payload(spec: CrossbarSpec) -> dict:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from xbar import runio
-from xbar.crossbar import SOLVERS, array_reader
+from xbar.crossbar import SOLVERS, array_reader, map_in_stacks
 from xbar.ivtable import StrandPair, interpolate_current, load_pair, pair_payload
 from xbar.model import CrossbarSpec
 
@@ -194,7 +194,10 @@ class McReport:
 
 
 def run_mc(config: McConfig, threads: int | None = None) -> McReport:
-    """Run the campaign and aggregate; trial order never affects values."""
+    """Run the campaign and aggregate; trial order never affects values.
+
+    Trials are read in stacks (crossbar.map_in_stacks), each trial with its
+    own sample streams, threshold and histogram counts."""
     read = array_reader(
         config.solver, config.m, config.n, config.r_int, config.pair, config.v_in, 1
     )
@@ -207,28 +210,33 @@ def run_mc(config: McConfig, threads: int | None = None) -> McReport:
     )
     edges = np.linspace(0.0, i_top, HISTOGRAM_BINS + 1)
 
-    def run_trial(t):
-        bits = sample_bits(config, t)
-        delta = sample_deltas(config, t)
-        spec = CrossbarSpec(
-            m=config.m,
-            n=config.n,
-            r_int=config.r_int,
-            bits=bits,
-            pair=config.pair,
-            delta=delta,
-            v_in=config.v_in,
+    def run_trials(trials):
+        bits = np.stack([sample_bits(config, t) for t in trials])
+        sol = read(
+            CrossbarSpec(
+                m=config.m,
+                n=config.n,
+                r_int=config.r_int,
+                bits=bits,
+                pair=config.pair,
+                delta=np.stack([sample_deltas(config, t) for t in trials]),
+                v_in=config.v_in,
+            )
         )
-        sol = read(spec)
-        if not sol.converged:
-            return None
-        cut = optimal_threshold(sol.i_out.ravel(), bits.ravel())
-        pooled = np.clip(sol.i_out.ravel(), edges[0], edges[-1])
-        h0, _ = np.histogram(pooled[bits.ravel() == 0], bins=edges)
-        h1, _ = np.histogram(pooled[bits.ravel() == 1], bins=edges)
-        return cut, float(sol.v_cell.mean()), h0, h1
+        outcomes = []
+        for b, trial_bits in enumerate(bits):
+            if not sol.converged[b]:
+                outcomes.append(None)
+                continue
+            i_out, labels = sol.i_out[b].ravel(), trial_bits.ravel()
+            cut = optimal_threshold(i_out, labels)
+            pooled = np.clip(i_out, edges[0], edges[-1])
+            h0, _ = np.histogram(pooled[labels == 0], bins=edges)
+            h1, _ = np.histogram(pooled[labels == 1], bins=edges)
+            outcomes.append((cut, float(sol.v_cell[b].mean()), h0, h1))
+        return outcomes
 
-    outcomes = runio.parallel_map(run_trial, range(config.trials), threads)
+    outcomes = map_in_stacks(run_trials, range(config.trials), config.m, config.n, threads)
 
     ber = np.full(config.trials, np.nan)
     thr = np.full(config.trials, np.nan)

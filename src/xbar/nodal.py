@@ -270,6 +270,8 @@ class GeometryFactors:
     """
 
     def __init__(self, spec: CrossbarSpec):
+        if spec.stack_shape:
+            raise ValueError("the nodal oracle reads one array at a time, not a stack")
         m, n = spec.m, spec.n
         self.plan = LookupPlan(spec.pair, spec.bits, spec.delta)
         self.start = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.full((m, n), spec.v_in))))

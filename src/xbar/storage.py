@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from xbar import runio
-from xbar.crossbar import array_reader
+from xbar.crossbar import array_reader, map_in_stacks
 from xbar.defaults import shipped_pair
 from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair, pair_payload
 from xbar.model import CrossbarSpec
@@ -39,10 +39,10 @@ class ImageJob:
             raise ValueError("empty byte source")
         if self.binarization not in BINARIZATIONS:
             raise ValueError(
-                f"unknown binarization '{self.binarization}', expected {BINARIZATIONS}"
+                f"field 'binarization' must be one of {BINARIZATIONS}, got '{self.binarization}'"
             )
         if not 0 <= self.level <= 255:
-            raise ValueError("threshold level must fit in a byte")
+            raise ValueError(f"field 'level' must fit in a byte, got {self.level}")
 
 
 def image_to_bits(job: ImageJob) -> np.ndarray:
@@ -144,9 +144,11 @@ def run_storage_benchmark(
 ) -> StorageReport:
     """Store every job on every array size at every interconnect value.
 
-    Tiles are independent work items; aggregation is index-ordered so the
-    thread count never changes any reported number.  Each condition is read
-    once, so a size or interconnect value listed twice is rejected.
+    Tiles are independent work items, read in stacks of one condition
+    (crossbar.map_in_stacks); aggregation is index-ordered, so neither the
+    thread count nor the stacking changes any reported number.  Each
+    condition is read once, so a size or interconnect value listed twice
+    is rejected.
     """
     jobs = list(jobs)
     r_ints = [float(r) for r in r_ints]
@@ -173,26 +175,23 @@ def run_storage_benchmark(
         for r_int in r_ints:
             read = array_reader(solver, m, n, r_int, pair, v_in, 1)
 
-            def read_tile(item):
-                tile_id, tile, pad = item
-                spec = CrossbarSpec(
-                    m=m, n=n, r_int=r_int, bits=tile, pair=pair, v_in=v_in
-                )
-                sol = read(spec)
-                load = bit_load(tile, pad)
-                if not sol.converged:
-                    return TileRecord(
-                        tile_id, m, n, r_int, load, np.nan, np.nan, False
+            def read_tiles(stack):
+                bits = np.stack([tile for _, tile, _ in stack])
+                sol = read(CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, v_in=v_in))
+                records = []
+                for b, (tile_id, tile, pad) in enumerate(stack):
+                    load = bit_load(tile, pad)
+                    if not sol.converged[b]:
+                        records.append(TileRecord(tile_id, m, n, r_int, load, np.nan, np.nan, False))
+                        continue
+                    mask = valid_mask(m, n, pad).ravel()
+                    cut = optimal_threshold(sol.i_out[b].ravel()[mask], tile.ravel()[mask])
+                    records.append(
+                        TileRecord(tile_id, m, n, r_int, load, cut.ber, float(sol.power[b]), True)
                     )
-                mask = valid_mask(m, n, pad).ravel()
-                cut = optimal_threshold(
-                    sol.i_out.ravel()[mask], tile.ravel()[mask]
-                )
-                return TileRecord(
-                    tile_id, m, n, r_int, load, cut.ber, sol.power, True
-                )
+                return records
 
-            records = runio.parallel_map(read_tile, tiled, threads)
+            records = map_in_stacks(read_tiles, tiled, m, n, threads)
             per_tile.extend(records)
             condition = {"m": m, "n": n, "r_int_ohm": r_int}
             read_ok = [r for r in records if r.converged]
@@ -251,10 +250,15 @@ def load_store_config(path):
         binarization = runio.require(entry, "binarization", path, str, "raw-bits")
         level = runio.require(entry, "level", path, int, 128)
         name = runio.require(entry, "name", path, str, image.stem)
-        jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
+        try:
+            jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
     sizes = [tuple(s) for s in runio.require(raw, "sizes", path, [[int]])]
     if any(len(s) != 2 for s in sizes):
         raise ValueError(f"{path}: field 'sizes' must list [m, n] pairs")
+    if any(min(s) < 1 for s in sizes):
+        raise ValueError(f"{path}: field 'sizes' must hold dimensions of at least 1")
     r_ints = runio.require(raw, "r_int_ohm", path, [float])
     v_in = runio.require(raw, "v_in_v", path, float, 1.0)
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()

@@ -454,6 +454,43 @@ def test_mistyped_config_field_exits_one_and_names_it(tmp_path, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("level", 300), ("sizes", [[0, 8]]), ("sizes", [[8, -1]])],
+    ids=["store-level-300", "store-size-zero", "store-size-negative"],
+)
+def test_out_of_range_store_value_exits_one_and_names_it(tmp_path, capsys, key, value):
+    """A store value of the right kind but out of range is an input error
+    naming the file and the field, raised before any tile is read."""
+    config = write_store_config(tmp_path)
+    raw = runio.load_json(config)
+    if key == "level":
+        raw["images"][0]["level"] = value
+    else:
+        raw[key] = value
+    runio.dump_json(raw, config)
+    out = tmp_path / "out"
+    assert cli.main(["store", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: field '{key}'")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_spec_bits_outside_zero_one_exit_one_and_name_the_file(tmp_path, capsys):
+    """257 overflows int8 and would wrap to 1 in an int64 array: the spec
+    is rejected as an input error before any cast."""
+    config = write_single_cell_spec(tmp_path)
+    raw = runio.load_json(config)
+    for bits in ([257], [2], [-1]):
+        raw["bits"] = bits
+        runio.dump_json(raw, config)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and "bits" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_dump_json_writes_booleans_as_json_booleans(tmp_path):
     path = tmp_path / "flags.json"
     runio.dump_json({"t": True, "f": False, "np": np.bool_(True), "arr": np.array([False])}, path)

@@ -4,13 +4,16 @@ reference, and the distortion profile of the readout."""
 import json
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xbar import ivtable
 from xbar.crossbar import (
     _ladder_fractions,
     _solve_rows,
+    array_reader,
     calibrate_sneak_params,
     compute_power,
     default_g_mean,
@@ -313,6 +316,110 @@ def test_fractions_of_stacked_rows_match_single_rows():
     stacked = _ladder_fractions(loads)
     for row, c in zip(stacked, loads):
         assert np.array_equal(row, _ladder_fractions(c))
+
+
+# --- stacks of arrays -----------------------------------------------------
+
+READOUT_FIELDS = ("v_cell", "i_out", "v_normalized", "power", "converged")
+
+
+def assert_stack_reads_like_each_array(spec, params, max_iter=DEFAULT_MAX_ITER):
+    """A stacked readout equals each of its arrays read alone, bit for bit,
+    and reports the maxima of their step counts and last steps."""
+    stacked = parametric_solve(spec, params, max_iter=max_iter)
+    alone = [parametric_solve(one, params, max_iter=max_iter) for one in spec.arrays()]
+    for name in READOUT_FIELDS:
+        expect = np.array([getattr(sol, name) for sol in alone])
+        got = getattr(stacked, name)
+        assert got.shape == expect.shape and got.dtype == expect.dtype, name
+        assert np.array_equal(got, expect), name
+    assert stacked.iterations == max(sol.iterations for sol in alone)
+    assert stacked.residual == max(sol.residual for sol in alone)
+    return stacked
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 1-4 arrays up to 6x6 on the shipped tables: random bits
+    and offsets, an interconnect from light to sneak-heavy, and a step
+    budget that may cut some rows off."""
+    b, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(hnp.arrays(np.int8, (b, m, n), elements=st.integers(0, 1)))
+    delta = draw(hnp.arrays(float, (b, m, n), elements=st.floats(0.0, 0.2)))
+    r_int = draw(st.sampled_from([1e4, 1e5, 1e6, 1e7]))
+    max_iter = draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_ITER]))
+    spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=shipped_pair(), delta=delta)
+    return spec, max_iter
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks())
+def test_stacked_readout_matches_each_array_read_alone(case):
+    spec, max_iter = case
+    assert_stack_reads_like_each_array(spec, calibrate_sneak_params(spec), max_iter)
+
+
+def test_step_budget_cuts_off_one_array_of_a_stack_but_not_another():
+    """A disordered array needs more Newton steps than an all-zero one at
+    the largest offset; with a budget between the two, only the first is
+    reported unconverged, and each still gets its own bits."""
+    hard = disordered_spec(3, 12, 32, 1e7)
+    easy = np.zeros_like(hard.bits)
+    spec = CrossbarSpec(
+        m=12, n=32, r_int=1e7, pair=hard.pair,
+        bits=np.stack([hard.bits, easy]),
+        delta=np.stack([hard.delta, np.full(easy.shape, 0.2)]),
+    )
+    params = calibrate_sneak_params(hard)
+    needed = [parametric_solve(one, params).iterations for one in spec.arrays()]
+    assert needed[1] < needed[0]
+    for max_iter in range(needed[1], needed[0]):
+        stacked = assert_stack_reads_like_each_array(spec, params, max_iter)
+        assert stacked.converged.tolist() == [False, True]
+
+
+def test_single_array_reads_as_a_stack_of_one():
+    spec = disordered_spec(5, 6, 9, 1e6)
+    params = calibrate_sneak_params(spec)
+    one = parametric_solve(spec, params)
+    stack = parametric_solve(
+        CrossbarSpec(m=6, n=9, r_int=1e6, pair=spec.pair, bits=spec.bits[None], delta=spec.delta[None]),
+        params,
+    )
+    assert isinstance(one.power, float) and isinstance(one.converged, bool)
+    for name in READOUT_FIELDS:
+        assert np.array_equal(getattr(stack, name), np.asarray(getattr(one, name))[None]), name
+
+
+def test_spec_rejects_bits_outside_zero_one_before_casting():
+    """257 would wrap to 1 in the int8 cast."""
+    for bits in (np.array([[257]]), np.array([[1, 2]]), np.array([[[0, 1]], [[1, -1]]])):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            CrossbarSpec(m=1, n=bits.shape[-1], r_int=1e4, bits=bits, pair=shipped_pair())
+
+
+def test_spec_rejects_stacks_of_the_wrong_shape():
+    for shape in ((2, 3), (2, 2, 3), (0, 2, 2), (1, 1, 2, 2), (4,)):
+        with pytest.raises(ValueError, match="bits shape"):
+            CrossbarSpec(m=2, n=2, r_int=1e4, bits=np.zeros(shape), pair=shipped_pair())
+    with pytest.raises(ValueError, match="delta shape"):
+        CrossbarSpec(m=2, n=2, r_int=1e4, bits=np.zeros((3, 2, 2)), delta=np.zeros((2, 2)),
+                     pair=shipped_pair())
+
+
+def test_oracle_reads_a_stack_array_by_array():
+    spec = disordered_spec(4, 5, 5, 1e6)
+    other = disordered_spec(6, 5, 5, 1e6)
+    stack = CrossbarSpec(m=5, n=5, r_int=1e6, pair=spec.pair, bits=np.stack([spec.bits, other.bits]),
+                         delta=np.stack([spec.delta, other.delta]))
+    with pytest.raises(ValueError, match="one array at a time"):
+        kirchhoff_solve(stack)
+    read = array_reader("kirchhoff", 5, 5, 1e6, spec.pair, 1.0, 1)
+    stacked = read(stack)
+    for b, one in enumerate((spec, other)):
+        alone = kirchhoff_solve(one)
+        for name in ("v_cell", "i_out", "power", "converged", "source_current"):
+            assert np.array_equal(getattr(stacked, name)[b], getattr(alone, name)), name
 
 
 # --- readout and power ----------------------------------------------------

@@ -4,6 +4,7 @@ against brute force, error counting, and campaign-level reproducibility."""
 import numpy as np
 import pytest
 
+from xbar import crossbar
 from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
 from xbar.montecarlo import (
     McConfig,
@@ -12,6 +13,7 @@ from xbar.montecarlo import (
     optimal_threshold,
     run_mc,
     sample_bits,
+    save_mc_report,
     sample_deltas,
 )
 
@@ -236,6 +238,32 @@ def test_run_mc_reports_are_reproducible_and_thread_invariant():
         assert np.array_equal(a.v_mean_samples, other.v_mean_samples)
         assert np.array_equal(a.hist_counts0, other.hist_counts0)
         assert np.array_equal(a.hist_counts1, other.hist_counts1)
+
+
+def saved_mc_files(config, threads, tmp_path, name):
+    out = tmp_path / name
+    save_mc_report(run_mc(config, threads=threads), out)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 10 trials of 40x40 to a default stack: stacks of 10 and 3
+        small_config(m=40, n=40, trials=13, pair=lossy_pair(), r_int=1e6, delta_max=0.2),
+        small_config(m=4, n=5, trials=5, pair=lossy_pair(), r_int=1e6, solver="kirchhoff"),
+    ],
+    ids=["parametric", "kirchhoff"],
+)
+def test_run_mc_reports_do_not_depend_on_stacking_or_threads(config, tmp_path, monkeypatch):
+    """Each trial keeps its own streams, threshold and counts whatever stack
+    it is read in: one trial per stack, the default stacks and the whole
+    campaign in one stack write the same bytes, on one thread or three."""
+    reference = saved_mc_files(config, 1, tmp_path, "reference")
+    for cells in (1, crossbar.STACK_CELLS, 2**20):
+        monkeypatch.setattr(crossbar, "STACK_CELLS", cells)
+        for threads in (1, 3):
+            assert saved_mc_files(config, threads, tmp_path, f"{cells}-{threads}") == reference
 
 
 def test_run_mc_ber_never_exceeds_half_and_histograms_account_all_cells():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xbar import crossbar
-from xbar.ivtable import IVTable, StrandPair
+from xbar.ivtable import IVTable, StrandPair, synthesize_table
 from xbar.storage import (
     ImageJob,
     TileRecord,
@@ -249,6 +249,37 @@ def test_binned_stats_group_by_condition_and_load():
         assert row["min"] <= row["q1"] and row["q3"] <= row["max"]
 
 
+def saved_storage_files(threads, tmp_path, name):
+    # lossy strands at a sneak-heavy interconnect, so that the tiles' errors differ
+    pair = StrandPair(
+        logic0_table=synthesize_table(3.6e8, 7.2e9, strand_id="lossy0"),
+        logic1_table=synthesize_table(3e7, 6e8, strand_id="lossy1"),
+    )
+    rng = np.random.default_rng(83)
+    jobs = [
+        ImageJob(source=bytes(rng.integers(0, 256, size=300, dtype=np.uint8)), name="a"),
+        ImageJob(
+            source=bytes(rng.integers(0, 256, size=700, dtype=np.uint8)),
+            binarization="gray-threshold",
+            name="b",
+        ),
+    ]
+    report = run_storage_benchmark(jobs, [1e4, 1e6], [(8, 8), (6, 10)], pair, threads=threads)
+    out = tmp_path / name
+    save_storage_report(report, out)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_storage_report_does_not_depend_on_stacking_or_threads(tmp_path, monkeypatch):
+    """One tile per stack, four, the default stacks and every tile of a
+    condition in one stack write the same bytes, on one thread or three."""
+    reference = saved_storage_files(1, tmp_path, "reference")
+    for cells in (1, 2**8, crossbar.STACK_CELLS, 2**20):
+        monkeypatch.setattr(crossbar, "STACK_CELLS", cells)
+        for threads in (1, 3):
+            assert saved_storage_files(threads, tmp_path, f"{cells}-{threads}") == reference
+
+
 def test_aggregates_regroup_per_tile_records_by_condition(monkeypatch):
     """Two sizes by two interconnect values, every tile of one condition
     forced unconverged: the binned BER rows and mean powers are exactly a
@@ -259,7 +290,7 @@ def test_aggregates_regroup_per_tile_records_by_condition(monkeypatch):
     def fail_one_condition(spec, params, **kwargs):
         sol = read(spec, params, **kwargs)
         if (spec.m, spec.r_int) == (8, 1e5):
-            sol.converged = False
+            sol.converged[:] = False  # one flag per tile of the stack
         return sol
 
     monkeypatch.setattr(crossbar, "parametric_solve", fail_one_condition)
