@@ -60,6 +60,16 @@ def _parse_rints(text: str):
     return values
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"expected a thread count, got '{text}'") from err
+    if threads < 1:
+        raise argparse.ArgumentTypeError("thread count must be at least 1")
+    return threads
+
+
 def _write_manifest(command: str, payload, seed, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,12 +314,7 @@ def build_parser() -> _Parser:
         if config:
             p.add_argument("--config", required=True, help="input file or directory")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default: XBAR_THREADS or 1)",
-        )
+        p.add_argument("--threads", type=_parse_threads, default=1, help="worker threads (default: 1)")
         return p
 
     p = add("iv-gen", cmd_iv_gen, "integrate a current table from a quantum system")

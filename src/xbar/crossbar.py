@@ -36,10 +36,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
+from xbar.fixedpoint import DEFAULT_MAX_ITER
 from xbar.ivtable import LookupPlan, StrandPair, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
-from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power, stack_solutions
+from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
 
 INIT_BIAS = 0.05  # volts, first chord linearization point
@@ -97,23 +97,19 @@ def _ladder_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
 
 
-def calibrate_sneak_params(
-    spec: CrossbarSpec,
-    g_mean: float | None = None,
-) -> SneakParams:
+def calibrate_sneak_params(spec: CrossbarSpec) -> SneakParams:
     """Fit the row and column factors against the nodal reference.
 
     The reference problem is the same array geometry with every cell held
-    at the fixed conductance g_mean, which keeps it linear and separable:
-    nodal.solve_linear_homogeneous gives every row activation in closed
-    form, mode by mode.  beta_j is the ratio of the
+    at the fixed conductance g_mean = default_g_mean(spec), which keeps it
+    linear and separable: nodal.solve_linear_homogeneous gives every row
+    activation in closed form, mode by mode.  beta_j is the ratio of the
     reference's measured column current to the current its own cell voltage
     would push through g_mean, averaged over activated rows; alpha_i is
     whatever scale makes the in-row fraction reproduce the reference's
     first-column voltage.  Both are clamped to (0, 1].
     """
-    if g_mean is None:
-        g_mean = default_g_mean(spec)
+    g_mean = default_g_mean(spec)
     if g_mean <= 0:
         raise ValueError("mean conductance must be positive")
     v_ref, i_ref, _ = solve_linear_homogeneous(
@@ -129,7 +125,7 @@ def calibrate_sneak_params(
     )
 
 
-def _solve_rows(spec, params, plan, rows, tol, max_iter):
+def _solve_rows(spec, params, plan, rows, max_iter):
     """Node voltages of the rows `rows` of the plan, solved together by
     the shared Newton driver (see fixedpoint.solve).  Plan row b m + i is
     row i of the stack's array b: its ladder is driven at v_in alpha_i and
@@ -160,7 +156,7 @@ def _solve_rows(spec, params, plan, rows, tol, max_iter):
 
     g_start = plan.chord(np.full((rows.size, spec.n), INIT_BIAS), rows)
     w = scale[:, None] * _ladder_fractions(_cell_loads(g_start, r_int, segments))
-    return fixedpoint.solve(residual, step, w, tol, max_iter)
+    return fixedpoint.solve(residual, step, w, max_iter)
 
 
 def readout_currents(
@@ -183,68 +179,47 @@ def normalized_voltages(
 def parametric_solve(
     spec: CrossbarSpec,
     params: SneakParams,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ReadoutSolution:
     """Read every row of the array, or of every array of a stack, through
     the calibrated ladder model.
 
     All rows iterate together as one batch (see _solve_rows), on the
     calling thread, and read their tables through one LookupPlan; every
-    array gets the bits it would get read alone.  `threads` is accepted
-    for a uniform solver signature and changes nothing.
+    array gets the bits it would get read alone.  `threads` is ignored; it
+    is kept only for the call in perfbench/workloads.py.
     """
     if params.alpha.size != spec.m or params.beta.size != spec.n:
         raise ValueError(
             f"params sized {params.alpha.size}x{params.beta.size} do not fit "
             f"a {spec.m}x{spec.n} array"
         )
-    runio.resolve_threads(threads)
     bits = spec.bits.reshape(-1, spec.n)  # the stack's rows, array by array
     plan = LookupPlan(spec.pair, bits, spec.delta.reshape(bits.shape))
-    v_cell, iterations, converged, residual = _solve_rows(
-        spec, params, plan, np.arange(len(bits)), tol, max_iter
+    v_cell, steps, converged, size = _solve_rows(spec, params, plan, np.arange(len(bits)), max_iter)
+    return ReadoutSolution.from_rows(
+        spec, "parametric", v_cell, readout_currents(v_cell, params, plan), steps, converged, size,
+        v_normalized=normalized_voltages(v_cell.reshape(spec.bits.shape), params, spec),
     )
-    i_out = readout_currents(v_cell, params, plan)
-    converged = converged.reshape(spec.stack_shape + (spec.m,)).all(axis=-1)
-    v_cell = v_cell.reshape(spec.bits.shape)
-    solution = ReadoutSolution(
-        v_cell=v_cell,
-        i_out=i_out.reshape(spec.bits.shape),
-        power=0.0,
-        iterations=int(iterations.max()),
-        converged=converged if spec.stack_shape else bool(converged),
-        residual=float(residual.max()),
-        solver="parametric",
-        v_normalized=normalized_voltages(v_cell, params, spec),
-    )
-    solution.power = compute_power(spec, solution)
-    return solution
 
 
 def array_reader(
-    solver: str, m: int, n: int, r_int: float, pair: StrandPair, v_in: float,
-    threads: int | None,
+    solver: str, m: int, n: int, r_int: float, pair: StrandPair, v_in: float, threads: int
 ):
     """Readout function for every m x n array, or stack of them, at r_int
     on pair, read at v_in: spec -> ReadoutSolution through the named
-    solver.  The oracle reads a stack array by array.
+    solver.
 
     The parametric model is calibrated here, once: calibration depends on
     geometry and tables only, never on the bits or offsets of the arrays
     read, so one fit serves them all.  `threads` sizes the oracle's pool
-    over rows and is validated for either solver.
+    over rows.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver '{solver}', expected {SOLVERS}")
-    threads = runio.resolve_threads(threads)
     if solver == "kirchhoff":
-        def read(spec):
-            if not spec.stack_shape:
-                return kirchhoff_solve(spec, threads=threads)
-            return stack_solutions([kirchhoff_solve(one, threads=threads) for one in spec.arrays()])
-        return read
+        return lambda spec: kirchhoff_solve(spec, threads=threads)
     probe = CrossbarSpec(
         m=m, n=n, r_int=r_int, bits=np.zeros((m, n), dtype=np.int8), pair=pair, v_in=v_in
     )
@@ -252,7 +227,7 @@ def array_reader(
     return lambda spec: parametric_solve(spec, params)
 
 
-def map_in_stacks(read_stack, items, m: int, n: int, threads: int | None) -> list:
+def map_in_stacks(read_stack, items, m: int, n: int, threads: int) -> list:
     """read_stack over items in order, in stacks of as many m x n arrays
     as fit in STACK_CELLS cells (at least one), on runio.parallel_map.
     read_stack takes a list of items and returns one result per item; the

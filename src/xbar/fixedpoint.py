@@ -25,7 +25,8 @@ slope along it, phi'(t) = -F(x + t p) . p, is at most (1 - 2c) |phi'(0)|.
 Where no cell crosses a table node along the step the co-content is
 quadratic there, and this test is Armijo's sufficient decrease with
 fraction c (Nocedal & Wright, Numerical Optimization, ch. 3).  A row
-converges once its full Newton step moves no state entry by more than tol.
+converges once its full Newton step moves no state entry by more than
+DEFAULT_TOL, the one stopping tolerance of both solvers.
 
 Every decision is taken per row on that row's own state, so a row's
 result does not depend on which rows share its batch.
@@ -40,13 +41,13 @@ DEFAULT_MAX_ITER = 200
 ARMIJO = 1e-4  # sufficient-decrease fraction c of the line search
 
 
-def solve(residual, step, state, tol, max_iter):
+def solve(residual, step, state, max_iter):
     """Newton iteration of every row of `state` (one row per entry) to the
     minimizer of its co-content, at most max_iter steps per row.
 
-    A row whose full step moves no entry by more than tol takes it and
-    converges without a line search: that close to the minimizer rounding
-    blurs the slope test.  For the same reason the search stops halving a
+    A row whose full step moves no entry by more than DEFAULT_TOL takes it
+    and converges without a line search: that close to the minimizer
+    rounding blurs the slope test.  For the same reason the search stops halving a
     step once it is that short (a NaN step ends the search too, and the row
     runs out its steps unconverged).
 
@@ -65,7 +66,7 @@ def solve(residual, step, state, tol, max_iter):
         bound = (1.0 - 2.0 * ARMIJO) * (f[active] * p).sum(axis=1)  # (1 - 2c) |phi'(0)|
         size[active] = np.max(np.abs(p), axis=1)
         iterations[active] += 1
-        done = size[active] <= tol
+        done = size[active] <= DEFAULT_TOL
         x[active[done]] += p[done]
         converged[active[done]] = True
         t = np.ones(active.size)
@@ -75,7 +76,7 @@ def solve(residual, step, state, tol, max_iter):
             x_t = x[rows] + t[search, None] * p[search]
             f_t, jac_t = residual(rows, x_t)
             ok = -(f_t * p[search]).sum(axis=1) <= bound[search]
-            ok |= ~(t[search] * size[rows] > tol)
+            ok |= ~(t[search] * size[rows] > DEFAULT_TOL)
             taken = rows[ok]
             x[taken], f[taken], jac[taken] = x_t[ok], f_t[ok], jac_t[ok]
             search = search[~ok]

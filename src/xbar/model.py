@@ -77,7 +77,10 @@ class CrossbarSpec:
         return self.bits.shape[:-2]
 
     def arrays(self) -> list:
-        """Each array of a stack as a spec of its own."""
+        """Each array of a stack as a spec of its own; a single array
+        gives [self]."""
+        if not self.stack_shape:
+            return [self]
         return [replace(self, bits=b, delta=d) for b, d in zip(self.bits, self.delta)]
 
 
@@ -126,25 +129,31 @@ class ReadoutSolution:
     source_current: np.ndarray | None = None
     v_normalized: np.ndarray | None = None
 
-
-def stack_solutions(solutions) -> ReadoutSolution:
-    """The readout of a stack from the readouts of its arrays, in order."""
-
-    def stacked(name):
-        parts = [getattr(s, name) for s in solutions]
-        return None if parts[0] is None else np.stack(parts)
-
-    return ReadoutSolution(
-        v_cell=stacked("v_cell"),
-        i_out=stacked("i_out"),
-        power=stacked("power"),
-        iterations=max(s.iterations for s in solutions),
-        converged=stacked("converged"),
-        residual=max(s.residual for s in solutions),
-        solver=solutions[0].solver,
-        source_current=stacked("source_current"),
-        v_normalized=stacked("v_normalized"),
-    )
+    @classmethod
+    def from_rows(
+        cls, spec: CrossbarSpec, solver: str, v_cell, i_out, steps, converged, size,
+        source_current=None, v_normalized=None,
+    ) -> ReadoutSolution:
+        """The readout of spec from the results of its rows, row b m + i
+        being row i of array b: cell voltages and column currents (n each),
+        Newton step counts, convergence flags and last step sizes, and
+        optionally source currents and normalized voltages.  An array has
+        converged when all its rows have; power follows compute_power."""
+        rows = spec.stack_shape + (spec.m,)
+        converged = np.reshape(converged, rows).all(axis=-1)
+        solution = cls(
+            v_cell=np.reshape(v_cell, spec.bits.shape),
+            i_out=np.reshape(i_out, spec.bits.shape),
+            power=0.0,
+            iterations=int(np.max(steps)),
+            converged=converged if spec.stack_shape else bool(converged),
+            residual=float(np.max(size)),
+            solver=solver,
+            source_current=None if source_current is None else np.reshape(source_current, rows),
+            v_normalized=None if v_normalized is None else np.reshape(v_normalized, spec.bits.shape),
+        )
+        solution.power = compute_power(spec, solution)
+        return solution
 
 
 def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float | np.ndarray:

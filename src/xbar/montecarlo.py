@@ -54,6 +54,8 @@ class McConfig:
             raise ValueError("array dimensions must be at least 1x1")
         if self.r_int <= 0:
             raise ValueError("interconnect resistance must be positive")
+        if self.v_in <= 0:
+            raise ValueError("input bias must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0.0 <= self.p_one <= 1.0:
@@ -193,7 +195,7 @@ class McReport:
     failed_trials: tuple
 
 
-def run_mc(config: McConfig, threads: int | None = None) -> McReport:
+def run_mc(config: McConfig, threads: int = 1) -> McReport:
     """Run the campaign and aggregate; trial order never affects values.
 
     Trials are read in stacks (crossbar.map_in_stacks), each trial with its
@@ -340,13 +342,14 @@ def load_mc_config(path) -> McConfig:
     raw = runio.load_json(path)
     pair = load_pair(raw, path)
     defaults = {f.name: f.default for f in fields(McConfig) if f.default is not MISSING}
-    return McConfig(
-        pair=pair,
-        **{
-            name: runio.require(raw, key, path, kind, defaults.get(name, runio.REQUIRED))
-            for name, key, kind in _MC_FIELDS
-        },
-    )
+    values = {
+        name: runio.require(raw, key, path, kind, defaults.get(name, runio.REQUIRED))
+        for name, key, kind in _MC_FIELDS
+    }
+    try:
+        return McConfig(pair=pair, **values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def mc_config_payload(config: McConfig) -> dict:

@@ -31,9 +31,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
+from xbar.fixedpoint import DEFAULT_MAX_ITER
 from xbar.ivtable import LookupPlan
-from xbar.model import CrossbarSpec, ReadoutSolution, compute_power
+from xbar.model import CrossbarSpec, ReadoutSolution
 
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
 CG_MAX_STEPS = 100  # conjugate-gradient steps before a Newton step is solved directly
@@ -281,7 +281,6 @@ class GeometryFactors:
 def kirchhoff_row_solve(
     spec: CrossbarSpec,
     active_row: int,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     backend: str = "pcg",
     factors: GeometryFactors | None = None,
@@ -327,7 +326,7 @@ def kirchhoff_row_solve(
     def step(ids, state, f, jac):
         return solve_step(jac[0], f[0], spec.v_in - state[0, src], floor)[None]
 
-    x, total, converged, size = fixedpoint.solve(residual, step, x[None], tol, max_iter)
+    x, total, converged, size = fixedpoint.solve(residual, step, x[None], max_iter)
     x = x[0]
     v_word = x[:mn].reshape(m, n)
     v_bit = x[mn:].reshape(m, n)
@@ -347,39 +346,30 @@ def kirchhoff_row_solve(
     )
 
 
-def kirchhoff_solve(
-    spec: CrossbarSpec,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    threads: int | None = None,
-) -> ReadoutSolution:
-    """Readout of the whole array: every row activated in turn.
+def kirchhoff_solve(spec: CrossbarSpec, threads: int = 1) -> ReadoutSolution:
+    """Readout of the whole array, or of every array of a stack: every
+    row activated in turn.
 
-    Row activations are independent; with threads > 1 they run on a pool
-    and are merged back in row order.  The mode operators are built once
-    for all rows (see kirchhoff_row_solve); each row reads them and its own
-    iterates only, so its result does not depend on the thread count or
-    the order rows run in.
+    Row activations are independent; with threads > 1 every (array, row)
+    pair runs on one pool, and results are merged back in order.  The mode
+    operators are built once per array for all its rows (see
+    kirchhoff_row_solve); each row reads them and its own iterates only, so
+    its result does not depend on the thread count, the order rows run in
+    or the arrays it is stacked with.
     """
-    factors = GeometryFactors(spec)
+    arrays = spec.arrays()
+    factors = [GeometryFactors(one) for one in arrays]
 
-    def solve_row(i):
-        return kirchhoff_row_solve(spec, i, tol=tol, max_iter=max_iter, factors=factors)
+    def solve_row(job):
+        b, i = job
+        row = kirchhoff_row_solve(arrays[b], i, factors=factors[b])
+        return row.v_cell, row.i_out, row.iterations, row.converged, row.residual, row.source_current
 
-    rows = runio.parallel_map(solve_row, range(spec.m), threads)
-
-    solution = ReadoutSolution(
-        v_cell=np.vstack([r.v_cell for r in rows]),
-        i_out=np.vstack([r.i_out for r in rows]),
-        power=0.0,
-        iterations=max(r.iterations for r in rows),
-        converged=all(r.converged for r in rows),
-        residual=max(r.residual for r in rows),
-        solver="kirchhoff",
-        source_current=np.array([r.source_current for r in rows]),
+    jobs = [(b, i) for b in range(len(arrays)) for i in range(spec.m)]
+    v_cell, i_out, steps, converged, size, source = zip(*runio.parallel_map(solve_row, jobs, threads))
+    return ReadoutSolution.from_rows(
+        spec, "kirchhoff", v_cell, i_out, steps, converged, size, source_current=source
     )
-    solution.power = compute_power(spec, solution)
-    return solution
 
 
 def solve_linear_homogeneous(

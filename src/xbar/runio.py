@@ -1,5 +1,5 @@
 """Shared file-format plumbing: exact float serialization, JSON/CSV helpers,
-run manifests, thread-count resolution and the one parallel map.
+run manifests and the one parallel map.
 
 Every writer in the package funnels through these helpers so that reruns of
 the same command produce byte-identical files.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -111,20 +110,12 @@ def digest_payload(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else XBAR_THREADS, else 1."""
-    if threads is None:
-        threads = int(os.environ.get("XBAR_THREADS", "1"))
+def parallel_map(func, items, threads: int) -> list:
+    """[func(item) for item in items], on a pool of `threads` workers
+    (at least one) and in item order.  One thread or one item runs
+    serially on the calling thread."""
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
-def parallel_map(func, items, threads: int | None) -> list:
-    """[func(item) for item in items], on a pool of `threads` workers
-    (resolved as in resolve_threads) and in item order.  One thread or one
-    item runs serially on the calling thread."""
-    threads = resolve_threads(threads)
     items = list(items)
     if threads == 1 or len(items) == 1:
         return [func(item) for item in items]

@@ -140,7 +140,7 @@ def run_storage_benchmark(
     pair: StrandPair,
     v_in: float = 1.0,
     solver: str = "parametric",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> StorageReport:
     """Store every job on every array size at every interconnect value.
 
@@ -261,6 +261,12 @@ def load_store_config(path):
         raise ValueError(f"{path}: field 'sizes' must hold dimensions of at least 1")
     r_ints = runio.require(raw, "r_int_ohm", path, [float])
     v_in = runio.require(raw, "v_in_v", path, float, 1.0)
+    for key, values in (("images", jobs), ("sizes", sizes), ("r_int_ohm", r_ints)):
+        if not values:
+            raise ValueError(f"{path}: field '{key}' must not be empty")
+    for key, values in (("r_int_ohm", r_ints), ("v_in_v", [v_in])):
+        if not all(v > 0 for v in values):
+            raise ValueError(f"{path}: field '{key}' must be positive")
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
     return jobs, sizes, [float(r) for r in r_ints], v_in, pair
 

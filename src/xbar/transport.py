@@ -447,7 +447,7 @@ def iv_sweep(
     v_grid,
     delta_grid,
     temperature: float = 300.0,
-    threads: int | None = None,
+    threads: int = 1,
     strand_id: str = "system",
 ) -> IVTable:
     """Current over a (bias, Fermi-offset) grid.

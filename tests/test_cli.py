@@ -163,14 +163,16 @@ def test_mc_flag_overrides_reach_the_report(tmp_path):
     assert summary["solver"] == "kirchhoff"
 
 
-def test_mc_thread_flag_and_env_agree(tmp_path, monkeypatch):
-    config = write_mc_config(tmp_path)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    base = ["mc", "--config", str(config)]
-    assert cli.main(base + ["--out", str(out_a), "--threads", "1"]) == 0
-    monkeypatch.setenv("XBAR_THREADS", "3")
-    assert cli.main(base + ["--out", str(out_b)]) == 0
-    assert (out_a / "mc_trials.csv").read_bytes() == (out_b / "mc_trials.csv").read_bytes()
+@pytest.mark.parametrize("command", ["solve", "oracle", "mc", "store", "iv-gen"])
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+def test_thread_count_below_one_exits_one_and_writes_nothing(tmp_path, capsys, command, threads):
+    """--threads is checked as the flags are parsed: a count below one, or
+    no count at all, is an input error, raised before anything is written."""
+    out = tmp_path / "out"
+    argv = pinned_run(tmp_path, command) + ["--out", str(out), "--threads", threads]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # config digests of one run of each command on the fixtures in this file; a
@@ -456,8 +458,12 @@ def test_mistyped_config_field_exits_one_and_names_it(tmp_path, capsys, command,
 
 @pytest.mark.parametrize(
     "key, value",
-    [("level", 300), ("sizes", [[0, 8]]), ("sizes", [[8, -1]])],
-    ids=["store-level-300", "store-size-zero", "store-size-negative"],
+    [("level", 300), ("sizes", [[0, 8]]), ("sizes", [[8, -1]]), ("images", []), ("sizes", []),
+     ("r_int_ohm", []), ("r_int_ohm", [1e4, 0.0]), ("r_int_ohm", [-1e4]), ("v_in_v", 0.0),
+     ("v_in_v", -1.0)],
+    ids=["store-level-300", "store-size-zero", "store-size-negative", "store-images-empty",
+         "store-sizes-empty", "store-rint-empty", "store-rint-zero", "store-rint-negative",
+         "store-vin-zero", "store-vin-negative"],
 )
 def test_out_of_range_store_value_exits_one_and_names_it(tmp_path, capsys, key, value):
     """A store value of the right kind but out of range is an input error
@@ -473,6 +479,21 @@ def test_out_of_range_store_value_exits_one_and_names_it(tmp_path, capsys, key, 
     assert cli.main(["store", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: field '{key}'")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("r_int_ohm", -1.0), ("trials", 0), ("delta_max_ev", 0.5), ("v_in_v", 0.0)],
+    ids=["mc-rint-negative", "mc-trials-zero", "mc-delta-max-past-tables", "mc-vin-zero"],
+)
+def test_out_of_range_mc_value_exits_one_and_names_the_file(tmp_path, capsys, key, value):
+    """A campaign value of the right kind but out of range is an input
+    error naming the file, raised before any trial is read."""
+    config = write_mc_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main(["mc", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -292,12 +292,12 @@ def test_newton_steps_never_raise_the_cocontent(case):
     states = []
     solve = fixedpoint.solve
 
-    def recording(residual, step, state, tol, max_iter):
+    def recording(residual, step, state, max_iter):
         def recorded(ids, x, f, jac):
             states.append(x[0].copy())
             return step(ids, x, f, jac)
 
-        out = solve(residual, recorded, state, tol, max_iter)
+        out = solve(residual, recorded, state, max_iter)
         states.append(out[0][0].copy())
         return out
 
@@ -484,11 +484,10 @@ def assert_same_state(row, ref, tol):
 )
 def test_default_route_matches_direct_sparse_route(m, n, r_int):
     spec = disordered_spec(7, m, n, r_int)
-    tol = nodal.DEFAULT_TOL
     for active_row in sorted({0, m // 2, m - 1}):
-        row = kirchhoff_row_solve(spec, active_row, tol=tol)
-        ref = kirchhoff_row_solve(spec, active_row, tol=tol, backend="sparse")
-        assert_same_state(row, ref, tol)
+        row = kirchhoff_row_solve(spec, active_row)
+        ref = kirchhoff_row_solve(spec, active_row, backend="sparse")
+        assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
         worst, _, _ = node_balance(spec, row)
         assert worst <= 1e-9 * row.source_current
 
@@ -515,7 +514,7 @@ def test_stalled_conjugate_gradients_fall_back_to_direct_solves(monkeypatch):
     ref = kirchhoff_row_solve(spec, 3, backend="sparse")
     monkeypatch.setattr(nodal, "CG_MAX_STEPS", 0)
     row = kirchhoff_row_solve(spec, 3)
-    assert_same_state(row, ref, nodal.DEFAULT_TOL)
+    assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
     assert row.iterations == ref.iterations
 
 
@@ -536,7 +535,7 @@ def test_row_drawing_little_current_stops_at_the_rounding_floor(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         row = kirchhoff_row_solve(spec, 0)
-    assert_same_state(row, ref, nodal.DEFAULT_TOL)
+    assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("n, r_int, bit", [(1, 1e2, 0), (1, 1e2, 1), (6, 1e2, 0), (6, 1e3, 1)])
@@ -557,7 +556,7 @@ def test_rows_inside_the_floor_but_off_balance_keep_stepping(monkeypatch, n, r_i
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         row = kirchhoff_row_solve(spec, 0)
-    assert_same_state(row, ref, nodal.DEFAULT_TOL)
+    assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
 
 
 def test_unknown_backend_rejected():
