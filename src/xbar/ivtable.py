@@ -285,13 +285,6 @@ class LookupPlan:
         return out, rise / self._width[k]
 
 
-def cell_lookup(pair: StrandPair, bits, delta, v, chord: bool = False) -> np.ndarray:
-    """One-shot LookupPlan: the current of every cell at bias v or, with
-    chord=True, its chord conductance."""
-    plan = LookupPlan(pair, bits, delta)
-    return plan.chord(v) if chord else plan.current(v)
-
-
 def validate_table(table: IVTable) -> ValidationReport:
     """Check the table invariants; returns a report, never raises."""
     report = ValidationReport()

@@ -12,11 +12,16 @@ residual and the Newton step, the solve of the mesh with every cell at
 its tangent.
 
 With every cell at one conductance the network is separable; ModalMesh
-solves it mode by mode.  That one operator is the calibration reference
-(solve_linear_homogeneous), each row's first state and the preconditioner
-of the conjugate gradients that solve each Newton step on the default
-route ("pcg"), which factors no sparse matrix.  The "sparse" route solves
-each step by direct sparse LU, the reference the default must match.
+solves it mode by mode.  It is the calibration reference
+(solve_linear_homogeneous), and at g_bar, an array's mean zero-bias
+chord, the one operator each oracle row starts from and preconditions
+with.  A row's first state is its driven row solved exactly, cells
+nonlinear, with every other cell held at g_bar (solve_driven_rows, n
+unknowns per row through the capacitance-matrix method), then lifted to
+every node.  Newton's steps from there solve the mesh by conjugate
+gradients preconditioned at g_bar on the default route ("pcg"), which
+factors no sparse matrix.  The "sparse" route solves each step by direct
+sparse LU, the reference the default must match.
 
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
@@ -159,7 +164,7 @@ class ModalMesh:
     """
 
     def __init__(self, g: float, m: int, n: int, g_cell: float):
-        self.g, self.shape, self.lift = g, (m, n), 1.0 / (n * g_cell)
+        self.g, self.g_cell, self.shape, self.lift = g, g_cell, (m, n), 1.0 / (n * g_cell)
         lam, self.u = _path_modes(n, grounded=False)
         mu, self.v = _path_modes(m, grounded=True)
         self.g_mu = g * mu[:, None]
@@ -178,6 +183,38 @@ class ModalMesh:
         x = np.stack((self.word * w + self.cross * b, self.cross * w + self.bit * b))
         return (self.v @ x @ self.u.T).ravel()
 
+    def driven_rows(self):
+        """Every row's drop response, that row driven: the drops across its
+        n cells that unit currents across each of them drive (m x n x n),
+        and that a unit bias at the source drives (m x n).
+
+        A current across cell (i, k), into its wordline node and out of its
+        bitline node, drives mode pair (p, q) by V[i, p] U[k, q] and drops
+        by word + bit - 2 cross there, and lifts wordline i by `lift`; so
+        with c_i = (V o V)(word + bit - 2 cross) the sourceless response is
+        U diag(c_i) U^T + lift 11^T.  The source segment is DrivenFactor's
+        rank-one update: with s~_i = s_i + lift the drops a unit current
+        into the source node drives and u_s + lift the voltage it raises
+        there, it subtracts g s~ s~^T / denom, denom = 1 + g (u_s + lift),
+        and the bias drives g s~ / denom.  The lift is taken over the one
+        denominator, as in DrivenFactor.precondition: where n g_cell << g
+        the two lift terms would cancel to the digits of g/(n g_cell).
+        """
+        g, lift, u = self.g, self.lift, self.u
+        weight = self.v * self.v  # (i, p): row i's share of bitline mode p
+        c = weight @ (self.word + self.bit - 2.0 * self.cross)
+        s = (weight @ (self.word - self.cross) * u[0]) @ u.T
+        u_s = weight @ self.word @ (u[0] * u[0])
+        denom = 1.0 + g * (u_s + lift)
+        response = (u * c[:, None, :]) @ u.T
+        response += (lift * (1.0 + g * u_s) / denom)[:, None, None]
+        s_lift = s + lift
+        update = s[:, :, None] * s_lift[:, None, :]  # with the next line s~ s~^T - lift^2 11^T
+        update += lift * s[:, None, :]
+        update *= (g / denom)[:, None, None]
+        response -= update
+        return response, (g / denom)[:, None] * s_lift
+
 
 class DrivenFactor:
     """A ModalMesh with one row's source segment added.
@@ -185,8 +222,9 @@ class DrivenFactor:
     Driving a row only adds the source segment's diagonal stamp g at that
     row's first wordline node, a rank-one change, so one mode operator
     serves every row through the Sherman-Morrison formula.  At the
-    operator's conductance it gives the mesh state exactly; at any chord
-    linearization an approximation: a row's first state and the
+    operator's conductance it gives the mesh state exactly, and with the
+    driven row's cells departing from it as dipole currents across them, a
+    row's first state; at any chord linearization an approximation, the
     preconditioner of its conjugate gradients.  The driven row's lift is
     updated apart: where n g_cell << g it and the update grow alike as
     1/(n g_cell), and subtracting them would lose the digits of g/(n g_cell).
@@ -257,16 +295,55 @@ class DrivenFactor:
         return _solve_direct(g, g_cell, row, rhs)
 
 
-class GeometryFactors:
-    """The two mode operators every row of one array shares, each at the
-    arithmetic mean of the array's chords at one bias, and the array's
-    table lookup plan, which every step of every row reads.
+def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float) -> np.ndarray:
+    """The drops across every row's cells (m x n), that row driven at v_in,
+    with its own cells nonlinear (plan) and every other cell held at
+    mesh.g_cell.
 
-    `start` is at the applied bias: the driven row dominates the source
-    current and sits near v_in, so it gives a first state close to the
-    solution.  `settled` is at zero bias, where every cell off the driven
-    row ends up; below a table's first bias node a cell's tangent is its
-    chord, so it preconditions the Newton steps.
+    Holding the rest linear leaves n unknowns per row.  With D the row's
+    drop response and d0 its drops with its own cells at g_cell too
+    (ModalMesh.driven_rows), the drops d balance where
+    F = D^-1 (d0 - d) - (chord(d) - g_cell) d, the current each cell carries
+    beyond g_cell, vanishes.  F is minus the gradient of the network's
+    co-content with every other node minimized out, and its Hessian
+    D^-1 + diag(t - g_cell) at cell tangents t is the Schur complement of
+    the mesh's at those tangents, so it is symmetric positive definite and
+    the rows iterate as one batch of fixedpoint.solve from d0 (Buzbee,
+    Dorr, George & Golub's capacitance-matrix method, SIAM J. Numer. Anal.
+    8, 1971), each Newton step one stacked n x n solve.
+    """
+    response, bias = mesh.driven_rows()
+    conductance = np.linalg.inv(response)
+    del response
+    d0 = v_in * bias
+    diag = np.arange(mesh.shape[1])
+
+    def residual(ids, d):
+        g_cell, tangent = plan.chord_tangent(d, ids)
+        f = (conductance[ids] @ (d0[ids] - d)[..., None])[..., 0]
+        f -= (g_cell - mesh.g_cell) * d
+        return f, tangent - mesh.g_cell
+
+    def step(ids, d, f, jac):
+        hessian = conductance[ids]
+        hessian[:, diag, diag] += jac
+        return np.linalg.solve(hessian, f[..., None])[..., 0]
+
+    return fixedpoint.solve(residual, step, d0, DEFAULT_MAX_ITER)[0]
+
+
+class GeometryFactors:
+    """What every row of one array shares: the array's table lookup plan,
+    which every step of every row reads; the mode operator `settled` at
+    g_bar, the arithmetic mean of the array's chords at zero bias, where
+    every cell off the driven row ends up; and `drops`, every row's
+    driven-row drops solved on that background in one batch.
+
+    Below a table's first bias node a cell's tangent is its chord, so the
+    operator preconditions the Newton steps.  The drops
+    (solve_driven_rows) are exact but for the cells off the driven row,
+    which they hold at g_bar; lifted to every node they are the row's
+    first state.
     """
 
     def __init__(self, spec: CrossbarSpec):
@@ -274,8 +351,8 @@ class GeometryFactors:
             raise ValueError("the nodal oracle reads one array at a time, not a stack")
         m, n = spec.m, spec.n
         self.plan = LookupPlan(spec.pair, spec.bits, spec.delta)
-        self.start = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.full((m, n), spec.v_in))))
         self.settled = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.zeros((m, n)))))
+        self.drops = solve_driven_rows(self.settled, self.plan, spec.v_in)
 
 
 def kirchhoff_row_solve(
@@ -287,14 +364,18 @@ def kirchhoff_row_solve(
 ) -> RowSolve:
     """Drive one row and run Newton's method on the mesh to its solution.
 
-    The first state is the row driven through the array's start operator
+    The first state is the row's driven-row drops on the g_bar background
     (GeometryFactors, built here or shared across rows by kirchhoff_solve)
-    and its rank-one source update.  Every Newton step solves the mesh with
-    each cell at its tangent against the current-law residual, each cell
-    carrying its chord current.  The default backend ("pcg") runs conjugate
-    gradients preconditioned by the settled operator, until the step leaves
-    no node out of balance by more than KCL_RTOL of the source current.
-    "sparse", the reference, solves every step by direct sparse LU.
+    lifted to every node: the settled operator, with its rank-one source
+    update, applied to the driver's current and, across each driven cell,
+    the current that cell carries beyond g_bar.  That state is exact but
+    for the cells off the driven row.  Every Newton step solves the mesh
+    with each cell at its tangent against the current-law residual, each
+    cell carrying its chord current.  The default backend ("pcg") runs
+    conjugate gradients preconditioned by the same operator, until the step
+    leaves no node out of balance by more than KCL_RTOL of the source
+    current.  "sparse", the reference, solves every step by direct sparse
+    LU.
     """
     if not 0 <= active_row < spec.m:
         raise ValueError(f"active row {active_row} outside 0..{spec.m - 1}")
@@ -306,12 +387,17 @@ def kirchhoff_row_solve(
     src = active_row * n
     factors = factors or GeometryFactors(spec)
     plan = factors.plan
+    factor = DrivenFactor(factors.settled, active_row)
+    drops = factors.drops[active_row : active_row + 1]
+    excess = ((plan.chord(drops, [active_row]) - factors.settled.g_cell) * drops)[0]
     drive = np.zeros(2 * mn)
     drive[src] = g * spec.v_in  # what the driver injects with every node at zero
-    x = DrivenFactor(factors.start, active_row).precondition(drive)
+    drive[src : src + n] -= excess  # each driven cell's current beyond g_bar, wordline to bitline
+    drive[mn + src : mn + src + n] += excess
+    x = factor.precondition(drive)
 
     if backend == "pcg":
-        solve_step = DrivenFactor(factors.settled, active_row).solve
+        solve_step = factor.solve
     else:
         def solve_step(g_cell, rhs, gap, floor):
             return _solve_direct(g, g_cell, active_row, rhs)

@@ -538,30 +538,6 @@ def tight_binding_chain(
     )
 
 
-def suggest_homo_energy(
-    system: QuantumSystem,
-    config: ContactProbeConfig | None = None,
-    gap_reference: float = 0.0,
-) -> float:
-    """Propose a HOMO reference: the tallest zero-bias transmission peak
-    within 3 eV below gap_reference.
-
-    Only a proposal; occupancy counting is impossible from the matrices
-    alone, so the caller stays responsible for the final homo_energy.
-    """
-    config = config or ContactProbeConfig()
-    h_b, _ = orthogonal_block_hamiltonian(system)
-    energies = np.arange(gap_reference - 3.0, gap_reference + 0.5 * ENERGY_SPACING, ENERGY_SPACING)
-    spec = transmission_spectrum(h_b, system.partition, config, energies)
-    t = spec.t_eff
-    interior = (t[1:-1] > t[:-2]) & (t[1:-1] >= t[2:])
-    peaks = np.where(interior)[0] + 1
-    if peaks.size == 0:
-        return float(energies[np.argmax(t)])
-    best = peaks[np.argmax(t[peaks])]
-    return float(energies[best])
-
-
 def save_quantum_system(system: QuantumSystem, path) -> None:
     runio.dump_json(
         {

@@ -327,24 +327,6 @@ def test_interpolation_batch_of_any_shape_matches_single_queries(table, shape, d
     np.testing.assert_array_equal(np.reshape(batch, shape), np.reshape(single, shape))
 
 
-@given(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), st.data())
-def test_cell_lookup_matches_per_cell_table_queries(shape, data):
-    pair = StrandPair(
-        logic0_table=ivt.synthesize_table(1e7, 8e7, strand_id="lo"),
-        logic1_table=ivt.synthesize_table(1e6, 8e6, strand_id="hi"),
-    )
-    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
-    delta = data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 0.2)))
-    v = data.draw(hnp.arrays(float, shape, elements=st.floats(-1.5, 1.5)))
-    current = ivt.cell_lookup(pair, bits, delta, np.abs(v) % 1.0)
-    chord = ivt.cell_lookup(pair, bits, delta, v, chord=True)
-    for idx in np.ndindex(shape):
-        table = pair.table_for(bits[idx])
-        assert current[idx] == ivt.interpolate_current(table, abs(v[idx]) % 1.0, delta[idx])
-        clamped = min(abs(v[idx]), 1.0)
-        assert chord[idx] == ivt.small_signal_conductance(table, clamped, delta[idx])
-
-
 @st.composite
 def pair_tables(draw, strand_id):
     """A strand table on its own grids: bias nodes from 0 to a v_max in

@@ -287,8 +287,10 @@ def cocontent(spec, active_row, x):
 def test_newton_steps_never_raise_the_cocontent(case):
     """Every state the driver accepts, from the first to the returned one,
     has no more co-content than the one before, up to rounding of the
-    co-content's own terms."""
+    co-content's own terms.  The factors, whose driven-row solve iterates
+    on n drops rather than on the mesh, are built before recording."""
     spec, active_row = case
+    factors = nodal.GeometryFactors(spec)
     states = []
     solve = fixedpoint.solve
 
@@ -302,7 +304,7 @@ def test_newton_steps_never_raise_the_cocontent(case):
         return out
 
     with mock.patch.object(nodal.fixedpoint, "solve", recording):
-        kirchhoff_row_solve(spec, active_row)
+        kirchhoff_row_solve(spec, active_row, factors=factors)
     energy = [cocontent(spec, active_row, x) for x in states]
     for before, after in zip(energy, energy[1:]):
         assert after <= before + 1e-12 * abs(before)
@@ -430,6 +432,67 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
     got = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_cell), row).precondition(y)
     ref = nodal._solve_direct(g, np.full((m, n), g_cell), row, y)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def row_drops(x, m, n, row):
+    """The drops across row `row`'s cells in the mesh state x."""
+    mn = m * n
+    return x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
+
+
+# wires from 1e2 to 1e7 ohm and cells from 1e-11 to 1e-3 S: from cells so
+# faint that a row's lift outgrows its wires' resistance a billionfold to
+# cells that short the wires
+driven_arrays = st.tuples(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(2.0, 7.0).map(lambda e: 10.0**e),
+    st.floats(-11.0, -3.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(deadline=None)
+@given(driven_arrays)
+@example((1, 9, 1e5, 1e-6))
+@example((9, 1, 1e5, 1e-6))
+@example((16, 16, 1e4, 1e-9))
+def test_driven_row_response_matches_the_modal_preconditioner(array):
+    """Every row's closed-form drop response, to currents across each of
+    its cells and to the source bias, against DrivenFactor.precondition
+    applied to those currents: both solve the same driven homogeneous
+    mesh, the closed form without forming any node voltage."""
+    m, n, r_int, g_cell = array
+    g = 1.0 / r_int
+    mesh = nodal.ModalMesh(g, m, n, g_cell)
+    response, bias = mesh.driven_rows()
+    assert response.shape == (m, n, n) and bias.shape == (m, n)
+    for row in range(m):
+        factor = nodal.DrivenFactor(mesh, row)
+        ref = np.empty((n, n))
+        for k in range(n):
+            y = np.zeros(2 * m * n)
+            y[row * n + k], y[m * n + row * n + k] = 1.0, -1.0
+            ref[:, k] = row_drops(factor.precondition(y), m, n, row)
+        y = np.zeros(2 * m * n)
+        y[row * n] = g
+        bias_ref = row_drops(factor.precondition(y), m, n, row)
+        assert np.max(np.abs(response[row] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(bias[row] - bias_ref)) <= 1e-9 * np.max(np.abs(bias_ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nonlinear_rows())
+def test_driven_row_drops_solve_the_mesh_on_their_background(case):
+    """With the driven row's cells at the chords of its solved drops and
+    every other cell at the background conductance, the sparse reference
+    route's direct solve of the mesh gives those drops back."""
+    spec, active_row = case
+    factors = nodal.GeometryFactors(spec)
+    drops = factors.drops[active_row]
+    cells = np.full((spec.m, spec.n), factors.settled.g_cell)
+    cells[active_row] = factors.plan.chord(drops[None], [active_row])[0]
+    x = direct_state(spec.g_int, cells, active_row, spec.v_in)
+    np.testing.assert_allclose(row_drops(x, spec.m, spec.n, active_row), drops, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("grounded", [False, True])
@@ -576,6 +639,15 @@ def test_linear_array_converges_on_second_sweep():
     assert sol.residual <= 1e-12
 
 
+def test_rows_of_a_one_conductance_array_converge_on_the_first_step():
+    """Where every cell is one ohmic conductance the background is exact,
+    so every row's first state is its mesh solution."""
+    spec = random_spec(9, m=16, n=16, pair=linear_pair(1e6, 1e6))
+    sol = kirchhoff_solve(spec)
+    assert sol.converged
+    assert sol.iterations == 1
+
+
 def test_voltages_bounded_and_collapse_along_selected_row():
     spec = CrossbarSpec(
         m=16, n=16, r_int=1e6, bits=np.ones((16, 16), np.int8),
@@ -646,6 +718,16 @@ def test_rows_of_the_sneak_heavy_benchmark_spec_converge(active_row):
     assert row.converged
     worst, _, _ = node_balance(spec, row)
     assert worst <= 1e-9 * row.source_current
+
+
+def test_sneak_heavy_benchmark_rows_take_few_newton_steps():
+    """Started from the driven row solved on the mean-chord background the
+    32x32 spec at r_int 1e7 takes 2.91 Newton steps per row; started from
+    the mesh with every cell at the mean chord at the bias it took 4.56."""
+    spec = perfbench_oracle_spec(931, 1)
+    factors = nodal.GeometryFactors(spec)
+    steps = [kirchhoff_row_solve(spec, i, factors=factors).iterations for i in range(spec.m)]
+    assert np.mean(steps) <= 3.0
 
 
 @pytest.mark.parametrize("backend", ["pcg", "sparse"])

@@ -628,13 +628,6 @@ def test_quantum_system_loader_names_missing_field(tmp_path):
         tp.load_quantum_system(path)
 
 
-def test_suggest_homo_energy_finds_single_site_resonance():
-    eps = -5.2
-    system = QuantumSystem([[eps]], [[1.0]], [1], homo_energy=0.0)
-    found = tp.suggest_homo_energy(system, ONE_SITE_CONFIG, gap_reference=-4.0)
-    assert abs(found - eps) <= 2e-3
-
-
 def test_tight_binding_chain_is_seeded():
     a = tp.tight_binding_chain(5, onsite_jitter=0.2, seed=9)
     b = tp.tight_binding_chain(5, onsite_jitter=0.2, seed=9)
