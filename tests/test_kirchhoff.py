@@ -391,6 +391,12 @@ def direct_state(g, cells, row, v_in):
     return nodal._solve_direct(g, cells, row, rhs)
 
 
+def row_drops(x, m, n, row):
+    """The drops across row `row`'s cells in the mesh state x."""
+    mn = m * n
+    return x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
+
+
 @settings(deadline=None)
 @given(homogeneous_arrays)
 @example(one_row)
@@ -410,7 +416,7 @@ def test_homogeneous_shortcut_matches_assembled_direct_solve(array):
     mn = m * n
     for row in range(m):
         x = direct_state(g, cells, row, v_in)
-        v_ref = x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
+        v_ref = row_drops(x, m, n, row)
         i_ref = g * x[mn + (m - 1) * n :]
         for got, ref in ((v[row], v_ref), (i[row], i_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -432,12 +438,6 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
     got = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_cell), row).precondition(y)
     ref = nodal._solve_direct(g, np.full((m, n), g_cell), row, y)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
-
-
-def row_drops(x, m, n, row):
-    """The drops across row `row`'s cells in the mesh state x."""
-    mn = m * n
-    return x[row * n : (row + 1) * n] - x[mn + row * n : mn + (row + 1) * n]
 
 
 # wires from 1e2 to 1e7 ohm and cells from 1e-11 to 1e-3 S: from cells so
