@@ -33,7 +33,6 @@ nodal oracle, and map_in_stacks the one place campaigns size their stacks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER
@@ -83,8 +82,11 @@ def _ladder_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     All rows go through one tridiagonal solve of their block-diagonal
     stack.  The couplings between neighbouring rows are exact zeros, so
     the elimination never mixes rows and each row gets the same bits a
-    solve of its own would give.
+    solve of its own would give.  scipy.linalg is imported here, at the
+    first solve, so that commands which never read the ladder load no scipy.
     """
+    from scipy.linalg import solve_banded
+
     n = c.shape[-1]
     diag = 1.0 + c.reshape(-1, n)
     diag[:, :-1] += 1.0

@@ -21,7 +21,9 @@ unknowns per row through the capacitance-matrix method), then lifted to
 every node.  Newton's steps from there solve the mesh by conjugate
 gradients preconditioned at g_bar on the default route ("pcg"), which
 factors no sparse matrix.  The "sparse" route solves each step by direct
-sparse LU, the reference the default must match.
+sparse LU, the reference the default must match.  Only the functions that
+assemble or factor the mesh import scipy.sparse, at their first call, so
+the default route loads no scipy.
 
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
@@ -32,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from xbar import fixedpoint, runio
 from xbar.fixedpoint import DEFAULT_MAX_ITER
@@ -66,6 +66,8 @@ def _path_laplacian(size: int, grounded: bool):
     """Laplacian of a path of `size` nodes joined by unit segments: free at
     both ends (a wordline) or grounded through one more segment below its
     last node (a bitline).  _path_modes gives its eigenpairs in closed form."""
+    import scipy.sparse as sp
+
     diag = np.full(size, 2.0)
     diag[0] = 1.0
     if not grounded:
@@ -95,6 +97,8 @@ def _assemble(g: float, g_cell: np.ndarray, active_row: int):
     with C = diag(g_cell), plus the source segment's stamp g at the driven
     row's first wordline node.
     """
+    import scipy.sparse as sp
+
     m, n = g_cell.shape
     c = sp.diags(g_cell.ravel(), format="csc")
     word = g * sp.kron(sp.identity(m), _path_laplacian(n, grounded=False), format="csc")
@@ -113,6 +117,8 @@ def _solve_direct(g: float, g_cell: np.ndarray, active_row: int, rhs: np.ndarray
     relative; the second step, against the residual that keeps g and
     g_cell apart, reuses the factor and brings that to ~1e-10.
     """
+    from scipy.sparse.linalg import splu
+
     lu = splu(_assemble(g, g_cell, active_row))
     x = lu.solve(rhs)
     return x + lu.solve(rhs + _inflow(g, g_cell, active_row, 0.0, x))
@@ -183,10 +189,11 @@ class ModalMesh:
         x = np.stack((self.word * w + self.cross * b, self.cross * w + self.bit * b))
         return (self.v @ x @ self.u.T).ravel()
 
-    def driven_rows(self):
-        """Every row's drop response, that row driven: the drops across its
-        n cells that unit currents across each of them drive (m x n x n),
-        and that a unit bias at the source drives (m x n).
+    def driven_rows(self, rows=slice(None)):
+        """The drop response of each of `rows` (every row by default), that
+        row driven: the drops across its n cells that unit currents across
+        each of them drive (k x n x n for k rows), and that a unit bias at
+        the source drives (k x n).
 
         A current across cell (i, k), into its wordline node and out of its
         bitline node, drives mode pair (p, q) by V[i, p] U[k, q] and drops
@@ -199,12 +206,14 @@ class ModalMesh:
         and the bias drives g s~ / denom.  The lift is taken over the one
         denominator, as in DrivenFactor.precondition: where n g_cell << g
         the two lift terms would cancel to the digits of g/(n g_cell).
+        The per-row factors c, s and u_s take O(m^2 n) for every row at
+        once; only the n x n responses are formed for `rows` alone.
         """
         g, lift, u = self.g, self.lift, self.u
         weight = self.v * self.v  # (i, p): row i's share of bitline mode p
-        c = weight @ (self.word + self.bit - 2.0 * self.cross)
-        s = (weight @ (self.word - self.cross) * u[0]) @ u.T
-        u_s = weight @ self.word @ (u[0] * u[0])
+        c = (weight @ (self.word + self.bit - 2.0 * self.cross))[rows]
+        s = ((weight @ (self.word - self.cross) * u[0]) @ u.T)[rows]
+        u_s = (weight @ self.word @ (u[0] * u[0]))[rows]
         denom = 1.0 + g * (u_s + lift)
         response = (u * c[:, None, :]) @ u.T
         response += (lift * (1.0 + g * u_s) / denom)[:, None, None]
@@ -295,10 +304,10 @@ class DrivenFactor:
         return _solve_direct(g, g_cell, row, rhs)
 
 
-def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float) -> np.ndarray:
-    """The drops across every row's cells (m x n), that row driven at v_in,
-    with its own cells nonlinear (plan) and every other cell held at
-    mesh.g_cell.
+def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float, rows=slice(None)) -> np.ndarray:
+    """The drops across the cells of each of `rows` (every row by default;
+    k x n for k rows), that row driven at v_in, with its own cells
+    nonlinear (plan) and every other cell held at mesh.g_cell.
 
     Holding the rest linear leaves n unknowns per row.  With D the row's
     drop response and d0 its drops with its own cells at g_cell too
@@ -312,14 +321,15 @@ def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float) -> np.ndar
     Dorr, George & Golub's capacitance-matrix method, SIAM J. Numer. Anal.
     8, 1971), each Newton step one stacked n x n solve.
     """
-    response, bias = mesh.driven_rows()
+    rows = np.arange(mesh.shape[0])[rows]
+    response, bias = mesh.driven_rows(rows)
     conductance = np.linalg.inv(response)
     del response
     d0 = v_in * bias
     diag = np.arange(mesh.shape[1])
 
     def residual(ids, d):
-        g_cell, tangent = plan.chord_tangent(d, ids)
+        g_cell, tangent = plan.chord_tangent(d, rows[ids])
         f = (conductance[ids] @ (d0[ids] - d)[..., None])[..., 0]
         f -= (g_cell - mesh.g_cell) * d
         return f, tangent - mesh.g_cell
@@ -336,8 +346,9 @@ class GeometryFactors:
     """What every row of one array shares: the array's table lookup plan,
     which every step of every row reads; the mode operator `settled` at
     g_bar, the arithmetic mean of the array's chords at zero bias, where
-    every cell off the driven row ends up; and `drops`, every row's
-    driven-row drops solved on that background in one batch.
+    every cell off the driven row ends up; and `drops` (m x n), the
+    driven-row drops of `rows` (every row by default) solved on that
+    background in one batch, NaN on every other row.
 
     Below a table's first bias node a cell's tangent is its chord, so the
     operator preconditions the Newton steps.  The drops
@@ -346,13 +357,14 @@ class GeometryFactors:
     first state.
     """
 
-    def __init__(self, spec: CrossbarSpec):
+    def __init__(self, spec: CrossbarSpec, rows=slice(None)):
         if spec.stack_shape:
             raise ValueError("the nodal oracle reads one array at a time, not a stack")
         m, n = spec.m, spec.n
         self.plan = LookupPlan(spec.pair, spec.bits, spec.delta)
         self.settled = ModalMesh(spec.g_int, m, n, np.mean(self.plan.chord(np.zeros((m, n)))))
-        self.drops = solve_driven_rows(self.settled, self.plan, spec.v_in)
+        self.drops = np.full((m, n), np.nan)
+        self.drops[rows] = solve_driven_rows(self.settled, self.plan, spec.v_in, rows)
 
 
 def kirchhoff_row_solve(
@@ -365,7 +377,8 @@ def kirchhoff_row_solve(
     """Drive one row and run Newton's method on the mesh to its solution.
 
     The first state is the row's driven-row drops on the g_bar background
-    (GeometryFactors, built here or shared across rows by kirchhoff_solve)
+    (GeometryFactors, built here for this row alone or shared across rows
+    by kirchhoff_solve)
     lifted to every node: the settled operator, with its rank-one source
     update, applied to the driver's current and, across each driven cell,
     the current that cell carries beyond g_bar.  That state is exact but
@@ -385,7 +398,7 @@ def kirchhoff_row_solve(
     mn = m * n
     g = spec.g_int
     src = active_row * n
-    factors = factors or GeometryFactors(spec)
+    factors = factors or GeometryFactors(spec, [active_row])
     plan = factors.plan
     factor = DrivenFactor(factors.settled, active_row)
     drops = factors.drops[active_row : active_row + 1]

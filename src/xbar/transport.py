@@ -11,7 +11,9 @@ leading energy axis, so a spectrum is solved a block of energies at a time
 with one code path for one energy and for many.  An I-V sweep computes one
 spectrum per bias and integrates every Fermi offset's window from it.
 
-Energies are in eV throughout; currents come out in amperes.
+Energies are in eV throughout; currents come out in amperes.  The
+Boltzmann constant and the conductance quantum are built from the SI's
+exact defining values (2019), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -19,17 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
-from scipy.integrate import trapezoid
-from scipy.special import expit
 
 from xbar import runio
 from xbar.ivtable import IVTable
 
-KB_EV = constants.value("Boltzmann constant in eV/K")
+# the SI's exact defining constants (2019): Boltzmann k in J/K, elementary
+# charge q in C and Planck h in J s
+KB_EV = 1.380649e-23 / 1.602176634e-19
 
 # conductance quantum 2q^2/h (spin included), siemens
-G0_S = 2.0 * constants.e**2 / constants.h
+G0_S = 2.0 * 1.602176634e-19**2 / 6.62607015e-34
 
 SYMMETRY_RTOL = 1e-12
 OVERLAP_EIG_FLOOR = 1e-10
@@ -396,8 +397,10 @@ def transmission_spectrum(
 
 
 def fermi_occupation(energy, mu: float, kt: float):
-    """f(E) = 1/(1 + exp((E - mu)/kT)), overflow-safe."""
-    return expit(-(np.asarray(energy, dtype=float) - mu) / kt)
+    """f(E) = 1/(1 + exp((E - mu)/kT)); far above mu the exponential
+    overflows to inf and f to an exact 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp((np.asarray(energy, dtype=float) - mu) / kt))
 
 
 def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
@@ -432,7 +435,8 @@ def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
     window = fermi_occupation(grid, bias.e_fermi_right, kt) - fermi_occupation(
         grid, bias.e_fermi_left, kt
     )
-    return float(G0_S * trapezoid(t * window, grid))
+    y = t * window
+    return float(G0_S * np.sum(np.diff(grid) * (y[1:] + y[:-1]) / 2.0))
 
 
 def orthogonal_block_hamiltonian(system: QuantumSystem):

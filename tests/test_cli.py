@@ -531,15 +531,62 @@ def test_unknown_subcommand_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs():
+def run_child(argv):
     # the child does not inherit pytest's pythonpath setting, so hand it src
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "xbar", "--help"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def test_module_entry_point_runs():
+    result = run_child(["-m", "xbar", "--help"])
     assert result.returncode == 0
     assert "iv-synth" in result.stdout
+
+
+# Imports xbar.cli, loads the shipped tables, then runs a tiny iv-gen (two
+# blocks of two orbitals, a 3 x 2 grid) and an 8 x 8 oracle on them, and
+# prints after each step the scipy modules it has loaded.
+NO_SCIPY_CHILD = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def step(name):
+    print("scipy after", name, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), flush=True)
+
+
+import xbar.cli as cli
+from xbar import defaults, transport as tp
+from xbar.model import CrossbarSpec, save_crossbar_spec
+
+step("import")
+pair = defaults.shipped_pair()
+step("tables")
+out = Path(sys.argv[1])
+fock = np.array([[-5.3, -0.2, -0.1, 0.0], [-0.2, -5.0, -0.2, 0.0], [-0.1, -0.2, -5.4, -0.3], [0.0, 0.0, -0.3, -5.1]])
+tp.save_quantum_system(tp.QuantumSystem(fock, np.eye(4), [2, 2], homo_energy=-5.3), out / "chain.json")
+argv = ["--config", str(out / "chain.json"), "--v-points", "3", "--delta-points", "2"]
+assert cli.main(["iv-gen", *argv, "--out", str(out / "gen")]) == 0
+step("iv-gen")
+rng = np.random.default_rng(3)
+spec = CrossbarSpec(m=8, n=8, r_int=1e6, bits=rng.integers(0, 2, (8, 8)), pair=pair, delta=rng.uniform(0.0, 0.2, (8, 8)))
+paths = [str(defaults.shipped_table_path(name)) for name in (defaults.LOGIC1_NAME, defaults.LOGIC0_NAME)]
+save_crossbar_spec(spec, out / "spec.json", *paths)
+assert cli.main(["oracle", "--config", str(out / "spec.json"), "--out", str(out / "orc")]) == 0
+step("oracle")
+"""
+
+
+def test_cli_loads_no_scipy_for_tables_iv_gen_or_oracle(tmp_path):
+    """A fresh interpreter that imports the CLI, loads the shipped tables and
+    runs iv-gen and the oracle never imports scipy: it is loaded only where
+    a command solves with it (the ladder and the oracle's sparse route)."""
+    result = run_child(["-c", NO_SCIPY_CHILD, str(tmp_path)])
+    assert result.returncode == 0, result.stderr
+    steps = [line.split(" ", 3)[2:] for line in result.stdout.splitlines() if line.startswith("scipy after ")]
+    assert steps == [[name, "[]"] for name in ("import", "tables", "iv-gen", "oracle")]

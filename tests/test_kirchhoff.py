@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
@@ -563,7 +564,8 @@ def test_default_route_factors_no_sparse_matrix(monkeypatch):
     def no_factorization(*args, **kwargs):
         raise AssertionError("the default route factored a sparse matrix")
 
-    monkeypatch.setattr(nodal, "splu", no_factorization)
+    # _solve_direct imports splu from here when it is called
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
     for spec in (
         disordered_spec(7, 12, 12, 1e5),
         disordered_spec(7, 12, 12, 1e7),
@@ -728,6 +730,21 @@ def test_sneak_heavy_benchmark_rows_take_few_newton_steps():
     factors = nodal.GeometryFactors(spec)
     steps = [kirchhoff_row_solve(spec, i, factors=factors).iterations for i in range(spec.m)]
     assert np.mean(steps) <= 3.0
+
+
+def test_a_row_solved_alone_starts_from_its_own_drops_only():
+    """kirchhoff_row_solve without shared factors solves the driven-row
+    drops of its own row alone, and its readout matches the one it gives
+    from the all-row factors that kirchhoff_solve shares."""
+    spec = perfbench_oracle_spec(931, 1)
+    every = nodal.GeometryFactors(spec)
+    for active_row in (0, 13, 31):
+        one = nodal.GeometryFactors(spec, [active_row])
+        assert np.isnan(np.delete(one.drops, active_row, axis=0)).all()
+        np.testing.assert_allclose(one.drops[active_row], every.drops[active_row], rtol=1e-12, atol=0.0)
+        alone = kirchhoff_row_solve(spec, active_row).i_out
+        shared = kirchhoff_row_solve(spec, active_row, factors=every).i_out
+        np.testing.assert_allclose(alone, shared, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("backend", ["pcg", "sparse"])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import constants
 from scipy.integrate import trapezoid
 from scipy.linalg import eigh as generalized_eigh
 
@@ -315,6 +316,20 @@ def test_one_level_lorentzian_law():
 
 
 # --------------------------------------------------------------- current
+
+
+def test_physical_constants_equal_scipys_bit_for_bit():
+    """The module writes the SI's exact defining values out; they must be
+    the very floats scipy.constants gives."""
+    assert tp.KB_EV == constants.value("Boltzmann constant in eV/K")
+    assert tp.G0_S == 2 * constants.e**2 / constants.h
+
+
+def test_fermi_occupation_saturates_without_overflow_warnings():
+    # far above mu the exponential overflows; pytest turns the warning into an error
+    kt = tp.KB_EV * 1.0
+    f = tp.fermi_occupation(np.array([-50.0, 0.0, 50.0]), 0.0, kt)
+    np.testing.assert_array_equal(f, [1.0, 0.5, 0.0])
 
 
 def test_landauer_zero_bias_is_exactly_zero():
