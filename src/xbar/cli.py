@@ -55,8 +55,8 @@ def _parse_rints(text: str):
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad resistance list '{text}'") from err
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("resistances must be positive")
+    if not values or not all(v > 0 and np.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError("resistances must be positive and finite")
     return values
 
 
@@ -284,9 +284,7 @@ def cmd_plot_data(args) -> int:
         )
         written = ["boxplot.csv", "power.csv"]
     elif (src / "v_cell.csv").exists():
-        for name in ("v_cell", "i_out", "v_normalized"):
-            if not (src / f"{name}.csv").exists():
-                continue
+        for name in ("v_cell", "i_out"):
             digest_file(f"{name}.csv")
             matrix = np.atleast_2d(
                 np.loadtxt(src / f"{name}.csv", delimiter=",", ndmin=2)

@@ -170,14 +170,6 @@ def readout_currents(
     return plan.current(v_cell) * params.beta[None, :]
 
 
-def normalized_voltages(
-    v_cell: np.ndarray, params: SneakParams, spec: CrossbarSpec
-) -> np.ndarray:
-    """Cell voltages with the row scale divided out, isolating the in-row
-    degradation profile."""
-    return v_cell / (spec.v_in * params.alpha[:, None])
-
-
 def parametric_solve(
     spec: CrossbarSpec,
     params: SneakParams,
@@ -201,8 +193,7 @@ def parametric_solve(
     plan = LookupPlan(spec.pair, bits, spec.delta.reshape(bits.shape))
     v_cell, steps, converged, size = _solve_rows(spec, params, plan, np.arange(len(bits)), max_iter)
     return ReadoutSolution.from_rows(
-        spec, "parametric", v_cell, readout_currents(v_cell, params, plan), steps, converged, size,
-        v_normalized=normalized_voltages(v_cell.reshape(spec.bits.shape), params, spec),
+        spec, "parametric", v_cell, readout_currents(v_cell, params, plan), steps, converged, size
     )
 
 

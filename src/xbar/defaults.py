@@ -13,7 +13,7 @@ from __future__ import annotations
 from importlib.resources import files
 from pathlib import Path
 
-from xbar.ivtable import StrandPair, load_table, save_table, synthesize_table
+from xbar.ivtable import StrandPair, load_table, synthesize_table
 
 LOGIC1_NAME = "logic1.json"
 LOGIC0_NAME = "logic0.json"
@@ -52,14 +52,3 @@ def shipped_pair() -> StrandPair:
         logic0_table=load_table(shipped_table_path(LOGIC0_NAME)),
         logic1_table=load_table(shipped_table_path(LOGIC1_NAME)),
     )
-
-
-def write_shipped_tables(out_dir) -> tuple[Path, Path]:
-    """Write the pair to a directory (used to build the packaged data)."""
-    pair = build_shipped_tables()
-    out = Path(out_dir)
-    p1 = out / LOGIC1_NAME
-    p0 = out / LOGIC0_NAME
-    save_table(pair.logic1_table, p1)
-    save_table(pair.logic0_table, p0)
-    return p1, p0

@@ -34,10 +34,10 @@ class CrossbarSpec:
         self.n = int(self.n)
         if self.m < 1 or self.n < 1:
             raise ValueError("array dimensions must be at least 1x1")
-        if self.r_int <= 0:
-            raise ValueError("interconnect resistance must be positive")
-        if self.v_in <= 0:
-            raise ValueError("input bias must be positive")
+        if not (self.r_int > 0 and np.isfinite(self.r_int)):
+            raise ValueError(f"r_int_ohm must be positive and finite, got {self.r_int:g}")
+        if not (self.v_in > 0 and np.isfinite(self.v_in)):
+            raise ValueError(f"v_in_v must be positive and finite, got {self.v_in:g}")
         bits = np.asarray(self.bits)
         if bits.ndim not in (2, 3) or bits.shape[-2:] != (self.m, self.n) or bits.size == 0:
             raise ValueError(
@@ -56,9 +56,9 @@ class CrossbarSpec:
             )
         for table in (self.pair.logic0_table, self.pair.logic1_table):
             d_lo, d_hi = table.delta_grid[0], table.delta_grid[-1]
-            if self.delta.min() < d_lo or self.delta.max() > d_hi:
+            if not d_lo <= self.delta.min() <= self.delta.max() <= d_hi:  # NaN fails too
                 raise ValueError(
-                    f"delta values outside table '{table.strand_id}' range "
+                    f"delta_ev values outside table '{table.strand_id}' range "
                     f"[{d_lo:.6g}, {d_hi:.6g}]"
                 )
             if self.v_in > table.v_grid[-1]:
@@ -114,8 +114,8 @@ class ReadoutSolution:
     """Converged cell voltages and measurable column currents, one activated
     row per matrix row, plus convergence bookkeeping.
 
-    The readout of a stack mirrors its spec: v_cell, i_out, v_normalized
-    and source_current carry the stack axis first, and power and converged
+    The readout of a stack mirrors its spec: v_cell, i_out and
+    source_current carry the stack axis first, and power and converged
     hold one entry per array.  iterations and residual are the maxima over
     every row read."""
 
@@ -127,49 +127,41 @@ class ReadoutSolution:
     residual: float
     solver: str
     source_current: np.ndarray | None = None
-    v_normalized: np.ndarray | None = None
 
     @classmethod
     def from_rows(
         cls, spec: CrossbarSpec, solver: str, v_cell, i_out, steps, converged, size,
-        source_current=None, v_normalized=None,
+        source_current=None,
     ) -> ReadoutSolution:
         """The readout of spec from the results of its rows, row b m + i
         being row i of array b: cell voltages and column currents (n each),
         Newton step counts, convergence flags and last step sizes, and
-        optionally source currents and normalized voltages.  An array has
-        converged when all its rows have; power follows compute_power."""
+        optionally source currents.  An array has converged when all its
+        rows have.
+
+        power is v_in times the current drawn over the m row activations of
+        each array: the source current when it is reported (the oracle),
+        the column currents otherwise (the parametric model, which does not
+        model the source); the two agree whenever charge is conserved.
+        Summing rather than averaging keeps power monotone in array size,
+        as read cost scales."""
         rows = spec.stack_shape + (spec.m,)
         converged = np.reshape(converged, rows).all(axis=-1)
-        solution = cls(
+        i_out = np.reshape(i_out, spec.bits.shape)
+        if source_current is not None:
+            source_current = np.reshape(source_current, rows)
+        drawn = i_out if source_current is None else source_current
+        total = np.sum(np.reshape(drawn, spec.stack_shape + (-1,)), axis=-1)
+        return cls(
             v_cell=np.reshape(v_cell, spec.bits.shape),
-            i_out=np.reshape(i_out, spec.bits.shape),
-            power=0.0,
+            i_out=i_out,
+            power=spec.v_in * (total if spec.stack_shape else float(total)),
             iterations=int(np.max(steps)),
             converged=converged if spec.stack_shape else bool(converged),
             residual=float(np.max(size)),
             solver=solver,
-            source_current=None if source_current is None else np.reshape(source_current, rows),
-            v_normalized=None if v_normalized is None else np.reshape(v_normalized, spec.bits.shape),
+            source_current=source_current,
         )
-        solution.power = compute_power(spec, solution)
-        return solution
-
-
-def compute_power(spec: CrossbarSpec, solution: ReadoutSolution) -> float | np.ndarray:
-    """Total power drawn from the source across the m row activations, for
-    each array of a stack.
-
-    Summing over activations (rather than averaging) keeps the number
-    monotone in array size, which is how read cost scales in practice.
-    Both solvers report power through this rule.  The nodal oracle reports
-    the source current directly; the parametric model recovers it as the
-    sum of measured column currents, which is the same number whenever
-    charge is conserved.
-    """
-    current = solution.i_out if solution.source_current is None else solution.source_current
-    total = np.sum(np.reshape(current, spec.stack_shape + (-1,)), axis=-1)
-    return spec.v_in * (total if spec.stack_shape else float(total))
 
 
 def save_readout_solution(solution: ReadoutSolution, out_dir) -> None:
@@ -177,8 +169,6 @@ def save_readout_solution(solution: ReadoutSolution, out_dir) -> None:
     out = Path(out_dir)
     runio.write_matrix_csv(out / "v_cell.csv", solution.v_cell)
     runio.write_matrix_csv(out / "i_out.csv", solution.i_out)
-    if solution.v_normalized is not None:
-        runio.write_matrix_csv(out / "v_normalized.csv", solution.v_normalized)
     runio.dump_json(
         {
             "power_w": solution.power,

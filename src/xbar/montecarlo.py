@@ -52,10 +52,10 @@ class McConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("array dimensions must be at least 1x1")
-        if self.r_int <= 0:
-            raise ValueError("interconnect resistance must be positive")
-        if self.v_in <= 0:
-            raise ValueError("input bias must be positive")
+        if not (self.r_int > 0 and np.isfinite(self.r_int)):
+            raise ValueError(f"r_int_ohm must be positive and finite, got {self.r_int:g}")
+        if not (self.v_in > 0 and np.isfinite(self.v_in)):
+            raise ValueError(f"v_in_v must be positive and finite, got {self.v_in:g}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0.0 <= self.p_one <= 1.0:

@@ -56,7 +56,6 @@ class RowSolve:
     v_cell: np.ndarray  # n, drops across the active row's cells
     i_out: np.ndarray  # n, currents through the ground segments
     source_current: float
-    g_cell: np.ndarray  # m x n chord conductances at the final state
     iterations: int
     converged: bool
     residual: float
@@ -377,14 +376,13 @@ def kirchhoff_row_solve(
     """Drive one row and run Newton's method on the mesh to its solution.
 
     The first state is the row's driven-row drops on the g_bar background
-    (GeometryFactors, built here for this row alone or shared across rows
-    by kirchhoff_solve)
-    lifted to every node: the settled operator, with its rank-one source
-    update, applied to the driver's current and, across each driven cell,
-    the current that cell carries beyond g_bar.  That state is exact but
-    for the cells off the driven row.  Every Newton step solves the mesh
-    with each cell at its tangent against the current-law residual, each
-    cell carrying its chord current.  The default backend ("pcg") runs
+    (GeometryFactors, built here for this row alone or shared across rows by
+    kirchhoff_solve) lifted to every node: the settled operator, with its
+    rank-one source update, applied to the driver's current and, across each
+    driven cell, the current that cell carries beyond g_bar.  That state is
+    exact but for the cells off the driven row.  Every Newton step solves
+    the mesh with each cell at its tangent against the current-law residual,
+    each cell carrying its chord current.  The default backend ("pcg") runs
     conjugate gradients preconditioned by the same operator, until the step
     leaves no node out of balance by more than KCL_RTOL of the source
     current.  "sparse", the reference, solves every step by direct sparse
@@ -438,7 +436,6 @@ def kirchhoff_row_solve(
         v_cell=(v_word - v_bit)[active_row].copy(),
         i_out=i_out,
         source_current=float(source_current),
-        g_cell=plan.chord(v_word - v_bit),
         iterations=int(total[0]),
         converged=bool(converged[0]),
         residual=float(size[0]),

@@ -265,8 +265,8 @@ def load_store_config(path):
         if not values:
             raise ValueError(f"{path}: field '{key}' must not be empty")
     for key, values in (("r_int_ohm", r_ints), ("v_in_v", [v_in])):
-        if not all(v > 0 for v in values):
-            raise ValueError(f"{path}: field '{key}' must be positive")
+        if not all(v > 0 and np.isfinite(v) for v in values):
+            raise ValueError(f"{path}: field '{key}' must be positive and finite")
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
     return jobs, sizes, [float(r) for r in r_ints], v_in, pair
 

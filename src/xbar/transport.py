@@ -211,8 +211,6 @@ def ramp_fractions(n_blocks: int) -> np.ndarray:
         raise ValueError("need at least one block")
     if n_blocks == 1:
         return np.array([0.5])
-    if n_blocks == 2:
-        return np.array([0.0, 1.0])
     frac = np.empty(n_blocks)
     frac[0] = 0.0
     frac[-1] = 1.0
@@ -231,10 +229,8 @@ def apply_bias_ramp(h_b, v_bias: float, partition) -> np.ndarray:
         raise ValueError("partition does not match matrix size")
     if v_bias == 0.0:
         return h_b
-    shifts = ramp_fractions(len(partition)) * v_bias
-    for shift, sl in zip(shifts, _block_slices(partition)):
-        idx = np.arange(sl.start, sl.stop)
-        h_b[idx, idx] += shift
+    diag = np.arange(h_b.shape[0])
+    h_b[diag, diag] += np.repeat(ramp_fractions(len(partition)) * v_bias, partition)
     return h_b
 
 

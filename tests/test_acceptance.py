@@ -16,7 +16,7 @@ from xbar import runio
 from xbar import transport as tp
 from xbar.crossbar import calibrate_sneak_params, parametric_solve
 from xbar.defaults import shipped_pair
-from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
+from xbar.ivtable import IVTable, LookupPlan, StrandPair, save_table, synthesize_table
 from xbar.model import CrossbarSpec, save_crossbar_spec
 from xbar.montecarlo import McConfig, optimal_threshold, run_mc
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve
@@ -114,9 +114,11 @@ def test_c04_seven_block_ramp_shifts_are_exact():
 
 def edge_walk(spec, row):
     """Net current into every node plus total dissipation, from the stored
-    state and the topology alone; independent of the solver's assembly."""
+    state, the cells' chords at it and the topology alone; independent of
+    the solver's assembly."""
     m, n, g = spec.m, spec.n, spec.g_int
     vw, vb = row.v_word, row.v_bit
+    g_cell = LookupPlan(spec.pair, spec.bits, spec.delta).chord(vw - vb)
     net = np.zeros((2, m, n))
     dissipated = 0.0
     for i in range(m):
@@ -136,7 +138,7 @@ def edge_walk(spec, row):
         dissipated += flow * vb[m - 1, j]
     for i in range(m):
         for j in range(n):
-            flow = row.g_cell[i, j] * (vw[i, j] - vb[i, j])
+            flow = g_cell[i, j] * (vw[i, j] - vb[i, j])
             net[0, i, j] -= flow
             net[1, i, j] += flow
             dissipated += flow * (vw[i, j] - vb[i, j])

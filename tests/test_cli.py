@@ -299,10 +299,24 @@ def test_plot_data_exports_heatmaps_from_readout(tmp_path):
     assert cli.main(["solve", "--config", str(config), "--out", str(sol)]) == 0
     plots = tmp_path / "plots"
     assert cli.main(["plot-data", "--config", str(sol), "--out", str(plots)]) == 0
-    for name in ("heat_v_cell.csv", "heat_i_out.csv", "heat_v_normalized.csv"):
+    for name in ("heat_v_cell.csv", "heat_i_out.csv"):
         lines = (plots / name).read_text().splitlines()
         assert lines[0] == "row,col,value"
         assert len(lines) == 2  # 1x1 array
+
+
+def test_both_solvers_write_one_readout_contract(tmp_path):
+    """solve and oracle write the same files for one spec, and plot-data
+    exports the same heatmaps from either."""
+    config = write_single_cell_spec(tmp_path)
+    written = {}
+    for command in ("solve", "oracle"):
+        out, plots = tmp_path / command, tmp_path / f"plots-{command}"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["plot-data", "--config", str(out), "--out", str(plots)]) == 0
+        written[command] = [sorted(path.name for path in d.iterdir()) for d in (out, plots)]
+    assert written["solve"] == written["oracle"]
+    assert written["solve"][1] == ["heat_i_out.csv", "heat_v_cell.csv", runio.MANIFEST_NAME]
 
 
 def test_plot_data_exports_histogram_and_boxplot(tmp_path):
@@ -494,6 +508,44 @@ def test_out_of_range_mc_value_exits_one_and_names_the_file(tmp_path, capsys, ke
     out = tmp_path / "out"
     assert cli.main(["mc", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {config}: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, key, value, flags",
+    [
+        ("solve", "r_int_ohm", float("nan"), []),
+        ("oracle", "r_int_ohm", float("nan"), []),
+        ("oracle", "r_int_ohm", float("inf"), []),
+        ("oracle", "v_in_v", float("nan"), []),
+        ("oracle", "delta_ev", [float("nan")], []),
+        ("mc", "r_int_ohm", float("inf"), []),
+        ("mc", "v_in_v", float("nan"), []),
+        ("mc", "--rint", "nan", ["--solver", "kirchhoff"]),
+        ("mc", "--rint", "inf", []),
+        ("store", "r_int_ohm", [float("inf")], []),
+        ("store", "--rint", "nan", []),
+    ],
+    ids=["solve-rint-nan", "oracle-rint-nan", "oracle-rint-inf", "oracle-vin-nan",
+         "oracle-delta-nan", "mc-rint-inf", "mc-vin-nan", "mc-flag-rint-nan", "mc-flag-rint-inf",
+         "store-rint-inf", "store-flag-rint-nan"],
+)
+def test_non_finite_value_exits_one_and_names_it(tmp_path, capsys, command, key, value, flags):
+    """NaN and infinity pass a plain sign check: each is an input error
+    naming the field or flag, raised before anything is solved or written."""
+    write = {"store": write_store_config, "mc": write_mc_config, "solve": write_single_cell_spec,
+             "oracle": write_single_cell_spec}
+    config = write[command](tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out), *flags]
+    if key.startswith("--"):
+        argv += [key, value]
+    else:
+        raw = runio.load_json(config)
+        raw[key] = value
+        runio.dump_json(raw, config)
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -16,14 +16,13 @@ from xbar.crossbar import (
     array_reader,
     calibrate_sneak_params,
     default_g_mean,
-    normalized_voltages,
     parametric_solve,
     readout_currents,
 )
 from xbar.defaults import shipped_pair
 from xbar.ivtable import IVTable, LookupPlan, StrandPair, synthesize_table
 from xbar.fixedpoint import DEFAULT_MAX_ITER
-from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams, compute_power
+from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import GeometryFactors, kirchhoff_solve
 
 PINS = Path(__file__).parent / "data" / "parametric_pins.json"
@@ -99,8 +98,8 @@ def test_single_cell_readout_exact():
     assert sol.v_cell[0, 0] == pytest.approx(r_cell / series, rel=1e-9)
     assert sol.i_out[0, 0] == pytest.approx(1.0 / series, rel=1e-9)
     assert sol.power == pytest.approx(1.0 / series, rel=1e-9)
-    # normalized voltage carries the source-segment divider, by design
-    assert sol.v_normalized[0, 0] == pytest.approx(
+    # with the row factor divided out, the source-segment divider is left
+    assert sol.v_cell[0, 0] / (spec.v_in * params.alpha[0]) == pytest.approx(
         (r_cell + r_int) / series, rel=1e-9
     )
     assert sol.converged and sol.iterations <= 2
@@ -215,7 +214,8 @@ def test_parametric_tracks_oracle_on_large_homogeneous_array():
 
 def test_distortion_profile_on_homogeneous_array():
     """Worst cell of a homogeneous read sits at the corner farthest from
-    source and ground, and the normalized profile decays along the row."""
+    source and ground, and the model's cell voltages, with each row's
+    factor divided out, decay along the row from at most one."""
     spec = homogeneous_spec(16, 16, 1e6, knee_pair())
     params = calibrate_sneak_params(spec)
     oracle = kirchhoff_solve(spec)
@@ -224,8 +224,9 @@ def test_distortion_profile_on_homogeneous_array():
     for readout in (oracle, sol):
         assert np.unravel_index(np.argmin(readout.v_cell), readout.v_cell.shape) == corner
         assert np.unravel_index(np.argmin(readout.i_out), readout.i_out.shape) == corner
-    assert np.all(sol.v_normalized <= 1.0 + 1e-9)
-    assert np.all(np.diff(sol.v_normalized, axis=1) <= 1e-12)
+    in_row = sol.v_cell / (spec.v_in * params.alpha[:, None])
+    assert np.all(in_row <= 1.0 + 1e-9)
+    assert np.all(np.diff(in_row, axis=1) <= 1e-12)
 
 
 def test_thread_count_does_not_change_values():
@@ -319,7 +320,7 @@ def test_fractions_of_stacked_rows_match_single_rows():
 
 # --- stacks of arrays -----------------------------------------------------
 
-READOUT_FIELDS = ("v_cell", "i_out", "v_normalized", "power", "converged")
+READOUT_FIELDS = ("v_cell", "i_out", "power", "converged")
 
 
 def assert_stack_reads_like_each_array(spec, params, max_iter=DEFAULT_MAX_ITER):
@@ -487,37 +488,16 @@ def test_readout_currents_scale_with_beta():
     assert np.allclose(currents, (0.4 / 1e6) * beta[None, :], rtol=1e-12)
 
 
-def test_normalized_voltages_divide_out_the_row_factor():
-    spec = homogeneous_spec(2, 3, 1e4, linear_pair(1e6, 1e6))
-    params = SneakParams(alpha=np.array([0.5, 0.25]), beta=np.ones(3))
-    v_cell = np.full((2, 3), 0.1)
-    norm = normalized_voltages(v_cell, params, spec)
-    assert np.allclose(norm[0], 0.2, rtol=1e-12)
-    assert np.allclose(norm[1], 0.4, rtol=1e-12)
-
-
 def test_compute_power_prefers_reported_source_current():
+    """from_rows sums the source current when a solver reports one and the
+    column currents when it does not, over every row activation."""
     spec = homogeneous_spec(2, 2, 1e4, linear_pair(1e6, 1e6))
-    base = dict(
-        v_cell=np.zeros((2, 2)),
-        power=0.0,
-        iterations=1,
-        converged=True,
-        residual=0.0,
-        solver="test",
-    )
-    with_source = ReadoutSolution(
-        i_out=np.full((2, 2), 1e-6),
-        source_current=np.array([3e-6, 5e-6]),
-        **base,
-    )
-    assert compute_power(spec, with_source) == pytest.approx(
-        spec.v_in * 8e-6, rel=1e-12
-    )
-    without = ReadoutSolution(i_out=np.full((2, 2), 1e-6), **base)
-    assert compute_power(spec, without) == pytest.approx(
-        spec.v_in * 4e-6, rel=1e-12
-    )
+    rows = dict(v_cell=np.zeros((2, 2)), i_out=np.full((2, 2), 1e-6), steps=[1, 1],
+                converged=[True, True], size=[0.0, 0.0])
+    with_source = ReadoutSolution.from_rows(spec, "test", **rows, source_current=[3e-6, 5e-6])
+    assert with_source.power == pytest.approx(spec.v_in * 8e-6, rel=1e-12)
+    without = ReadoutSolution.from_rows(spec, "test", **rows)
+    assert without.power == pytest.approx(spec.v_in * 4e-6, rel=1e-12)
 
 
 def test_power_strictly_decreases_when_interconnect_doubles():

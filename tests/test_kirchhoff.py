@@ -24,7 +24,8 @@ from scipy.optimize import brentq
 from xbar import fixedpoint, nodal
 from xbar.defaults import shipped_pair
 from xbar.ivtable import (
-    V_FLOOR, IVTable, StrandPair, interpolate_current, small_signal_conductance, synthesize_table,
+    V_FLOOR, IVTable, LookupPlan, StrandPair, interpolate_current, small_signal_conductance,
+    synthesize_table,
 )
 from xbar.model import CrossbarSpec
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve, solve_linear_homogeneous
@@ -64,11 +65,13 @@ def node_balance(spec, row):
     """Edge walk of the solved mesh: net current into every node, plus the
     per-element dissipation total and the power the source delivers.
 
-    Uses only the stored state (node voltages, final chord conductances)
-    and the network topology, never the solver's matrix.
+    Uses only the stored state (node voltages), the cells' chord
+    conductances at it, read through a plan of the spec's own, and the
+    network topology, never the solver's matrix.
     """
     m, n, g = spec.m, spec.n, spec.g_int
     vw, vb = row.v_word, row.v_bit
+    g_cell = LookupPlan(spec.pair, spec.bits, spec.delta).chord(vw - vb)
     net_w = np.zeros((m, n))
     net_b = np.zeros((m, n))
     dissipated = 0.0
@@ -93,7 +96,7 @@ def node_balance(spec, row):
     # cells
     for i in range(m):
         for j in range(n):
-            flow = row.g_cell[i, j] * (vw[i, j] - vb[i, j])
+            flow = g_cell[i, j] * (vw[i, j] - vb[i, j])
             net_w[i, j] -= flow
             net_b[i, j] += flow
             dissipated += flow * (vw[i, j] - vb[i, j])
