@@ -6,10 +6,13 @@ opened up with wide-band contacts on the two end blocks plus phase-breaking
 probes on every interior block.  Transmission between the contacts (direct
 plus probe-mediated) is integrated against the bias window to give current.
 
-Green's functions, terminal transmissions and the probe condition take a
-leading energy axis, so a spectrum is solved a block of energies at a time
-with one code path for one energy and for many.  An I-V sweep computes one
-spectrum per bias and integrates every Fermi offset's window from it.
+H + Sigma does not depend on energy, so it is diagonalized once per
+spectrum and every energy's Green's function is one product of its
+eigenvectors scaled by 1/(E - lambda).  Green's functions, terminal
+transmissions and the probe condition take a leading energy axis, so a
+spectrum is solved a block of energies at a time with one code path for
+one energy and for many.  An I-V sweep computes one spectrum per bias and
+integrates every Fermi offset's window from it.
 
 Energies are in eV throughout; currents come out in amperes.  The
 Boltzmann constant and the conductance quantum are built from the SI's
@@ -40,9 +43,9 @@ WINDOW_KT_MARGIN = 10.0
 
 ENERGY_SPACING = 1e-3  # eV
 
-# Energies per stacked solve in transmission_spectrum.  At 28 orbitals the
-# time per energy falls from ~200 us one at a time to ~55 us at 32 and
-# barely moves beyond; peak RSS grows with it (128 costs ~4 MiB over 32).
+# Energies per stacked product in transmission_spectrum.  At 28 orbitals
+# one BLAS thread takes ~20-23 us per energy at 32 and 64 and ~24 us at 16;
+# the block buffers grow with it (1.2 MiB at 32).
 ENERGY_BLOCK = 32
 
 
@@ -242,34 +245,43 @@ def broadening_vector(partition, config: ContactProbeConfig) -> np.ndarray:
     return np.repeat(per_block, partition)
 
 
+def _resolvent(h_b, partition, config: ContactProbeConfig):
+    """Eigendecomposition of A = H - (i/2) diag(broadening), which does not
+    depend on energy: returns (lam, vec, vec^-1) with A = vec diag(lam)
+    vec^-1, so that G(E) = (E - A)^-1 = vec diag(1/(E - lam)) vec^-1."""
+    a = np.array(h_b, dtype=complex)
+    idx = np.arange(a.shape[0])
+    a[idx, idx] -= 0.5j * broadening_vector(partition, config)
+    lam, vec = np.linalg.eig(a)
+    return lam, vec, np.linalg.inv(vec)
+
+
+def _green(energy, resolvent, den=None, cols=None, out=None):
+    """G at one energy, or at each of a 1-D array of energies (a (k, n, n)
+    stack), from a _resolvent; den, cols and out are optional buffers for
+    E - lam, the scaled eigenvectors and G.  Each energy's G is one
+    (n, n) @ (n, n) product, the same arithmetic alone and in a stack."""
+    lam, vec, inv = resolvent
+    den = np.subtract(energy[..., None], lam, out=den)
+    singular = ~den.reshape(-1, lam.size).all(axis=1)
+    if singular.any():
+        e = energy.reshape(-1)[np.flatnonzero(singular)[0]]
+        raise RuntimeError(f"singular transport matrix at E = {e:.6f} eV")
+    cols = np.divide(vec, den[..., None, :], out=cols)
+    return np.matmul(cols, inv, out=out)
+
+
 def retarded_green(energy, h_b, partition, config: ContactProbeConfig):
     """G = [E - H - Sigma]^-1 at one energy, or at each of a 1-D array of
     energies (a (k, n, n) stack).
 
-    Sigma is -i/2 times the broadening on each orbital.  The stack is built
-    once and inverted by LAPACK's LU solve against the identity, matrix by
-    matrix.  A singular matrix raises RuntimeError naming the first energy
-    LAPACK rejects.
+    Sigma is -i/2 times the broadening on each orbital.  H + Sigma is
+    diagonalized once and every energy's G is formed from its eigenvectors.
+    An energy equal to an eigenvalue raises RuntimeError naming the first
+    such energy.
     """
-    h_b = np.asarray(h_b, dtype=float)
     energy = np.asarray(energy, dtype=float)
-    n = h_b.shape[0]
-    gvec = broadening_vector(partition, config)
-    m = np.empty(energy.shape + (n, n), dtype=complex)
-    m[...] = -h_b
-    idx = np.arange(n)
-    m[..., idx, idx] += energy[..., None] + 0.5j * gvec
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError as err:
-        for e, m_e in zip(energy.reshape(-1), m.reshape(-1, n, n)):
-            try:
-                np.linalg.inv(m_e)
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    f"singular transport matrix at E = {e:.6f} eV"
-                ) from err
-        raise
+    return _green(energy, _resolvent(h_b, partition, config))
 
 
 def terminal_blocks(n_blocks: int, config: ContactProbeConfig):
@@ -296,9 +308,16 @@ def probe_transmissions(g_r, partition, config: ContactProbeConfig) -> np.ndarra
     Green's functions gives a (k, n_t, n_t) stack, matrix by matrix.
     """
     g_r = np.asarray(g_r)
+    return _transmissions(g_r, partition, config, np.empty((2,) + g_r.shape))
+
+
+def _transmissions(g_r, partition, config, squares):
+    """probe_transmissions with |Re G|^2 and |Im G|^2 written into squares,
+    a float buffer of shape (2,) + g_r.shape."""
     starts = np.concatenate([[0], np.cumsum(partition)[:-1]])
     blocks, gammas = terminal_blocks(len(partition), config)
-    abs2 = g_r.real**2 + g_r.imag**2
+    abs2 = np.square(g_r.real, out=squares[0])
+    abs2 += np.square(g_r.imag, out=squares[1])
     sums = np.add.reduceat(np.add.reduceat(abs2, starts, axis=-2), starts, axis=-1)
     t = np.triu(
         np.multiply.outer(gammas, gammas) * sums[..., blocks, :][..., blocks], 1
@@ -376,17 +395,26 @@ def transmission_spectrum(
 ) -> TransmissionSpectrum:
     """Evaluate the transmission over an energy grid.
 
-    The grid is solved ENERGY_BLOCK energies at a time through the stacked
-    forms of retarded_green, probe_transmissions and effective_transmission,
-    so every energy gets exactly the arithmetic of transmission_at.
+    H + Sigma is diagonalized once for the whole grid, which is then solved
+    ENERGY_BLOCK energies at a time through the stacked forms of
+    retarded_green, probe_transmissions and effective_transmission, so every
+    energy gets exactly the arithmetic of transmission_at.  The block
+    buffers are allocated once per spectrum.
     """
     energies = np.asarray(energies, dtype=float)
     t_eff = np.empty(energies.shape)
     t_coh = np.empty(energies.shape)
+    resolvent = _resolvent(h_b, partition, config)
+    k, n = min(ENERGY_BLOCK, energies.size), resolvent[0].size
+    den = np.empty((k, n), dtype=complex)
+    cols = np.empty((k, n, n), dtype=complex)
+    g_r = np.empty((k, n, n), dtype=complex)
+    squares = np.empty((2, k, n, n))
     for start in range(0, energies.size, ENERGY_BLOCK):
         block = slice(start, start + ENERGY_BLOCK)
-        g_r = retarded_green(energies[block], h_b, partition, config)
-        t = probe_transmissions(g_r, partition, config)
+        c = energies[block].size
+        g = _green(energies[block], resolvent, den[:c], cols[:c], g_r[:c])
+        t = _transmissions(g, partition, config, squares[:, :c])
         t_eff[block] = effective_transmission(t)
         t_coh[block] = t[:, 0, 1]
     return TransmissionSpectrum(energies, t_eff, t_coh)

@@ -16,13 +16,15 @@ from xbar import runio
 from xbar import transport as tp
 from xbar.crossbar import calibrate_sneak_params, parametric_solve
 from xbar.defaults import shipped_pair
-from xbar.ivtable import IVTable, LookupPlan, StrandPair, save_table, synthesize_table
+from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
 from xbar.model import CrossbarSpec, save_crossbar_spec
 from xbar.montecarlo import McConfig, optimal_threshold, run_mc
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve
 from xbar.runio import RunManifest
 from xbar.storage import ImageJob, run_storage_benchmark
 from xbar.transport import BiasPoint, ContactProbeConfig, QuantumSystem, TransmissionSpectrum
+
+from mesh_walk import edge_walk
 
 
 def linear_table(resistance, strand_id):
@@ -112,42 +114,6 @@ def test_c04_seven_block_ramp_shifts_are_exact():
 # --- circuit oracle ---------------------------------------------------------
 
 
-def edge_walk(spec, row):
-    """Net current into every node plus total dissipation, from the stored
-    state, the cells' chords at it and the topology alone; independent of
-    the solver's assembly."""
-    m, n, g = spec.m, spec.n, spec.g_int
-    vw, vb = row.v_word, row.v_bit
-    g_cell = LookupPlan(spec.pair, spec.bits, spec.delta).chord(vw - vb)
-    net = np.zeros((2, m, n))
-    dissipated = 0.0
-    for i in range(m):
-        for j in range(n - 1):
-            flow = g * (vw[i, j] - vw[i, j + 1])
-            net[0, i, j] -= flow
-            net[0, i, j + 1] += flow
-            dissipated += flow * (vw[i, j] - vw[i, j + 1])
-    for j in range(n):
-        for i in range(m - 1):
-            flow = g * (vb[i, j] - vb[i + 1, j])
-            net[1, i, j] -= flow
-            net[1, i + 1, j] += flow
-            dissipated += flow * (vb[i, j] - vb[i + 1, j])
-        flow = g * vb[m - 1, j]
-        net[1, m - 1, j] -= flow
-        dissipated += flow * vb[m - 1, j]
-    for i in range(m):
-        for j in range(n):
-            flow = g_cell[i, j] * (vw[i, j] - vb[i, j])
-            net[0, i, j] -= flow
-            net[1, i, j] += flow
-            dissipated += flow * (vw[i, j] - vb[i, j])
-    drive = g * (spec.v_in - vw[row.active_row, 0])
-    net[0, row.active_row, 0] += drive
-    dissipated += drive * (spec.v_in - vw[row.active_row, 0])
-    return np.abs(net).max(), dissipated, spec.v_in * row.source_current
-
-
 def test_c05_nodal_oracle_satisfies_circuit_laws():
     # single cell: plain series divider, exact to nine digits
     pair = StrandPair(
@@ -166,7 +132,8 @@ def test_c05_nodal_oracle_satisfies_circuit_laws():
         )
         row = kirchhoff_row_solve(spec, active_row=m // 3)
         assert row.converged
-        worst, dissipated, source_power = edge_walk(spec, row)
+        worst, dissipated, _ = edge_walk(spec, row)
+        source_power = spec.v_in * row.source_current
         assert worst <= 1e-9 * row.source_current
         assert np.sum(row.i_out) == pytest.approx(row.source_current, rel=1e-9)
         assert dissipated == pytest.approx(source_power, rel=1e-6)

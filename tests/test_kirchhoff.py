@@ -24,11 +24,13 @@ from scipy.optimize import brentq
 from xbar import fixedpoint, nodal
 from xbar.defaults import shipped_pair
 from xbar.ivtable import (
-    V_FLOOR, IVTable, LookupPlan, StrandPair, interpolate_current, small_signal_conductance,
+    V_FLOOR, IVTable, StrandPair, interpolate_current, small_signal_conductance,
     synthesize_table,
 )
 from xbar.model import CrossbarSpec
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve, solve_linear_homogeneous
+
+from mesh_walk import edge_walk
 
 
 def linear_table(resistance, strand_id):
@@ -59,54 +61,6 @@ def random_spec(seed, m=8, n=8, r_int=1e5, pair=None):
     return CrossbarSpec(
         m=m, n=n, r_int=r_int, bits=bits, pair=pair or knee_pair(), v_in=1.0
     )
-
-
-def node_balance(spec, row):
-    """Edge walk of the solved mesh: net current into every node, plus the
-    per-element dissipation total and the power the source delivers.
-
-    Uses only the stored state (node voltages), the cells' chord
-    conductances at it, read through a plan of the spec's own, and the
-    network topology, never the solver's matrix.
-    """
-    m, n, g = spec.m, spec.n, spec.g_int
-    vw, vb = row.v_word, row.v_bit
-    g_cell = LookupPlan(spec.pair, spec.bits, spec.delta).chord(vw - vb)
-    net_w = np.zeros((m, n))
-    net_b = np.zeros((m, n))
-    dissipated = 0.0
-
-    # wordline segments, every row
-    for i in range(m):
-        for j in range(n - 1):
-            flow = g * (vw[i, j] - vw[i, j + 1])
-            net_w[i, j] -= flow
-            net_w[i, j + 1] += flow
-            dissipated += flow * (vw[i, j] - vw[i, j + 1])
-    # bitline segments and the ground tie at the bottom
-    for j in range(n):
-        for i in range(m - 1):
-            flow = g * (vb[i, j] - vb[i + 1, j])
-            net_b[i, j] -= flow
-            net_b[i + 1, j] += flow
-            dissipated += flow * (vb[i, j] - vb[i + 1, j])
-        flow = g * vb[m - 1, j]
-        net_b[m - 1, j] -= flow
-        dissipated += flow * vb[m - 1, j]
-    # cells
-    for i in range(m):
-        for j in range(n):
-            flow = g_cell[i, j] * (vw[i, j] - vb[i, j])
-            net_w[i, j] -= flow
-            net_b[i, j] += flow
-            dissipated += flow * (vw[i, j] - vb[i, j])
-    # driver reaches the selected wordline through one segment
-    flow = g * (spec.v_in - vw[row.active_row, 0])
-    net_w[row.active_row, 0] += flow
-    dissipated += flow * (spec.v_in - vw[row.active_row, 0])
-
-    worst = max(np.max(np.abs(net_w)), np.max(np.abs(net_b)))
-    return worst, dissipated, spec.v_in * flow
 
 
 # ----------------------------------------------------------- series anchors
@@ -181,7 +135,7 @@ def test_node_current_balance_on_random_bits(seed):
     for active_row in (0, spec.m - 1):
         row = kirchhoff_row_solve(spec, active_row=active_row)
         assert row.converged
-        worst, dissipated, source_power = node_balance(spec, row)
+        worst, dissipated, source_power = edge_walk(spec, row)
         assert worst <= 1e-9 * row.source_current
         assert dissipated == pytest.approx(source_power, rel=1e-6)
 
@@ -190,7 +144,7 @@ def test_node_current_balance_on_large_array():
     spec = random_spec(7, m=64, n=64, r_int=1e5)
     row = kirchhoff_row_solve(spec, active_row=17)
     assert row.converged
-    worst, dissipated, source_power = node_balance(spec, row)
+    worst, dissipated, source_power = edge_walk(spec, row)
     assert worst <= 1e-9 * row.source_current
     assert dissipated == pytest.approx(source_power, rel=1e-6)
 
@@ -248,7 +202,7 @@ def test_converged_rows_obey_circuit_laws(case):
     row = kirchhoff_row_solve(spec, active_row)
     assert row.converged
     floor = spec.g_int * np.finfo(float).eps * spec.v_in
-    worst, dissipated, source_power = node_balance(spec, row)
+    worst, dissipated, source_power = edge_walk(spec, row)
     assert worst <= max(1e-9 * row.source_current, floor)
     assert dissipated == pytest.approx(source_power, rel=1e-6)
     assert np.sum(row.i_out) == pytest.approx(row.source_current, rel=1e-9, abs=floor)
@@ -555,7 +509,7 @@ def test_default_route_matches_direct_sparse_route(m, n, r_int):
         row = kirchhoff_row_solve(spec, active_row)
         ref = kirchhoff_row_solve(spec, active_row, backend="sparse")
         assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
-        worst, _, _ = node_balance(spec, row)
+        worst, _, _ = edge_walk(spec, row)
         assert worst <= 1e-9 * row.source_current
 
 
@@ -699,7 +653,7 @@ def test_rows_where_chord_iteration_cycles_converge(seed, active_row):
     spec = disordered_spec(seed, 20, 20, 3e7)
     row = kirchhoff_row_solve(spec, active_row)
     assert row.converged
-    worst, _, _ = node_balance(spec, row)
+    worst, _, _ = edge_walk(spec, row)
     assert worst <= 1e-9 * row.source_current
 
 
@@ -721,7 +675,7 @@ def test_rows_of_the_sneak_heavy_benchmark_spec_converge(active_row):
     spec = perfbench_oracle_spec(931, 1)
     row = kirchhoff_row_solve(spec, active_row)
     assert row.converged
-    worst, _, _ = node_balance(spec, row)
+    worst, _, _ = edge_walk(spec, row)
     assert worst <= 1e-9 * row.source_current
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import constants
 from scipy.integrate import trapezoid
 from scipy.linalg import eigh as generalized_eigh
@@ -181,6 +182,58 @@ def test_retarded_green_residual_on_seven_block_system():
         m = np.diag(energy + 0.5j * gvec) - h_b
         residual = np.linalg.norm(m @ g - np.eye(h_b.shape[0]))
         assert residual <= 1e-10
+
+
+def direct_green(energy, h_b, partition, config):
+    """Oracle: one LU solve of E - H - Sigma against the identity."""
+    gvec = tp.broadening_vector(partition, config)
+    m = np.diag(energy + 0.5j * gvec) - h_b
+    return np.linalg.solve(m, np.eye(h_b.shape[0]))
+
+
+@st.composite
+def random_chains(draw):
+    """Chains of 1-7 blocks of 1-4 orbitals each, every bond its own hop,
+    seeded onsite jitter and an optional overlap on the bonds."""
+    partition = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    n_orb = sum(partition)
+    hops = draw(st.lists(st.floats(0.05, 0.6), min_size=n_orb - 1, max_size=n_orb - 1))
+    jitter = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fock = np.diag(-5.2 + rng.uniform(-jitter, jitter, n_orb))
+    overlap = np.eye(n_orb)
+    s_bond = draw(st.floats(0.0, 0.1))
+    for a, hop in enumerate(hops):
+        fock[a, a + 1] = fock[a + 1, a] = hop
+        overlap[a, a + 1] = overlap[a + 1, a] = s_bond
+    return QuantumSystem(fock, overlap, partition, -5.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_chains(), st.sampled_from([0.0, 0.01]), st.floats(-6.2, -4.2))
+def test_retarded_green_matches_direct_solve_on_random_chains(system, gamma_probe, energy):
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig(gamma_probe=gamma_probe)
+    g = tp.retarded_green(energy, h_b, system.partition, config)
+    oracle = direct_green(energy, h_b, system.partition, config)
+    assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_retarded_green_near_exceptional_point():
+    """A contact site (broadening 1) and a probe site (0.01) coupled by
+    hop = (1 - 0.01)/4 sit at an exceptional point of H + Sigma: its two
+    eigenvalues meet and their eigenvectors turn parallel (condition number
+    ~3e7).  G formed from the eigenvectors then loses digits in proportion,
+    so the bound here is 1e-7, not the 1e-10 of well-separated spectra."""
+    fock = np.diag([-5.2, -5.2, -5.2])
+    fock[0, 1] = fock[1, 0] = 0.2475
+    system = QuantumSystem(fock, np.eye(3), [1, 1, 1], -5.2)
+    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig()
+    for energy in np.linspace(-5.6, -4.8, 81):
+        g = tp.retarded_green(energy, h_b, system.partition, config)
+        oracle = direct_green(energy, h_b, system.partition, config)
+        assert np.linalg.norm(g - oracle) <= 1e-7 * np.linalg.norm(oracle)
 
 
 # ---------------------------------------------------- probe transmissions
