@@ -129,8 +129,7 @@ def cmd_iv_synth(args) -> int:
 
 def _run_readout(args, solver: str) -> int:
     spec = load_crossbar_spec(args.config)
-    read = array_reader(solver, spec.m, spec.n, spec.r_int, spec.pair, spec.v_in, args.threads)
-    solution = read(spec)
+    solution = array_reader(solver, spec, args.threads)(spec)
     payload = {"spec": {**spec_payload(spec), **pair_payload(spec.pair)}, "solver": solver}
     _write_manifest(solver, payload, None, args.out)
     save_readout_solution(solution, args.out)

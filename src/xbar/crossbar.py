@@ -26,8 +26,12 @@ so one call reads a whole stack of arrays (CrossbarSpec) as one batch of
 rows: the small arrays of a campaign then pay the per-call and per-step
 overhead once per stack instead of once per array.
 
-array_reader is the one place callers choose between this model and the
-nodal oracle, and map_in_stacks the one place campaigns size their stacks.
+A campaign reads many arrays under one condition: geometry, interconnect,
+strand pair and read bias, which one CrossbarSpec holds.  array_reader is
+the one place callers choose between this model and the nodal oracle, and
+it takes that spec; map_in_stacks is the one place campaigns size their
+stacks, from the same spec's cell count.  Every stack a campaign reads is
+that spec with its own bits and offsets (dataclasses.replace).
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER
-from xbar.ivtable import LookupPlan, StrandPair, small_signal_conductance
+from xbar.ivtable import LookupPlan, small_signal_conductance
 from xbar.ivtable import interpolate_current  # noqa: F401  (perfbench/test_perfbench.py patches it here)
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
@@ -127,7 +130,7 @@ def calibrate_sneak_params(spec: CrossbarSpec) -> SneakParams:
     )
 
 
-def _solve_rows(spec, params, plan, rows, max_iter):
+def _solve_rows(spec, params, plan, rows):
     """Node voltages of the rows `rows` of the plan, solved together by
     the shared Newton driver (see fixedpoint.solve).  Plan row b m + i is
     row i of the stack's array b: its ladder is driven at v_in alpha_i and
@@ -158,7 +161,7 @@ def _solve_rows(spec, params, plan, rows, max_iter):
 
     g_start = plan.chord(np.full((rows.size, spec.n), INIT_BIAS), rows)
     w = scale[:, None] * _ladder_fractions(_cell_loads(g_start, r_int, segments))
-    return fixedpoint.solve(residual, step, w, max_iter)
+    return fixedpoint.solve(residual, step, w)
 
 
 def readout_currents(
@@ -170,19 +173,16 @@ def readout_currents(
     return plan.current(v_cell) * params.beta[None, :]
 
 
-def parametric_solve(
-    spec: CrossbarSpec,
-    params: SneakParams,
-    max_iter: int = DEFAULT_MAX_ITER,
-    threads: int = 1,
-) -> ReadoutSolution:
+def parametric_solve(spec: CrossbarSpec, params: SneakParams, threads: int = 1) -> ReadoutSolution:
     """Read every row of the array, or of every array of a stack, through
     the calibrated ladder model.
 
     All rows iterate together as one batch (see _solve_rows), on the
     calling thread, and read their tables through one LookupPlan; every
-    array gets the bits it would get read alone.  `threads` is ignored; it
-    is kept only for the call in perfbench/workloads.py.
+    array gets the bits it would get read alone.  A row stops unconverged
+    after fixedpoint.MAX_ITER Newton steps, the driver's own budget.
+    `threads` is ignored; it is kept only for the call in
+    perfbench/workloads.py.
     """
     if params.alpha.size != spec.m or params.beta.size != spec.n:
         raise ValueError(
@@ -191,41 +191,37 @@ def parametric_solve(
         )
     bits = spec.bits.reshape(-1, spec.n)  # the stack's rows, array by array
     plan = LookupPlan(spec.pair, bits, spec.delta.reshape(bits.shape))
-    v_cell, steps, converged, size = _solve_rows(spec, params, plan, np.arange(len(bits)), max_iter)
+    v_cell, steps, converged, size = _solve_rows(spec, params, plan, np.arange(len(bits)))
     return ReadoutSolution.from_rows(
         spec, "parametric", v_cell, readout_currents(v_cell, params, plan), steps, converged, size
     )
 
 
-def array_reader(
-    solver: str, m: int, n: int, r_int: float, pair: StrandPair, v_in: float, threads: int
-):
-    """Readout function for every m x n array, or stack of them, at r_int
-    on pair, read at v_in: spec -> ReadoutSolution through the named
-    solver.
+def array_reader(solver: str, spec: CrossbarSpec, threads: int):
+    """Readout function for every array, or stack of arrays, that shares
+    spec's geometry, interconnect, strand pair and read bias:
+    stack -> ReadoutSolution through the named solver.
 
-    The parametric model is calibrated here, once: calibration depends on
-    geometry and tables only, never on the bits or offsets of the arrays
-    read, so one fit serves them all.  `threads` sizes the oracle's pool
-    over rows.
+    The parametric model is calibrated here, once, on spec: calibration
+    reads those four and never the bits or offsets, so one fit serves every
+    array read.  `threads` sizes the oracle's pool over rows.  The returned
+    function looks the solver up in this module at each read, so that a
+    patched one (perfbench's tracer) is the one that runs.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver '{solver}', expected {SOLVERS}")
     if solver == "kirchhoff":
-        return lambda spec: kirchhoff_solve(spec, threads=threads)
-    probe = CrossbarSpec(
-        m=m, n=n, r_int=r_int, bits=np.zeros((m, n), dtype=np.int8), pair=pair, v_in=v_in
-    )
-    params = calibrate_sneak_params(probe)
-    return lambda spec: parametric_solve(spec, params)
+        return lambda stack: kirchhoff_solve(stack, threads=threads)
+    params = calibrate_sneak_params(spec)
+    return lambda stack: parametric_solve(stack, params)
 
 
-def map_in_stacks(read_stack, items, m: int, n: int, threads: int) -> list:
-    """read_stack over items in order, in stacks of as many m x n arrays
-    as fit in STACK_CELLS cells (at least one), on runio.parallel_map.
-    read_stack takes a list of items and returns one result per item; the
-    results come back flat, in item order."""
+def map_in_stacks(read_stack, items, spec: CrossbarSpec, threads: int) -> list:
+    """read_stack over items in order, in stacks of as many arrays of
+    spec's size as fit in STACK_CELLS cells (at least one), on
+    runio.parallel_map.  read_stack takes a list of items and returns one
+    result per item; the results come back flat, in item order."""
     items = list(items)
-    size = max(1, STACK_CELLS // (m * n))
+    size = max(1, STACK_CELLS // (spec.m * spec.n))
     stacks = [items[k : k + size] for k in range(0, len(items), size)]
     return [r for results in runio.parallel_map(read_stack, stacks, threads) for r in results]

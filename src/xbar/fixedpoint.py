@@ -26,7 +26,9 @@ Where no cell crosses a table node along the step the co-content is
 quadratic there, and this test is Armijo's sufficient decrease with
 fraction c (Nocedal & Wright, Numerical Optimization, ch. 3).  A row
 converges once its full Newton step moves no state entry by more than
-DEFAULT_TOL, the one stopping tolerance of both solvers.
+DEFAULT_TOL, the one stopping tolerance of both solvers, and a row still
+unconverged after MAX_ITER steps stops there and reports so.  Both are
+the driver's own: no solver passes a tolerance or a step budget.
 
 Every decision is taken per row on that row's own state, so a row's
 result does not depend on which rows share its batch.
@@ -37,13 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-6  # volts, largest state change of a converged row's last Newton step
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200  # Newton steps a row may take before it stops unconverged
 ARMIJO = 1e-4  # sufficient-decrease fraction c of the line search
 
 
-def solve(residual, step, state, max_iter):
+def solve(residual, step, state):
     """Newton iteration of every row of `state` (one row per entry) to the
-    minimizer of its co-content, at most max_iter steps per row.
+    minimizer of its co-content, at most MAX_ITER steps per row.
 
     A row whose full step moves no entry by more than DEFAULT_TOL takes it
     and converges without a line search: that close to the minimizer
@@ -60,7 +62,7 @@ def solve(residual, step, state, max_iter):
     iterations = np.zeros(k, dtype=int)
     size = np.full(k, np.inf)
     converged = np.zeros(k, dtype=bool)
-    active = np.arange(k if max_iter > 0 else 0)
+    active = np.arange(k)
     while active.size:
         p = step(active, x[active], f[active], jac[active])
         bound = (1.0 - 2.0 * ARMIJO) * (f[active] * p).sum(axis=1)  # (1 - 2c) |phi'(0)|
@@ -81,5 +83,5 @@ def solve(residual, step, state, max_iter):
             x[taken], f[taken], jac[taken] = x_t[ok], f_t[ok], jac_t[ok]
             search = search[~ok]
             t[search] *= 0.5
-        active = active[~done & (iterations[active] < max_iter)]
+        active = active[~done & (iterations[active] < MAX_ITER)]
     return x, iterations, converged, size

@@ -77,6 +77,11 @@ class StrandPair:
                     "a strand pair needs tables reaching the 1 V read bias "
                     "(regenerate it with iv-gen --v-max 1 or more)"
                 )
+            if table.delta_grid[0] > 1e-12:
+                raise ValueError(
+                    f"table '{table.strand_id}' delta_grid_ev starts at "
+                    f"{table.delta_grid[0]:.6g} eV; a strand pair needs tables reaching offset 0"
+                )
         i1 = interpolate_current(self.logic1_table, 1.0, 0.0)
         i0 = interpolate_current(self.logic0_table, 1.0, 0.0)
         if i1 < i0:
@@ -88,6 +93,27 @@ class StrandPair:
 
     def table_for(self, bit: int) -> IVTable:
         return self.logic1_table if bit else self.logic0_table
+
+    def check_range(self, v_in: float, delta, offsets: str) -> None:
+        """Raise ValueError unless both tables reach the read bias v_in and
+        span every offset in delta (NaN fails), up to the lookup's own edge
+        slack: the one range check of every array, campaign and sweep.  The
+        message calls the offsets `offsets` and the bias v_in_v, as their
+        files name them."""
+        delta_lo, delta_hi = np.min(delta), np.max(delta)
+        for table in (self.logic0_table, self.logic1_table):
+            d_lo, d_hi = _admissible(table.delta_grid)
+            if not d_lo <= delta_lo <= delta_hi <= d_hi:
+                grid = table.delta_grid
+                raise ValueError(
+                    f"{offsets} [{delta_lo:.6g}, {delta_hi:.6g}] outside table "
+                    f"'{table.strand_id}' range [{grid[0]:.6g}, {grid[-1]:.6g}]"
+                )
+            if not v_in <= _admissible(table.v_grid)[1]:
+                raise ValueError(
+                    f"v_in_v = {v_in:.12g} exceeds table '{table.strand_id}' "
+                    f"bias range (max {table.v_grid[-1]:.12g})"
+                )
 
 
 def _admissible(grid: np.ndarray):
@@ -404,7 +430,10 @@ def load_pair(raw: dict, path) -> StrandPair:
     logic1, logic0 = (
         load_table(Path(path).parent / runio.require(raw, key, path, str)) for key in PAIR_KEYS
     )
-    return StrandPair(logic0_table=logic0, logic1_table=logic1)
+    try:
+        return StrandPair(logic0_table=logic0, logic1_table=logic1)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def pair_payload(pair: StrandPair) -> dict:

@@ -54,18 +54,7 @@ class CrossbarSpec:
             raise ValueError(
                 f"delta shape {self.delta.shape} does not match bits shape {self.bits.shape}"
             )
-        for table in (self.pair.logic0_table, self.pair.logic1_table):
-            d_lo, d_hi = table.delta_grid[0], table.delta_grid[-1]
-            if not d_lo <= self.delta.min() <= self.delta.max() <= d_hi:  # NaN fails too
-                raise ValueError(
-                    f"delta_ev values outside table '{table.strand_id}' range "
-                    f"[{d_lo:.6g}, {d_hi:.6g}]"
-                )
-            if self.v_in > table.v_grid[-1]:
-                raise ValueError(
-                    f"v_in = {self.v_in:.6g} exceeds table '{table.strand_id}' "
-                    f"bias range (max {table.v_grid[-1]:.6g})"
-                )
+        self.pair.check_range(self.v_in, self.delta, "delta_ev values")
 
     @property
     def g_int(self) -> float:

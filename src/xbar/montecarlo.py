@@ -13,7 +13,7 @@ any number of threads without coupling their randomness.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,14 +62,7 @@ class McConfig:
             raise ValueError("p_one must lie in [0, 1]")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver '{self.solver}', expected {SOLVERS}")
-        d_hi = min(
-            self.pair.logic0_table.delta_grid[-1],
-            self.pair.logic1_table.delta_grid[-1],
-        )
-        if not 0.0 <= self.delta_max <= d_hi:
-            raise ValueError(
-                f"delta_max {self.delta_max:.6g} outside the tables' range [0, {d_hi:.6g}]"
-            )
+        self.pair.check_range(self.v_in, (0.0, self.delta_max), "delta_max_ev offsets")
 
 
 class ThresholdResult(NamedTuple):
@@ -158,20 +151,6 @@ def optimal_threshold(currents, labels) -> ThresholdResult:
     )
 
 
-def compute_ber(i_out, bits, threshold: float, polarity: int = 1, mask=None) -> float:
-    """Fraction of cells whose thresholded reading disagrees with the
-    stored bit; mask=False positions (padding) are left out of the count."""
-    i_out = np.asarray(i_out, dtype=float)
-    bits = np.asarray(bits)
-    reads_one = (i_out > threshold) == (polarity == 1)
-    wrong = reads_one != (bits == 1)
-    if mask is not None:
-        wrong = wrong[np.asarray(mask, dtype=bool)]
-    if wrong.size == 0:
-        raise ValueError("no cells left to grade")
-    return float(np.mean(wrong))
-
-
 @dataclass
 class McReport:
     """Per-trial error rates and thresholds plus pooled current histograms.
@@ -198,11 +177,18 @@ class McReport:
 def run_mc(config: McConfig, threads: int = 1) -> McReport:
     """Run the campaign and aggregate; trial order never affects values.
 
-    Trials are read in stacks (crossbar.map_in_stacks), each trial with its
-    own sample streams, threshold and histogram counts."""
-    read = array_reader(
-        config.solver, config.m, config.n, config.r_int, config.pair, config.v_in, 1
+    Trials are read in stacks (crossbar.map_in_stacks) of the campaign's
+    one spec, each trial with its own sample streams, threshold and
+    histogram counts."""
+    spec = CrossbarSpec(
+        m=config.m,
+        n=config.n,
+        r_int=config.r_int,
+        bits=np.zeros((config.m, config.n), dtype=np.int8),
+        pair=config.pair,
+        v_in=config.v_in,
     )
+    read = array_reader(config.solver, spec, 1)
 
     # histogram support: currents can never exceed the strongest cell's
     # full-bias current, so the bin range is known before any trial runs
@@ -214,17 +200,8 @@ def run_mc(config: McConfig, threads: int = 1) -> McReport:
 
     def run_trials(trials):
         bits = np.stack([sample_bits(config, t) for t in trials])
-        sol = read(
-            CrossbarSpec(
-                m=config.m,
-                n=config.n,
-                r_int=config.r_int,
-                bits=bits,
-                pair=config.pair,
-                delta=np.stack([sample_deltas(config, t) for t in trials]),
-                v_in=config.v_in,
-            )
-        )
+        delta = np.stack([sample_deltas(config, t) for t in trials])
+        sol = read(replace(spec, bits=bits, delta=delta))
         outcomes = []
         for b, trial_bits in enumerate(bits):
             if not sol.converged[b]:
@@ -238,7 +215,7 @@ def run_mc(config: McConfig, threads: int = 1) -> McReport:
             outcomes.append((cut, float(sol.v_cell[b].mean()), h0, h1))
         return outcomes
 
-    outcomes = map_in_stacks(run_trials, range(config.trials), config.m, config.n, threads)
+    outcomes = map_in_stacks(run_trials, range(config.trials), spec, threads)
 
     ber = np.full(config.trials, np.nan)
     thr = np.full(config.trials, np.nan)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from xbar import fixedpoint, runio
-from xbar.fixedpoint import DEFAULT_MAX_ITER
 from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution
 
@@ -338,7 +337,7 @@ def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float, rows=slice
         hessian[:, diag, diag] += jac
         return np.linalg.solve(hessian, f[..., None])[..., 0]
 
-    return fixedpoint.solve(residual, step, d0, DEFAULT_MAX_ITER)[0]
+    return fixedpoint.solve(residual, step, d0)[0]
 
 
 class GeometryFactors:
@@ -369,7 +368,6 @@ class GeometryFactors:
 def kirchhoff_row_solve(
     spec: CrossbarSpec,
     active_row: int,
-    max_iter: int = DEFAULT_MAX_ITER,
     backend: str = "pcg",
     factors: GeometryFactors | None = None,
 ) -> RowSolve:
@@ -386,7 +384,7 @@ def kirchhoff_row_solve(
     conjugate gradients preconditioned by the same operator, until the step
     leaves no node out of balance by more than KCL_RTOL of the source
     current.  "sparse", the reference, solves every step by direct sparse
-    LU.
+    LU.  The row stops unconverged after fixedpoint.MAX_ITER Newton steps.
     """
     if not 0 <= active_row < spec.m:
         raise ValueError(f"active row {active_row} outside 0..{spec.m - 1}")
@@ -423,7 +421,7 @@ def kirchhoff_row_solve(
     def step(ids, state, f, jac):
         return solve_step(jac[0], f[0], spec.v_in - state[0, src], floor)[None]
 
-    x, total, converged, size = fixedpoint.solve(residual, step, x[None], max_iter)
+    x, total, converged, size = fixedpoint.solve(residual, step, x[None])
     x = x[0]
     v_word = x[:mn].reshape(m, n)
     v_bit = x[mn:].reshape(m, n)

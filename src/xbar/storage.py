@@ -9,7 +9,7 @@ mirroring a per-array post-fabrication calibration.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,16 +83,6 @@ def bit_load(tile, pad: int = 0) -> float:
     tile = np.asarray(tile)
     mask = valid_mask(tile.shape[0], tile.shape[1], pad)
     return 100.0 * float(tile[mask].sum()) / int(mask.sum())
-
-
-def reconstruct_bits(i_out, threshold: float, polarity: int = 1, pad: int = 0) -> np.ndarray:
-    """Thresholded read-back; padded positions report 0 regardless."""
-    i_out = np.asarray(i_out, dtype=float)
-    reads_one = ((i_out > threshold) == (polarity == 1)).astype(np.int8)
-    if pad:
-        mask = valid_mask(i_out.shape[0], i_out.shape[1], pad)
-        reads_one[~mask] = 0
-    return reads_one
 
 
 @dataclass
@@ -173,11 +163,13 @@ def run_storage_benchmark(
                 tile_pad = pad if k == len(tiles) - 1 else 0
                 tiled.append((f"{label}/t{k}", tile, tile_pad))
         for r_int in r_ints:
-            read = array_reader(solver, m, n, r_int, pair, v_in, 1)
+            blank = np.zeros((m, n), dtype=np.int8)
+            spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=blank, pair=pair, v_in=v_in)
+            read = array_reader(solver, spec, 1)
 
             def read_tiles(stack):
                 bits = np.stack([tile for _, tile, _ in stack])
-                sol = read(CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, v_in=v_in))
+                sol = read(replace(spec, bits=bits, delta=None))
                 records = []
                 for b, (tile_id, tile, pad) in enumerate(stack):
                     load = bit_load(tile, pad)
@@ -191,7 +183,7 @@ def run_storage_benchmark(
                     )
                 return records
 
-            records = map_in_stacks(read_tiles, tiled, m, n, threads)
+            records = map_in_stacks(read_tiles, tiled, spec, threads)
             per_tile.extend(records)
             condition = {"m": m, "n": n, "r_int_ohm": r_int}
             read_ok = [r for r in records if r.converged]
@@ -268,6 +260,10 @@ def load_store_config(path):
         if not all(v > 0 and np.isfinite(v) for v in values):
             raise ValueError(f"{path}: field '{key}' must be positive and finite")
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
+    try:
+        pair.check_range(v_in, 0.0, "tile offsets")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return jobs, sizes, [float(r) for r in r_ints], v_in, pair
 
 

@@ -7,6 +7,7 @@ a study script would.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from xbar import runio
 from xbar import transport as tp
 from xbar.crossbar import calibrate_sneak_params, parametric_solve
 from xbar.defaults import shipped_pair
-from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
+from xbar.ivtable import StrandPair, save_table
 from xbar.model import CrossbarSpec, save_crossbar_spec
 from xbar.montecarlo import McConfig, optimal_threshold, run_mc
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve
@@ -24,22 +25,11 @@ from xbar.runio import RunManifest
 from xbar.storage import ImageJob, run_storage_benchmark
 from xbar.transport import BiasPoint, ContactProbeConfig, QuantumSystem, TransmissionSpectrum
 
+import factories
+from factories import brute_force_ber, linear_table
 from mesh_walk import edge_walk
 
-
-def linear_table(resistance, strand_id):
-    v_grid = np.array([0.0, 0.5, 1.0])
-    delta_grid = np.array([0.0, 0.2])
-    current = np.tile(v_grid / resistance, (delta_grid.size, 1))
-    return IVTable(
-        strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current
-    )
-
-
-def knee_pair(r1=1e10, ratio=12.0):
-    t1 = synthesize_table(r1, 20.0 * r1, strand_id="acc1")
-    t0 = synthesize_table(ratio * r1, 20.0 * ratio * r1, strand_id="acc0")
-    return StrandPair(logic0_table=t0, logic1_table=t1)
+knee_pair = partial(factories.knee_pair, ids=("acc1", "acc0"))
 
 
 def random_bits(seed, m, n):
@@ -268,19 +258,6 @@ def test_c10_read_power_falls_with_interconnect_and_rises_with_size():
 
 
 # --- search and reproducibility ------------------------------------------------
-
-
-def brute_force_ber(currents, labels):
-    c = np.asarray(currents, dtype=float)
-    y = np.asarray(labels)
-    distinct = np.unique(c)
-    cuts = [-np.inf, np.inf]
-    cuts.extend(0.5 * (distinct[:-1] + distinct[1:]))
-    best = c.size
-    for t in cuts:
-        err_high = int(np.sum((c > t) != (y == 1)))
-        best = min(best, err_high, c.size - err_high)
-    return best / c.size
 
 
 def test_c11_threshold_search_matches_exhaustive_brute_force():

@@ -4,6 +4,7 @@ and the analytic anchor for table generation."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,19 +12,12 @@ import pytest
 from scipy.integrate import trapezoid
 
 import xbar.cli as cli
-from xbar import crossbar, runio, transport as tp
+from xbar import crossbar, montecarlo, runio, storage, transport as tp
 from xbar.ivtable import IVTable, StrandPair, load_table, save_table, synthesize_table
 from xbar.model import CrossbarSpec, ReadoutSolution, load_crossbar_spec, save_crossbar_spec
 from xbar.runio import RunManifest
 
-
-def linear_table(resistance, strand_id):
-    v_grid = np.array([0.0, 0.5, 1.0])
-    delta_grid = np.array([0.0, 0.2])
-    current = np.tile(v_grid / resistance, (delta_grid.size, 1))
-    return IVTable(
-        strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current
-    )
+from factories import linear_table
 
 
 def write_single_cell_spec(tmp_path, r_cell=1e6, r_int=1e4):
@@ -508,6 +502,46 @@ def test_out_of_range_mc_value_exits_one_and_names_the_file(tmp_path, capsys, ke
     out = tmp_path / "out"
     assert cli.main(["mc", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {config}: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, key, value, expect",
+    [
+        ("mc", "v_in_v", 1.5, "v_in_v"),
+        ("store", "v_in_v", 1.5, "v_in_v"),
+        ("mc", "delta_grid_ev", [0.05, 0.2], "delta_grid_ev"),
+        ("store", "delta_grid_ev", [0.05, 0.2], "delta_grid_ev"),
+    ],
+    ids=["mc-vin-past-tables", "store-vin-past-tables", "mc-delta-grid-above-zero",
+         "store-delta-grid-above-zero"],
+)
+def test_campaign_past_the_tables_exits_one_before_reading(tmp_path, capsys, monkeypatch,
+                                                          command, key, value, expect):
+    """A read bias past the tables' last bias node, or offsets off their
+    offset grid, is an input error naming the file and the field; it is
+    raised while the file is read, before any array is read."""
+    config = {"mc": write_mc_config, "store": write_store_config}[command](tmp_path)
+    if key == "v_in_v":
+        raw = runio.load_json(config)
+        raw[key] = value
+        runio.dump_json(raw, config)
+    else:
+        raw = runio.load_json(tmp_path / "t0.json")
+        raw[key] = value
+        runio.dump_json(raw, tmp_path / "t0.json")
+
+    def no_reads(*args):
+        raise AssertionError("an array reader was built")
+
+    monkeypatch.setattr(montecarlo, "array_reader", no_reads)
+    monkeypatch.setattr(storage, "array_reader", no_reads)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the grid fails validate_table too
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and expect in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -3,13 +3,14 @@ reference, and the distortion profile of the readout."""
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xbar import ivtable
+from xbar import fixedpoint, ivtable
 from xbar.crossbar import (
     _ladder_fractions,
     _solve_rows,
@@ -20,36 +21,13 @@ from xbar.crossbar import (
     readout_currents,
 )
 from xbar.defaults import shipped_pair
-from xbar.ivtable import IVTable, LookupPlan, StrandPair, synthesize_table
-from xbar.fixedpoint import DEFAULT_MAX_ITER
+from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
 from xbar.nodal import GeometryFactors, kirchhoff_solve
 
+from factories import disordered_spec, knee_pair, linear_pair, random_spec
+
 PINS = Path(__file__).parent / "data" / "parametric_pins.json"
-
-
-def linear_table(resistance, strand_id):
-    v_grid = np.array([0.0, 0.5, 1.0])
-    delta_grid = np.array([0.0, 0.2])
-    current = np.tile(v_grid / resistance, (delta_grid.size, 1))
-    return IVTable(
-        strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current
-    )
-
-
-def linear_pair(r1, r0):
-    return StrandPair(
-        logic0_table=linear_table(r0, "lin0"),
-        logic1_table=linear_table(r1, "lin1"),
-    )
-
-
-def knee_pair(r1=1e10, ratio=12.0):
-    # low-bias resistance r1 with a conductance knee near mid-bias; the
-    # logic-0 strand is the same shape scaled down by the contrast ratio
-    t1 = synthesize_table(r1, 20.0 * r1, strand_id="syn1")
-    t0 = synthesize_table(ratio * r1, 20.0 * ratio * r1, strand_id="syn0")
-    return StrandPair(logic0_table=t0, logic1_table=t1)
 
 
 def homogeneous_spec(m, n, r_int, pair, v_in=1.0):
@@ -59,20 +37,6 @@ def homogeneous_spec(m, n, r_int, pair, v_in=1.0):
 
 def plan_of(spec):
     return LookupPlan(spec.pair, spec.bits, spec.delta)
-
-
-def random_spec(seed, m, n, r_int, pair):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(m, n)).astype(np.int8)
-    return CrossbarSpec(m=m, n=n, r_int=r_int, v_in=1.0, bits=bits, pair=pair)
-
-
-def disordered_spec(seed, m, n, r_int):
-    """Random bits and per-cell level offsets on the shipped tables."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(m, n)).astype(np.int8)
-    delta = rng.uniform(0.0, 0.2, size=(m, n))
-    return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=shipped_pair(), delta=delta)
 
 
 # --- single cell anchors --------------------------------------------------
@@ -265,10 +229,11 @@ def test_rows_solved_together_match_rows_solved_alone():
     params = calibrate_sneak_params(spec)
     plan = plan_of(spec)
     every = np.arange(spec.m)
-    _, needed, _, _ = _solve_rows(spec, params, plan, every, DEFAULT_MAX_ITER)
+    _, needed, _, _ = _solve_rows(spec, params, plan, every)
 
     def solve(rows):
-        return _solve_rows(spec, params, plan, np.asarray(rows), needed.max() - 1)
+        with mock.patch.object(fixedpoint, "MAX_ITER", needed.max() - 1):
+            return _solve_rows(spec, params, plan, np.asarray(rows))
 
     v, steps, converged, size = solve(every)
     assert np.any(converged) and np.any(~converged)
@@ -288,10 +253,11 @@ def test_rows_out_of_newton_steps_are_not_converged():
     params = calibrate_sneak_params(spec)
     plan = plan_of(spec)
     every = np.arange(spec.m)
-    ref, needed, converged, _ = _solve_rows(spec, params, plan, every, DEFAULT_MAX_ITER)
+    ref, needed, converged, _ = _solve_rows(spec, params, plan, every)
     assert converged.all() and needed.max() >= 3
     for max_iter in range(1, needed.max()):
-        v, steps, converged, _ = _solve_rows(spec, params, plan, every, max_iter)
+        with mock.patch.object(fixedpoint, "MAX_ITER", max_iter):
+            v, steps, converged, _ = _solve_rows(spec, params, plan, every)
         assert np.array_equal(steps, np.minimum(needed, max_iter))
         assert np.array_equal(converged, needed <= max_iter)
         assert np.array_equal(v[converged], ref[converged])
@@ -305,7 +271,8 @@ def test_readout_stays_within_the_step_budget():
     needed = parametric_solve(spec, params).iterations
     assert needed >= 3
     for max_iter in range(1, needed):
-        sol = parametric_solve(spec, params, max_iter=max_iter)
+        with mock.patch.object(fixedpoint, "MAX_ITER", max_iter):
+            sol = parametric_solve(spec, params)
         assert sol.iterations == max_iter, f"max_iter {max_iter}"
         assert not sol.converged
 
@@ -323,11 +290,12 @@ def test_fractions_of_stacked_rows_match_single_rows():
 READOUT_FIELDS = ("v_cell", "i_out", "power", "converged")
 
 
-def assert_stack_reads_like_each_array(spec, params, max_iter=DEFAULT_MAX_ITER):
+def assert_stack_reads_like_each_array(spec, params, max_iter=fixedpoint.MAX_ITER):
     """A stacked readout equals each of its arrays read alone, bit for bit,
     and reports the maxima of their step counts and last steps."""
-    stacked = parametric_solve(spec, params, max_iter=max_iter)
-    alone = [parametric_solve(one, params, max_iter=max_iter) for one in spec.arrays()]
+    with mock.patch.object(fixedpoint, "MAX_ITER", max_iter):
+        stacked = parametric_solve(spec, params)
+        alone = [parametric_solve(one, params) for one in spec.arrays()]
     for name in READOUT_FIELDS:
         expect = np.array([getattr(sol, name) for sol in alone])
         got = getattr(stacked, name)
@@ -347,7 +315,7 @@ def stacks(draw):
     bits = draw(hnp.arrays(np.int8, (b, m, n), elements=st.integers(0, 1)))
     delta = draw(hnp.arrays(float, (b, m, n), elements=st.floats(0.0, 0.2)))
     r_int = draw(st.sampled_from([1e4, 1e5, 1e6, 1e7]))
-    max_iter = draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_ITER]))
+    max_iter = draw(st.sampled_from([1, 2, 3, fixedpoint.MAX_ITER]))
     spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=shipped_pair(), delta=delta)
     return spec, max_iter
 
@@ -417,7 +385,7 @@ def test_oracle_reads_a_stack_array_by_array():
         GeometryFactors(stack)
     alone = [kirchhoff_solve(one) for one in arrays]
     reads = [kirchhoff_solve(stack, threads=t) for t in (1, 3)]
-    reads.append(array_reader("kirchhoff", 5, 5, 1e6, stack.pair, 1.0, 1)(stack))
+    reads.append(array_reader("kirchhoff", arrays[0], 1)(stack))
     for stacked in reads:
         assert stacked.solver == "kirchhoff"
         assert stacked.iterations == max(a.iterations for a in alone)

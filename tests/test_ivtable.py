@@ -272,6 +272,22 @@ def test_strand_pair_names_short_table_and_remedy():
         StrandPair(logic0_table=full, logic1_table=short)
 
 
+def test_pair_range_check_takes_what_the_lookup_takes():
+    """A table whose last bias node rounds just below 1 V forms a pair and
+    its lookup reads 1 V, so an array read at 1 V passes the range check;
+    past the lookup's edge slack it does not."""
+    v = np.array([0.0, 0.5, 1.0 - 1e-13])
+    d = np.array([0.0, 0.2])
+    rounded = IVTable("rounded", v, d, np.outer(np.ones(2), v * 1e-6))
+    full = ivt.synthesize_table(1e5, 1e6, strand_id="full")
+    pair = StrandPair(logic0_table=rounded, logic1_table=full)
+    pair.check_range(1.0, np.array([0.0, 0.2 + 1e-14]), "delta_ev values")
+    with pytest.raises(ValueError, match=r"^v_in_v = 1.00000000001 exceeds table 'rounded'"):
+        pair.check_range(1.0 + 1e-11, 0.0, "delta_ev values")
+    with pytest.raises(ValueError, match=r"^delta_ev values \[0, 0.2\] outside table 'rounded'"):
+        pair.check_range(1.0, np.array([0.0, 0.2 + 1e-11]), "delta_ev values")
+
+
 # --------------------------------------------------- lookup properties
 
 

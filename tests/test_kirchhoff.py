@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,44 +24,21 @@ from scipy.optimize import brentq
 
 from xbar import fixedpoint, nodal
 from xbar.defaults import shipped_pair
-from xbar.ivtable import (
-    V_FLOOR, IVTable, StrandPair, interpolate_current, small_signal_conductance,
-    synthesize_table,
-)
+from xbar.ivtable import V_FLOOR, interpolate_current, small_signal_conductance
 from xbar.model import CrossbarSpec
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve, solve_linear_homogeneous
 
+import factories
+from factories import disordered_spec
 from mesh_walk import edge_walk
 
 
-def linear_table(resistance, strand_id):
-    """Exactly ohmic table: bilinear interpolation reproduces v/R for any
-    query, so chord conductance is 1/R everywhere."""
-    v = np.array([0.0, 0.5, 1.0])
-    d = np.array([0.0, 0.2])
-    current = np.tile(v / resistance, (2, 1))
-    return IVTable(strand_id=strand_id, v_grid=v, delta_grid=d, current=current)
-
-
-def linear_pair(r1, r0):
-    return StrandPair(
-        logic0_table=linear_table(r0, "ohmic-0"),
-        logic1_table=linear_table(r1, "ohmic-1"),
-    )
-
-
-def knee_pair(r1=1e10, ratio=12.0):
-    t1 = synthesize_table(r1, 20 * r1, strand_id="knee-1")
-    t0 = synthesize_table(ratio * r1, 20 * ratio * r1, strand_id="knee-0")
-    return StrandPair(logic0_table=t0, logic1_table=t1)
+knee_pair = partial(factories.knee_pair, ids=("knee-1", "knee-0"))
+linear_pair = partial(factories.linear_pair, ids=("ohmic-1", "ohmic-0"))
 
 
 def random_spec(seed, m=8, n=8, r_int=1e5, pair=None):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(m, n)).astype(np.int8)
-    return CrossbarSpec(
-        m=m, n=n, r_int=r_int, bits=bits, pair=pair or knee_pair(), v_in=1.0
-    )
+    return factories.random_spec(seed, m, n, r_int, pair or knee_pair())
 
 
 # ----------------------------------------------------------- series anchors
@@ -252,12 +230,12 @@ def test_newton_steps_never_raise_the_cocontent(case):
     states = []
     solve = fixedpoint.solve
 
-    def recording(residual, step, state, max_iter):
+    def recording(residual, step, state):
         def recorded(ids, x, f, jac):
             states.append(x[0].copy())
             return step(ids, x, f, jac)
 
-        out = solve(residual, recorded, state, max_iter)
+        out = solve(residual, recorded, state)
         states.append(out[0][0].copy())
         return out
 
@@ -481,16 +459,6 @@ def test_direct_solve_resolves_cell_drops_where_cells_short_the_wires():
 # ------------------------------------------------------------- mesh routes
 
 
-def disordered_spec(seed, m, n, r_int):
-    rng = np.random.default_rng(seed)
-    return CrossbarSpec(
-        m=m, n=n, r_int=r_int,
-        bits=rng.integers(0, 2, size=(m, n)).astype(np.int8),
-        delta=rng.uniform(0.0, 0.2, size=(m, n)),
-        pair=shipped_pair(), v_in=1.0,
-    )
-
-
 def assert_same_state(row, ref, tol):
     # both routes stop once a Newton step moves no node by more than tol
     assert row.converged and ref.converged
@@ -709,10 +677,12 @@ def test_rows_cut_off_by_the_step_budget_are_not_converged(backend):
     """A row given fewer Newton steps than it needs stops on the budget
     and is not reported converged."""
     spec = disordered_spec(0, 8, 8, 1e8)
-    ref = kirchhoff_row_solve(spec, 3, backend=backend)
+    factors = nodal.GeometryFactors(spec, [3])  # the row's start, built on the full budget
+    ref = kirchhoff_row_solve(spec, 3, backend=backend, factors=factors)
     assert ref.converged and ref.iterations >= 3
     for max_iter in range(1, ref.iterations):
-        row = kirchhoff_row_solve(spec, 3, max_iter=max_iter, backend=backend)
+        with mock.patch.object(fixedpoint, "MAX_ITER", max_iter):
+            row = kirchhoff_row_solve(spec, 3, backend=backend, factors=factors)
         assert row.iterations == max_iter
         assert not row.converged
 

@@ -1,14 +1,13 @@
 """Monte Carlo machinery tests: stream determinism, threshold search
-against brute force, error counting, and campaign-level reproducibility."""
+against brute force, and campaign-level reproducibility."""
 
 import numpy as np
 import pytest
 
 from xbar import crossbar
-from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
+from xbar.ivtable import StrandPair, save_table, synthesize_table
 from xbar.montecarlo import (
     McConfig,
-    compute_ber,
     load_mc_config,
     optimal_threshold,
     run_mc,
@@ -17,22 +16,7 @@ from xbar.montecarlo import (
     sample_deltas,
 )
 
-
-def linear_table(resistance, strand_id):
-    v_grid = np.array([0.0, 0.5, 1.0])
-    delta_grid = np.array([0.0, 0.2])
-    current = np.tile(v_grid / resistance, (delta_grid.size, 1))
-    return IVTable(
-        strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current
-    )
-
-
-def separable_pair():
-    # two ohmic strands 100x apart: classes can never overlap
-    return StrandPair(
-        logic0_table=linear_table(1e8, "lin0"),
-        logic1_table=linear_table(1e6, "lin1"),
-    )
+from factories import brute_force_ber, separable_pair
 
 
 def lossy_pair():
@@ -148,21 +132,8 @@ def test_threshold_result_is_self_consistent():
         cut = optimal_threshold(currents, labels)
         if cut.single_class:
             continue
-        assert compute_ber(currents, labels, cut.threshold, cut.polarity) == cut.ber
-
-
-def brute_force_ber(currents, labels):
-    c = np.asarray(currents, dtype=float)
-    y = np.asarray(labels)
-    distinct = np.unique(c)
-    cuts = [-np.inf, np.inf]
-    cuts.extend(0.5 * (distinct[:-1] + distinct[1:]))
-    best = c.size
-    for t in cuts:
-        reads_high = c > t
-        err_high = int(np.sum(reads_high != (y == 1)))
-        best = min(best, err_high, c.size - err_high)
-    return best / c.size
+        reads_one = (currents > cut.threshold) == (cut.polarity == 1)
+        assert np.mean(reads_one != (labels == 1)) == cut.ber
 
 
 def test_threshold_matches_brute_force_on_random_pools():
@@ -181,40 +152,6 @@ def test_threshold_rejects_bad_input():
         optimal_threshold([1.0, 2.0], [0])
     with pytest.raises(ValueError):
         optimal_threshold([], [])
-
-
-# --- error counting -------------------------------------------------------
-
-
-def test_compute_ber_trivial_and_complement():
-    currents = np.array([[1.0, 2.0], [3.0, 4.0]])
-    bits = np.ones((2, 2), dtype=np.int8)
-    assert compute_ber(currents, bits, 0.5, polarity=1) == 0.0
-    flipped = 1 - bits
-    ber = compute_ber(currents, flipped, 0.5, polarity=1)
-    assert ber == 1.0
-
-
-def test_compute_ber_matches_naive_recount():
-    rng = np.random.default_rng(31)
-    currents = rng.random((16, 16)) * 1e-9
-    bits = rng.integers(0, 2, size=(16, 16))
-    threshold = 0.4e-9
-    wrong = 0
-    for i in range(16):
-        for j in range(16):
-            predicted = 1 if currents[i, j] > threshold else 0
-            wrong += predicted != bits[i, j]
-    assert compute_ber(currents, bits, threshold, polarity=1) == wrong / 256
-
-
-def test_compute_ber_mask_excludes_cells():
-    currents = np.array([[1.0, 1.0], [1.0, 1.0]])
-    bits = np.array([[1, 1], [1, 0]])
-    mask = np.array([[True, True], [True, False]])
-    assert compute_ber(currents, bits, 0.5, mask=mask) == 0.0
-    with pytest.raises(ValueError):
-        compute_ber(currents, bits, 0.5, mask=np.zeros((2, 2), dtype=bool))
 
 
 # --- campaigns ------------------------------------------------------------

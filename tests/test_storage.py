@@ -1,38 +1,23 @@
 """Image storage pipeline tests: bit extraction, tiling, load accounting,
-readback reconstruction, and the end-to-end benchmark."""
+and the end-to-end benchmark."""
 
 import numpy as np
 import pytest
 
 from xbar import crossbar
-from xbar.ivtable import IVTable, StrandPair, synthesize_table
+from xbar.ivtable import StrandPair, synthesize_table
 from xbar.storage import (
     ImageJob,
     TileRecord,
     bit_load,
     image_to_bits,
-    reconstruct_bits,
     run_storage_benchmark,
     save_storage_report,
     tile_bits,
     valid_mask,
 )
 
-
-def linear_table(resistance, strand_id):
-    v_grid = np.array([0.0, 0.5, 1.0])
-    delta_grid = np.array([0.0, 0.2])
-    current = np.tile(v_grid / resistance, (delta_grid.size, 1))
-    return IVTable(
-        strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current
-    )
-
-
-def separable_pair():
-    return StrandPair(
-        logic0_table=linear_table(1e8, "lin0"),
-        logic1_table=linear_table(1e6, "lin1"),
-    )
+from factories import separable_pair
 
 
 # --- bit extraction -------------------------------------------------------
@@ -132,30 +117,6 @@ def test_bit_load_excludes_pad_from_denominator():
     assert bit_load(tile, pad=2) == pytest.approx(75.0)
     with pytest.raises(ValueError):
         bit_load(tile, pad=6)
-
-
-# --- reconstruction -------------------------------------------------------
-
-
-def test_reconstruct_bits_thresholds_currents():
-    currents = np.array([[1.0, 3.0], [5.0, 7.0]])
-    assert reconstruct_bits(currents, 4.0).tolist() == [[0, 0], [1, 1]]
-    assert reconstruct_bits(currents, 4.0, polarity=-1).tolist() == [[1, 1], [0, 0]]
-
-
-def test_reconstruct_bits_zeroes_pad_cells():
-    currents = np.full((2, 2), 9.0)
-    got = reconstruct_bits(currents, 1.0, pad=3)
-    assert got.tolist() == [[1, 0], [0, 0]]
-
-
-def test_reconstruct_matches_elementwise_oracle():
-    rng = np.random.default_rng(53)
-    currents = rng.random((16, 16))
-    got = reconstruct_bits(currents, 0.5)
-    for i in range(16):
-        for j in range(16):
-            assert got[i, j] == (1 if currents[i, j] > 0.5 else 0)
 
 
 # --- benchmark ------------------------------------------------------------
