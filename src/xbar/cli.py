@@ -38,26 +38,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_size(text: str):
-    m, sep, n = text.partition("x")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected <m>x<n>, got '{text}'")
     try:
-        m, n = int(m), int(n)
+        m, n = (int(side) for side in text.split("x"))
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected <m>x<n>, got '{text}'") from err
-    if m < 1 or n < 1:
-        raise argparse.ArgumentTypeError("array dimensions must be positive")
     return m, n
 
 
 def _parse_rints(text: str):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad resistance list '{text}'") from err
-    if not values or not all(v > 0 and np.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError("resistances must be positive and finite")
-    return values
 
 
 def _parse_threads(text: str) -> int:
@@ -144,7 +136,7 @@ def _run_readout(args, solver: str) -> int:
 
 
 def cmd_solve(args) -> int:
-    return _run_readout(args, args.solver)
+    return _run_readout(args, "parametric")
 
 
 def cmd_oracle(args) -> int:
@@ -154,25 +146,34 @@ def cmd_oracle(args) -> int:
 # --- campaigns ----------------------------------------------------------------
 
 
+def _with_flags(config, flags: dict):
+    """config with the fields of every flag given replaced in it.
+
+    flags maps each flag to the fields its value sets, a field set to None
+    where the flag was not given.  The config's own checks run on the
+    result, and their errors name the flags given.
+    """
+    given = {flag: fields for flag, fields in flags.items() if None not in fields.values()}
+    if not given:
+        return config
+    changes = {name: value for fields in given.values() for name, value in fields.items()}
+    try:
+        return dataclasses.replace(config, **changes)
+    except ValueError as err:
+        raise ValueError(f"{', '.join(given)}: {err}") from err
+
+
 def cmd_mc(args) -> int:
-    config = load_mc_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.rint is not None:
-        if len(args.rint) != 1:
-            raise ValueError("mc takes a single --rint value")
-        overrides["r_int"] = args.rint[0]
-    if args.delta_max is not None:
-        overrides["delta_max"] = args.delta_max
-    if args.size is not None:
-        overrides["m"], overrides["n"] = args.size
-    if args.solver is not None:
-        overrides["solver"] = args.solver
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    m, n = args.size or (None, None)
+    flags = {
+        "--seed": {"seed": args.seed},
+        "--trials": {"trials": args.trials},
+        "--rint": {"r_int": args.rint},
+        "--delta-max": {"delta_max": args.delta_max},
+        "--size": {"m": m, "n": n},
+        "--solver": {"solver": args.solver},
+    }
+    config = _with_flags(load_mc_config(args.config), flags)
     report = run_mc(config, threads=args.threads)
     _write_manifest("mc", mc_config_payload(config), config.seed, args.out)
     save_mc_report(report, args.out)
@@ -184,15 +185,14 @@ def cmd_mc(args) -> int:
 
 
 def cmd_store(args) -> int:
-    jobs, shapes, r_ints, v_in, pair = load_store_config(args.config)
-    if args.size is not None:
-        shapes = [args.size]
-    if args.rint is not None:
-        r_ints = args.rint
-    solver = args.solver or "parametric"
-    report = run_storage_benchmark(jobs, r_ints, shapes, pair, v_in, solver, args.threads)
-    payload = store_payload(jobs, shapes, r_ints, v_in, solver, pair)
-    _write_manifest("store", payload, None, args.out)
+    flags = {
+        "--size": {"sizes": args.size and [args.size]},
+        "--rint": {"r_ints": args.rint},
+        "--solver": {"solver": args.solver},
+    }
+    config = _with_flags(load_store_config(args.config), flags)
+    report = run_storage_benchmark(config, threads=args.threads)
+    _write_manifest("store", store_payload(config), None, args.out)
     save_storage_report(report, args.out)
     print(f"store: {len(report.per_tile)} tiles, {report.failures} failed")
     if report.per_tile and report.failures == len(report.per_tile):
@@ -311,10 +311,14 @@ def build_parser() -> _Parser:
         if config:
             p.add_argument("--config", required=True, help="input file or directory")
         p.add_argument("--out", required=True, help="output directory")
+        return p
+
+    def add_threaded(name, func, help_text):
+        p = add(name, func, help_text)
         p.add_argument("--threads", type=_parse_threads, default=1, help="worker threads (default: 1)")
         return p
 
-    p = add("iv-gen", cmd_iv_gen, "integrate a current table from a quantum system")
+    p = add_threaded("iv-gen", cmd_iv_gen, "integrate a current table from a quantum system")
     p.add_argument("--strand-id", default="system")
     p.add_argument("--v-max", type=float, default=1.0)
     p.add_argument("--v-points", type=int, default=21)
@@ -331,20 +335,20 @@ def build_parser() -> _Parser:
     p.add_argument("--sensitivity", type=float, default=8.0)
     p.add_argument("--strand-id", default="synth")
 
-    p = add("solve", cmd_solve, "readout via the sneak-path model")
-    p.add_argument("--solver", choices=SOLVERS, default="parametric")
+    # the parametric readout runs on one thread, but solve keeps --threads:
+    # the benchmark (perfbench/workloads.py) passes it to solve and oracle alike
+    add_threaded("solve", cmd_solve, "readout via the sneak-path model")
+    add_threaded("oracle", cmd_oracle, "readout via full nodal analysis")
 
-    add("oracle", cmd_oracle, "readout via full nodal analysis")
-
-    p = add("mc", cmd_mc, "seeded variability campaign")
+    p = add_threaded("mc", cmd_mc, "seeded variability campaign")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--rint", type=_parse_rints, default=None)
+    p.add_argument("--rint", type=float, default=None)
     p.add_argument("--delta-max", type=float, default=None)
     p.add_argument("--size", type=_parse_size, default=None)
     p.add_argument("--solver", choices=SOLVERS, default=None)
 
-    p = add("store", cmd_store, "image storage benchmark sweep")
+    p = add_threaded("store", cmd_store, "image storage benchmark sweep")
     p.add_argument("--rint", type=_parse_rints, default=None)
     p.add_argument("--size", type=_parse_size, default=None)
     p.add_argument("--solver", choices=SOLVERS, default=None)

@@ -91,9 +91,6 @@ class StrandPair:
                 stacklevel=2,
             )
 
-    def table_for(self, bit: int) -> IVTable:
-        return self.logic1_table if bit else self.logic0_table
-
     def check_range(self, v_in: float, delta, offsets: str) -> None:
         """Raise ValueError unless both tables reach the read bias v_in and
         span every offset in delta (NaN fails), up to the lookup's own edge

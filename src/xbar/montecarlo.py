@@ -58,6 +58,8 @@ class McConfig:
             raise ValueError(f"v_in_v must be positive and finite, got {self.v_in:g}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.p_one <= 1.0:
             raise ValueError("p_one must lie in [0, 1]")
         if self.solver not in SOLVERS:

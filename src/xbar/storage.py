@@ -45,6 +45,45 @@ class ImageJob:
             raise ValueError(f"field 'level' must fit in a byte, got {self.level}")
 
 
+@dataclass
+class StoreConfig:
+    """One storage sweep: the images, every array size and interconnect
+    value to store them at, the strand pair and the read.  The one place a
+    sweep is checked, whether its values come from a file or from flags."""
+
+    jobs: list
+    sizes: list
+    r_ints: list
+    pair: StrandPair
+    v_in: float = 1.0
+    solver: str = "parametric"
+
+    def __post_init__(self):
+        self.jobs = list(self.jobs)
+        for key, values in (("images", self.jobs), ("sizes", self.sizes), ("r_int_ohm", self.r_ints)):
+            if not values:
+                raise ValueError(f"field '{key}' must not be empty")
+        if any(len(s) != 2 for s in self.sizes):
+            raise ValueError("field 'sizes' must list [m, n] pairs")
+        if any(min(s) < 1 for s in self.sizes):
+            raise ValueError("field 'sizes' must hold dimensions of at least 1")
+        self.sizes = [(int(m), int(n)) for m, n in self.sizes]
+        self.r_ints = [float(r) for r in self.r_ints]
+        for key, values in (("r_int_ohm", self.r_ints), ("v_in_v", [self.v_in])):
+            if not all(v > 0 and np.isfinite(v) for v in values):
+                raise ValueError(f"field '{key}' must be positive and finite")
+        # each condition is read once: one listed twice would report every
+        # tile of it twice
+        for label, values, show in (
+            ("size", self.sizes, lambda s: f"{s[0]}x{s[1]}"),
+            ("r_int", self.r_ints, lambda r: f"{r:g}"),
+        ):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{label} {show(value)} is listed more than once")
+        self.pair.check_range(self.v_in, 0.0, "tile offsets")
+
+
 def image_to_bits(job: ImageJob) -> np.ndarray:
     """Flat bit vector for one job; raw mode is most-significant-bit first."""
     data = np.frombuffer(job.source, dtype=np.uint8)
@@ -123,49 +162,30 @@ def _box_stats(values: np.ndarray) -> dict:
     }
 
 
-def run_storage_benchmark(
-    jobs,
-    r_ints,
-    sizes,
-    pair: StrandPair,
-    v_in: float = 1.0,
-    solver: str = "parametric",
-    threads: int = 1,
-) -> StorageReport:
+def run_storage_benchmark(config: StoreConfig, threads: int = 1) -> StorageReport:
     """Store every job on every array size at every interconnect value.
 
     Tiles are independent work items, read in stacks of one condition
     (crossbar.map_in_stacks); aggregation is index-ordered, so neither the
-    thread count nor the stacking changes any reported number.  Each
-    condition is read once, so a size or interconnect value listed twice
-    is rejected.
+    thread count nor the stacking changes any reported number.
     """
-    jobs = list(jobs)
-    r_ints = [float(r) for r in r_ints]
-    sizes = [(int(m), int(n)) for (m, n) in sizes]
-    for label, values, show in (
-        ("size", sizes, lambda s: f"{s[0]}x{s[1]}"),
-        ("r_int", r_ints, lambda r: f"{r:g}"),
-    ):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ValueError(f"{label} {show(value)} is listed more than once")
-
     per_tile = []
     binned = []
     powers = []
-    for m, n in sizes:
+    for m, n in config.sizes:
         tiled = []
-        for j, job in enumerate(jobs):
+        for j, job in enumerate(config.jobs):
             tiles, pad = tile_bits(image_to_bits(job), m, n)
             label = job.name or f"job{j}"
             for k, tile in enumerate(tiles):
                 tile_pad = pad if k == len(tiles) - 1 else 0
                 tiled.append((f"{label}/t{k}", tile, tile_pad))
-        for r_int in r_ints:
+        for r_int in config.r_ints:
             blank = np.zeros((m, n), dtype=np.int8)
-            spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=blank, pair=pair, v_in=v_in)
-            read = array_reader(solver, spec, 1)
+            spec = CrossbarSpec(
+                m=m, n=n, r_int=r_int, bits=blank, pair=config.pair, v_in=config.v_in
+            )
+            read = array_reader(config.solver, spec, 1)
 
             def read_tiles(stack):
                 bits = np.stack([tile for _, tile, _ in stack])
@@ -232,8 +252,8 @@ def save_storage_report(report: StorageReport, out_dir) -> None:
     )
 
 
-def load_store_config(path):
-    """Read a sweep file as (jobs, sizes, r_ints, v_in, pair); paths resolve relative to it."""
+def load_store_config(path) -> StoreConfig:
+    """Read a sweep file; image and table paths resolve relative to it."""
     path = Path(path)
     raw = runio.load_json(path)
     jobs = []
@@ -246,28 +266,17 @@ def load_store_config(path):
             jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
-    sizes = [tuple(s) for s in runio.require(raw, "sizes", path, [[int]])]
-    if any(len(s) != 2 for s in sizes):
-        raise ValueError(f"{path}: field 'sizes' must list [m, n] pairs")
-    if any(min(s) < 1 for s in sizes):
-        raise ValueError(f"{path}: field 'sizes' must hold dimensions of at least 1")
+    sizes = runio.require(raw, "sizes", path, [[int]])
     r_ints = runio.require(raw, "r_int_ohm", path, [float])
     v_in = runio.require(raw, "v_in_v", path, float, 1.0)
-    for key, values in (("images", jobs), ("sizes", sizes), ("r_int_ohm", r_ints)):
-        if not values:
-            raise ValueError(f"{path}: field '{key}' must not be empty")
-    for key, values in (("r_int_ohm", r_ints), ("v_in_v", [v_in])):
-        if not all(v > 0 and np.isfinite(v) for v in values):
-            raise ValueError(f"{path}: field '{key}' must be positive and finite")
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
     try:
-        pair.check_range(v_in, 0.0, "tile offsets")
+        return StoreConfig(jobs, sizes, r_ints, pair, v_in)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    return jobs, sizes, [float(r) for r in r_ints], v_in, pair
 
 
-def store_payload(jobs, sizes, r_ints, v_in, solver, pair) -> dict:
+def store_payload(config: StoreConfig) -> dict:
     """The sweep as a manifest digests it: images by content hash, the axes, the tables."""
     return {
         "images": [
@@ -277,11 +286,11 @@ def store_payload(jobs, sizes, r_ints, v_in, solver, pair) -> dict:
                 "level": job.level,
                 "sha256": hashlib.sha256(job.source).hexdigest(),
             }
-            for job in jobs
+            for job in config.jobs
         ],
-        "sizes": [list(s) for s in sizes],
-        "r_int_ohm": r_ints,
-        "v_in_v": v_in,
-        "solver": solver,
-        **pair_payload(pair),
+        "sizes": [list(s) for s in config.sizes],
+        "r_int_ohm": config.r_ints,
+        "v_in_v": config.v_in,
+        "solver": config.solver,
+        **pair_payload(config.pair),
     }

@@ -1,10 +1,13 @@
 """Decoherent electron transport through a block-partitioned molecular chain.
 
 The model: a Fock/overlap matrix pair describing a chain of nucleotide blocks
-is symmetrically orthogonalized, rotated into a per-block eigenbasis, and
-opened up with wide-band contacts on the two end blocks plus phase-breaking
-probes on every interior block.  Transmission between the contacts (direct
-plus probe-mediated) is integrated against the bias window to give current.
+is symmetrically orthogonalized and opened up with wide-band contacts on the
+two end blocks plus phase-breaking probes on every interior block.
+Transmission between the contacts (direct plus probe-mediated) is integrated
+against the bias window to give current.  Each block's broadening and bias
+shift is a constant times the identity, and each transmission sums |G|^2
+over a pair of blocks, so a rotation within a block changes no current: the
+orthogonalized matrix is used as it is.
 
 H + Sigma does not depend on energy, so it is diagonalized once per
 spectrum and every energy's Green's function is one product of its
@@ -181,26 +184,6 @@ def lowdin_orthogonalize(fock, overlap) -> np.ndarray:
     s_inv_half = (q * lam**-0.5) @ q.T
     h_a = s_inv_half @ fock @ s_inv_half
     return 0.5 * (h_a + h_a.T)
-
-
-def block_diagonalize(h_a, partition):
-    """Rotate each diagonal block into its own eigenbasis.
-
-    Returns (h_b, u) with h_b = u.T @ h_a @ u.  u is block diagonal and
-    orthogonal, so the full spectrum is untouched; inter-block coupling is
-    re-expressed, not removed.
-    """
-    h_a = np.asarray(h_a, dtype=float)
-    if sum(partition) != h_a.shape[0]:
-        raise ValueError(
-            f"partition sums to {sum(partition)}, matrix has {h_a.shape[0]} orbitals"
-        )
-    u = np.zeros_like(h_a)
-    for sl in _block_slices(partition):
-        _, vec = np.linalg.eigh(h_a[sl, sl])
-        u[sl, sl] = vec
-    h_b = u.T @ h_a @ u
-    return h_b, u
 
 
 def ramp_fractions(n_blocks: int) -> np.ndarray:
@@ -463,10 +446,10 @@ def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
     return float(G0_S * np.sum(np.diff(grid) * (y[1:] + y[:-1]) / 2.0))
 
 
-def orthogonal_block_hamiltonian(system: QuantumSystem):
-    """Löwdin plus per-block rotation; the unbiased starting point for sweeps."""
-    h_a = lowdin_orthogonalize(system.fock, system.overlap)
-    return block_diagonalize(h_a, system.partition)
+def orthogonal_block_hamiltonian(system: QuantumSystem) -> np.ndarray:
+    """The Löwdin-orthogonalized Hamiltonian, in the orbital order of the
+    system's blocks: the unbiased starting point for sweeps."""
+    return lowdin_orthogonalize(system.fock, system.overlap)
 
 
 def iv_sweep(
@@ -497,7 +480,7 @@ def iv_sweep(
         raise ValueError("v_grid must be non-empty and strictly increasing")
     if delta_grid.ndim != 1 or delta_grid.size == 0 or np.any(np.diff(delta_grid) <= 0):
         raise ValueError("delta_grid must be non-empty and strictly increasing")
-    h_b0, _ = orthogonal_block_hamiltonian(system)
+    h_b0 = orthogonal_block_hamiltonian(system)
     margin = WINDOW_KT_MARGIN * (KB_EV * temperature)
 
     def column(v):

@@ -22,7 +22,7 @@ from xbar.model import CrossbarSpec, save_crossbar_spec
 from xbar.montecarlo import McConfig, optimal_threshold, run_mc
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve
 from xbar.runio import RunManifest
-from xbar.storage import ImageJob, run_storage_benchmark
+from xbar.storage import ImageJob, StoreConfig, run_storage_benchmark
 from xbar.transport import BiasPoint, ContactProbeConfig, QuantumSystem, TransmissionSpectrum
 
 import factories
@@ -43,7 +43,7 @@ def test_c01_single_level_transmission_matches_lorentzian():
     eps = -5.2
     system = QuantumSystem([[eps]], [[1.0]], [1], homo_energy=eps)
     config = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.0)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     energies = np.linspace(eps - 1.0, eps + 1.0, 2001)
 
     start = time.perf_counter()
@@ -75,7 +75,7 @@ def test_c03_probe_currents_conserve_and_vanishing_coupling_is_coherent():
     fock = 0.5 * (raw + raw.T) + np.diag(-5.2 + 0.3 * rng.normal(size=n_orb))
     system = QuantumSystem(fock, np.eye(n_orb), [block] * n_blocks, homo_energy=-5.2)
     config = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.010)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     energies = np.linspace(-6.2, -4.2, 101)
 
     for energy in energies:
@@ -164,10 +164,12 @@ def test_c07_image_round_trip_exact_at_low_interconnect():
     rng = np.random.default_rng(77)
     payload = bytes(rng.integers(0, 256, size=49152, dtype=np.uint8))
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=payload, name="noise")],
-        r_ints=[1e4],
-        sizes=[(64, 64), (128, 128)],
-        pair=shipped_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=payload, name="noise")],
+            r_ints=[1e4],
+            sizes=[(64, 64), (128, 128)],
+            pair=shipped_pair(),
+        )
     )
     assert len(report.per_tile) >= 100
     assert report.failures == 0

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, file outputs, manifest determinism,
 and the analytic anchor for table generation."""
 
+import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -155,6 +157,51 @@ def test_mc_flag_overrides_reach_the_report(tmp_path):
     summary = runio.load_json(out / "mc_summary.json")
     assert summary["trials"] == 2
     assert summary["solver"] == "kirchhoff"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("mc", "--delta-max", "0.5"),
+        ("mc", "--trials", "0"),
+        ("mc", "--size", "0x3"),
+        ("mc", "--rint", "-1"),
+        ("mc", "--seed", "-1"),
+        ("store", "--rint", "1e4,1e4"),
+        ("store", "--rint", "-1"),
+        ("store", "--size", "0x3"),
+    ],
+    ids=["mc-delta-max-past-tables", "mc-trials-zero", "mc-size-zero", "mc-rint-negative",
+         "mc-seed-negative", "store-rint-repeated", "store-rint-negative", "store-size-zero"],
+)
+def test_out_of_range_flag_exits_one_and_names_the_flag(tmp_path, capsys, command, flag, value):
+    """A flag value goes through the checks of the file value it replaces,
+    and the error names the flag, raised before anything is written."""
+    config = {"mc": write_mc_config, "store": write_store_config}[command](tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out), flag, value]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("mc", "every trial failed to converge"), ("store", "every tile failed to converge")],
+)
+def test_campaign_where_every_array_fails_exits_two(tmp_path, capsys, monkeypatch, command, message):
+    read = crossbar.parametric_solve
+
+    def unconverged(spec, params, **kwargs):
+        sol = read(spec, params, **kwargs)
+        sol.converged[:] = False  # one flag per array of the stack
+        return sol
+
+    monkeypatch.setattr(crossbar, "parametric_solve", unconverged)
+    config = {"mc": write_mc_config, "store": write_store_config}[command](tmp_path)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "mc", "store", "iv-gen"])
@@ -324,6 +371,33 @@ def test_plot_data_exports_histogram_and_boxplot(tmp_path):
     series = (plots / "ber_series.csv").read_text().splitlines()
     assert series[0] == "trial,ber"
     assert len(series) == 1 + 4
+
+
+def test_plot_data_exports_boxplot_and_power_from_a_store_report(tmp_path):
+    """boxplot.csv and power.csv hold the summary's binned BER and mean
+    power rows, and the manifest digests the summary they came from."""
+    config = write_store_config(tmp_path)
+    report = tmp_path / "st"
+    assert cli.main(["store", "--config", str(config), "--out", str(report)]) == 0
+    plots = tmp_path / "plots"
+    assert cli.main(["plot-data", "--config", str(report), "--out", str(plots)]) == 0
+    summary = runio.load_json(report / "storage_summary.json")
+    stats = ["min", "q1", "median", "q3", "max"]
+    exports = [
+        ("boxplot.csv", "binned_ber", ["r_int_ohm", "bit_load_pct", "count", *stats],
+         ["r_int_ohm", "bit_load_pct", "count", *(f"{k}_ber" for k in stats)]),
+        ("power.csv", "power_vs_rint", ["r_int_ohm", "power_mean_w"],
+         ["r_int_ohm", "power_mean_w"]),
+    ]
+    for name, key, fields, header in exports:
+        with open(plots / name, newline="") as fh:
+            head, *rows = list(csv.reader(fh))
+        assert head == ["size", *header]
+        expected = [[f"{row['m']}x{row['n']}", *(row[f] for f in fields)] for row in summary[key]]
+        assert expected and [[size, *map(float, values)] for size, *values in rows] == expected
+    manifest = RunManifest.from_file(plots / runio.MANIFEST_NAME)
+    digest = hashlib.sha256((report / "storage_summary.json").read_bytes()).hexdigest()
+    assert manifest.config_digest == runio.digest_payload({"sources": {"storage_summary.json": digest}})
 
 
 def test_plot_data_rejects_unknown_directory(tmp_path, capsys):

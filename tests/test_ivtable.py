@@ -197,8 +197,8 @@ def test_strand_pair_orders_conductance_under_default_mapping():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pair = StrandPair(logic0_table=lo, logic1_table=hi)
-    i1 = ivt.interpolate_current(pair.table_for(1), 1.0, 0.0)
-    i0 = ivt.interpolate_current(pair.table_for(0), 1.0, 0.0)
+    i1 = ivt.interpolate_current(pair.logic1_table, 1.0, 0.0)
+    i0 = ivt.interpolate_current(pair.logic0_table, 1.0, 0.0)
     assert i1 > i0
 
 
@@ -214,8 +214,8 @@ def test_shipped_tables_are_their_generators_output():
     writes, bit for bit, so the defining parameters in xbar.defaults stay
     the source of truth for them."""
     built, shipped = build_shipped_tables(), shipped_pair()
-    for bit in (0, 1):
-        b, s = built.table_for(bit), shipped.table_for(bit)
+    for name in ("logic0_table", "logic1_table"):
+        b, s = getattr(built, name), getattr(shipped, name)
         assert b.strand_id == s.strand_id
         np.testing.assert_array_equal(b.v_grid, s.v_grid)
         np.testing.assert_array_equal(b.delta_grid, s.delta_grid)
@@ -377,7 +377,7 @@ def per_table_lookup(pair, bits, delta, v, chord=False):
     for bit in (0, 1):
         mask = bits == bit
         if np.any(mask):
-            table = pair.table_for(bit)
+            table = pair.logic1_table if bit else pair.logic0_table
             if chord:
                 clamped = np.minimum(np.abs(v[mask]), table.v_grid[-1])
                 out[mask] = ivt.small_signal_conductance(table, clamped, delta[mask])
@@ -451,7 +451,7 @@ def test_chord_tangent_is_the_slope_of_the_chord_current(pair, shape, data):
     at = data.draw(hnp.arrays(float, shape, elements=st.floats(0.05, 0.95)))
     v, h = np.empty(shape), np.zeros(shape)
     for idx in np.ndindex(shape):
-        grid = pair.table_for(bits[idx]).v_grid
+        grid = (pair.logic1_table if bits[idx] else pair.logic0_table).v_grid
         hi = grid[-1]
         if kind[idx] == 0:  # inside an interval of the cell's own table
             k = data.draw(st.integers(0, grid.size - 2))

@@ -211,8 +211,9 @@ def cocontent(spec, active_row, x):
         np.sum(np.diff(w, axis=1) ** 2) + np.sum(np.diff(b, axis=0) ** 2)
         + np.sum(b[-1] ** 2) + (spec.v_in - w[active_row, 0]) ** 2
     )
+    tables = (spec.pair.logic0_table, spec.pair.logic1_table)
     cells = sum(
-        cell_cocontent(spec.pair.table_for(spec.bits[i, j]), spec.delta[i, j], w[i, j] - b[i, j])
+        cell_cocontent(tables[spec.bits[i, j]], spec.delta[i, j], w[i, j] - b[i, j])
         for i in range(m) for j in range(n)
     )
     return 0.5 * g * wires + cells

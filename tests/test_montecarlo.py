@@ -4,7 +4,7 @@ against brute force, and campaign-level reproducibility."""
 import numpy as np
 import pytest
 
-from xbar import crossbar
+from xbar import crossbar, montecarlo
 from xbar.ivtable import StrandPair, save_table, synthesize_table
 from xbar.montecarlo import (
     McConfig,
@@ -260,3 +260,39 @@ def test_mc_config_missing_field_is_named(tmp_path):
     runio.dump_json({"m": 4, "n": 4}, tmp_path / "bad.json")
     with pytest.raises(ValueError, match="logic1_table"):
         load_mc_config(tmp_path / "bad.json")
+
+
+def test_unconverged_trials_keep_nan_slots_and_leave_the_aggregates(monkeypatch):
+    """Trials whose array did not converge keep a NaN slot and are listed;
+    the mean BER, the mean cell voltage and the histograms cover the rest,
+    which read exactly as in a campaign where every trial converged."""
+    config = small_config(pair=lossy_pair(), r_int=1e7, delta_max=0.2, trials=6)
+    clean = run_mc(config)
+    failed = (1, 4)
+    failed_bits = [sample_bits(config, t) for t in failed]
+    real_reader = montecarlo.array_reader
+
+    def reader(solver, spec, threads):
+        read = real_reader(solver, spec, threads)
+
+        def read_marked(stack):
+            sol = read(stack)
+            for b, bits in enumerate(stack.bits):
+                if any(np.array_equal(bits, f) for f in failed_bits):
+                    sol.converged[b] = False
+            return sol
+
+        return read_marked
+
+    monkeypatch.setattr(montecarlo, "array_reader", reader)
+    report = run_mc(config)
+    kept = [t for t in range(config.trials) if t not in failed]
+    assert report.failed_trials == failed
+    for samples in (report.ber_samples, report.threshold_samples, report.v_mean_samples):
+        assert np.all(np.isnan(samples[list(failed)]))
+    np.testing.assert_array_equal(report.ber_samples[kept], clean.ber_samples[kept])
+    assert len(set(clean.ber_samples)) > 1  # the failed trials move the mean
+    assert report.ber_mean == np.mean(clean.ber_samples[kept])
+    assert report.mean_cell_voltage == np.mean(clean.v_mean_samples[kept])
+    counted = report.hist_counts0.sum() + report.hist_counts1.sum()
+    assert counted == len(kept) * config.m * config.n

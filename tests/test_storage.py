@@ -8,6 +8,7 @@ from xbar import crossbar
 from xbar.ivtable import StrandPair, synthesize_table
 from xbar.storage import (
     ImageJob,
+    StoreConfig,
     TileRecord,
     bit_load,
     image_to_bits,
@@ -126,10 +127,12 @@ def test_benchmark_round_trip_is_exact_at_low_interconnect():
     rng = np.random.default_rng(59)
     payload = bytes(rng.integers(0, 256, size=100, dtype=np.uint8))
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=payload, name="img")],
-        r_ints=[1e4],
-        sizes=[(8, 8)],
-        pair=separable_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=payload, name="img")],
+            r_ints=[1e4],
+            sizes=[(8, 8)],
+            pair=separable_pair(),
+        )
     )
     assert report.failures == 0
     assert len(report.per_tile) == 13  # 800 bits into 64-cell tiles
@@ -140,10 +143,12 @@ def test_benchmark_round_trip_is_exact_at_low_interconnect():
 
 def test_benchmark_single_class_tile_reads_clean():
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=bytes([0]), name="zeros")],
-        r_ints=[1e4],
-        sizes=[(2, 4)],
-        pair=separable_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=bytes([0]), name="zeros")],
+            r_ints=[1e4],
+            sizes=[(2, 4)],
+            pair=separable_pair(),
+        )
     )
     (record,) = report.per_tile
     assert record.bit_load_pct == 0.0
@@ -154,10 +159,12 @@ def test_benchmark_power_decreases_with_interconnect_resistance():
     rng = np.random.default_rng(61)
     payload = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=payload, name="img")],
-        r_ints=[1e4, 1e5, 1e6],
-        sizes=[(16, 16)],
-        pair=separable_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=payload, name="img")],
+            r_ints=[1e4, 1e5, 1e6],
+            sizes=[(16, 16)],
+            pair=separable_pair(),
+        )
     )
     rows = {row["r_int_ohm"]: row["power_mean_w"] for row in report.power_vs_rint}
     assert rows[1e4] > rows[1e5] > rows[1e6]
@@ -167,12 +174,9 @@ def test_benchmark_is_thread_invariant():
     rng = np.random.default_rng(67)
     payload = bytes(rng.integers(0, 256, size=24, dtype=np.uint8))
     jobs = [ImageJob(source=payload, name="img")]
-    one = run_storage_benchmark(
-        jobs, r_ints=[1e5], sizes=[(8, 8)], pair=separable_pair(), threads=1
-    )
-    three = run_storage_benchmark(
-        jobs, r_ints=[1e5], sizes=[(8, 8)], pair=separable_pair(), threads=3
-    )
+    config = StoreConfig(jobs, r_ints=[1e5], sizes=[(8, 8)], pair=separable_pair())
+    one = run_storage_benchmark(config, threads=1)
+    three = run_storage_benchmark(config, threads=3)
     assert one.per_tile == three.per_tile
     assert one.binned_ber == three.binned_ber
 
@@ -185,7 +189,7 @@ def test_benchmark_rejects_a_condition_listed_twice(sizes, r_ints, repeated):
     """A repeated size or interconnect value would read every tile of the
     condition twice and report each tile id twice."""
     with pytest.raises(ValueError, match=f"^{repeated} is listed more than once$"):
-        run_storage_benchmark(
+        StoreConfig(
             jobs=[ImageJob(source=bytes([7, 9]), name="img")],
             r_ints=r_ints,
             sizes=sizes,
@@ -197,10 +201,12 @@ def test_binned_stats_group_by_condition_and_load():
     rng = np.random.default_rng(71)
     payload = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=payload, name="img")],
-        r_ints=[1e4],
-        sizes=[(8, 8)],
-        pair=separable_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=payload, name="img")],
+            r_ints=[1e4],
+            sizes=[(8, 8)],
+            pair=separable_pair(),
+        )
     )
     assert report.binned_ber
     total = sum(row["count"] for row in report.binned_ber)
@@ -225,7 +231,9 @@ def saved_storage_files(threads, tmp_path, name):
             name="b",
         ),
     ]
-    report = run_storage_benchmark(jobs, [1e4, 1e6], [(8, 8), (6, 10)], pair, threads=threads)
+    report = run_storage_benchmark(
+        StoreConfig(jobs, [(8, 8), (6, 10)], [1e4, 1e6], pair), threads=threads
+    )
     out = tmp_path / name
     save_storage_report(report, out)
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
@@ -265,7 +273,7 @@ def test_aggregates_regroup_per_tile_records_by_condition(monkeypatch):
         ),
     ]
     sizes, r_ints = [(4, 4), (8, 8)], [1e4, 1e5]
-    report = run_storage_benchmark(jobs, r_ints, sizes, separable_pair())
+    report = run_storage_benchmark(StoreConfig(jobs, sizes, r_ints, separable_pair()))
 
     failed = [r for r in report.per_tile if not r.converged]
     assert failed and {(r.m, r.r_int) for r in failed} == {(8, 1e5)}
@@ -299,10 +307,12 @@ def test_save_storage_report_writes_stable_files(tmp_path):
     rng = np.random.default_rng(73)
     payload = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
     report = run_storage_benchmark(
-        jobs=[ImageJob(source=payload, name="img")],
-        r_ints=[1e4],
-        sizes=[(4, 4)],
-        pair=separable_pair(),
+        StoreConfig(
+            jobs=[ImageJob(source=payload, name="img")],
+            r_ints=[1e4],
+            sizes=[(4, 4)],
+            pair=separable_pair(),
+        )
     )
     save_storage_report(report, tmp_path / "a")
     save_storage_report(report, tmp_path / "b")

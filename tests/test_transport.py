@@ -1,4 +1,4 @@
-"""Transport-layer tests: orthogonalization, block rotation, bias ramp,
+"""Transport-layer tests: orthogonalization, bias ramp,
 Green's function, probe bookkeeping, and current integration.
 
 Oracles are independent of the implementation: generalized/dense
@@ -88,44 +88,6 @@ def test_lowdin_rejects_indefinite_overlap():
         tp.lowdin_orthogonalize(np.eye(2) * -5.0, s)
 
 
-# ---------------------------------------------------- block diagonalization
-
-
-def test_block_diagonalize_single_block_gives_full_diagonal():
-    h = random_symmetric(6, seed=1, shift=-5.0)
-    h_b, u = tp.block_diagonalize(h, [6])
-    off = h_b - np.diag(np.diag(h_b))
-    assert np.max(np.abs(off)) <= 1e-10
-    np.testing.assert_allclose(np.sort(np.diag(h_b)), np.linalg.eigvalsh(h), atol=1e-10)
-    np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
-
-
-def test_block_diagonalize_fixed_point():
-    # already block-diagonal with sorted diagonals: nothing to rotate
-    h = np.diag([-6.0, -5.5, -5.0, -4.5])
-    h[0, 2] = h[2, 0] = 0.0
-    h_b, u = tp.block_diagonalize(h, [2, 2])
-    np.testing.assert_allclose(h_b, h, atol=1e-12)
-    np.testing.assert_allclose(np.abs(u), np.eye(4), atol=1e-12)
-
-
-def test_block_diagonalize_preserves_spectrum():
-    h = random_symmetric(6, seed=2, shift=-5.0)
-    h_b, u = tp.block_diagonalize(h, [3, 3])
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(h_b), np.linalg.eigvalsh(h), atol=1e-10
-    )
-    for sl in (slice(0, 3), slice(3, 6)):
-        blk = h_b[sl, sl]
-        assert np.max(np.abs(blk - np.diag(np.diag(blk)))) <= 1e-10
-    np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
-
-
-def test_block_diagonalize_rejects_bad_partition():
-    with pytest.raises(ValueError, match="partition"):
-        tp.block_diagonalize(np.eye(4), [3, 3])
-
-
 # ------------------------------------------------------------- bias ramp
 
 
@@ -174,7 +136,7 @@ def test_retarded_green_one_level_off_resonance():
 
 def test_retarded_green_residual_on_seven_block_system():
     system = seven_block_system()
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     gvec = tp.broadening_vector(system.partition, config)
     for energy in (-5.6, -5.2, -4.9):
@@ -212,7 +174,7 @@ def random_chains(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_chains(), st.sampled_from([0.0, 0.01]), st.floats(-6.2, -4.2))
 def test_retarded_green_matches_direct_solve_on_random_chains(system, gamma_probe, energy):
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=gamma_probe)
     g = tp.retarded_green(energy, h_b, system.partition, config)
     oracle = direct_green(energy, h_b, system.partition, config)
@@ -228,7 +190,7 @@ def test_retarded_green_near_exceptional_point():
     fock = np.diag([-5.2, -5.2, -5.2])
     fock[0, 1] = fock[1, 0] = 0.2475
     system = QuantumSystem(fock, np.eye(3), [1, 1, 1], -5.2)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     for energy in np.linspace(-5.6, -4.8, 81):
         g = tp.retarded_green(energy, h_b, system.partition, config)
@@ -247,7 +209,7 @@ def test_probe_transmissions_resonant_single_site_is_unity():
 
 def test_probe_transmissions_zero_probe_coupling_decouples_interior():
     system = seven_block_system()
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=0.0)
     g = tp.retarded_green(-5.2, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -260,7 +222,7 @@ def test_probe_transmissions_against_matrix_product_oracle():
     # three-block chain, uniform couplings; oracle is Tr[G_k G^r G_l G^a]
     # with explicit full-size broadening matrices
     system = tp.tight_binding_chain(3, block_size=2, intra_hop=0.3, inter_hop=0.15)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_contact=1.0, gamma_probe=0.01)
     g = tp.retarded_green(-5.1, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -284,7 +246,7 @@ def test_probe_transmissions_against_matrix_product_oracle():
 
 def test_probe_transmissions_reciprocity():
     system = seven_block_system(seed=21)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     g = tp.retarded_green(-5.0, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -297,7 +259,7 @@ def test_probe_transmissions_reciprocity():
 
 def test_effective_transmission_no_probes_equals_direct():
     system = tp.tight_binding_chain(2, block_size=2)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     g = tp.retarded_green(-5.2, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -307,7 +269,7 @@ def test_effective_transmission_no_probes_equals_direct():
 
 def test_effective_transmission_zero_coupling_falls_back_to_direct():
     system = seven_block_system()
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=0.0)
     g = tp.retarded_green(-5.2, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -327,7 +289,7 @@ def probe_net_currents(t):
 
 def test_probe_condition_conserves_current_on_seven_block_grid():
     system = seven_block_system(seed=17)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=0.010)
     energies = np.arange(-5.8, -4.6, 0.01)
     for energy in energies:
@@ -343,7 +305,7 @@ def test_effective_transmission_matches_occupancy_route():
     # the solve used for t_eff and the occupancies must describe the same
     # probe state: left-contact outflow computed from u equals t_eff
     system = seven_block_system(seed=29)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     g = tp.retarded_green(-5.15, h_b, system.partition, config)
     t = tp.probe_transmissions(g, system.partition, config)
@@ -474,7 +436,7 @@ def test_iv_sweep_single_site_matches_analytic_oracle():
 
 def test_iv_sweep_zero_probe_coupling_equals_coherent_only():
     system = tp.tight_binding_chain(4, intra_hop=0.0, inter_hop=0.2)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=0.0)
     energies = np.arange(-5.6, -4.8, 0.005)
     spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
@@ -483,7 +445,7 @@ def test_iv_sweep_zero_probe_coupling_equals_coherent_only():
 
 def test_transmission_peak_shifts_with_positive_bias():
     system = tp.tight_binding_chain(5, inter_hop=0.15)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     energies = np.arange(-6.0, -4.4, 0.002)
 
@@ -512,7 +474,7 @@ def test_iv_sweep_lowest_delta_reads_its_own_window_grid():
     config = ContactProbeConfig()
     v_grid, d_grid = [-0.4, 0.0, 0.3], [0.05, 0.15]
     table = tp.iv_sweep(system, config, v_grid, d_grid)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     kt = tp.KB_EV * 300.0
     for iv, v in enumerate(v_grid):
         if v == 0.0:
@@ -569,7 +531,7 @@ C = tp.ENERGY_BLOCK
 @pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 2 * C + 3])
 def test_spectrum_blocks_match_single_energies(count):
     system = seven_block_system(seed=43)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     energies = -5.7 + 0.0137 * np.arange(count)
     spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
@@ -582,7 +544,7 @@ def test_spectrum_blocks_match_single_energies(count):
 
 def test_stacked_transmissions_match_single_energy_calls():
     system = seven_block_system(seed=47)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     energies = np.linspace(-5.6, -4.9, 9)
     g_stack = tp.retarded_green(energies, h_b, system.partition, config)
@@ -600,7 +562,7 @@ def test_stacked_transmissions_match_single_energy_calls():
 
 def test_singular_probe_system_falls_back_to_direct_for_that_energy_only():
     system = seven_block_system(seed=53)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig()
     energies = np.linspace(-5.5, -5.0, 5)
     g = tp.retarded_green(energies, h_b, system.partition, config)
@@ -622,7 +584,7 @@ def test_singular_probe_system_falls_back_to_direct_for_that_energy_only():
 def test_singular_transport_matrix_names_its_energy():
     # the isolated middle site at -5.2 eV has no broadening without probes
     system = tp.tight_binding_chain(3, inter_hop=0.0)
-    h_b, _ = tp.orthogonal_block_hamiltonian(system)
+    h_b = tp.orthogonal_block_hamiltonian(system)
     config = ContactProbeConfig(gamma_probe=0.0)
     with pytest.raises(RuntimeError, match=r"E = -5\.200000 eV"):
         tp.transmission_spectrum(h_b, system.partition, config, [-5.3, -5.2, -5.1])
