@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -70,6 +71,16 @@ def _write_manifest(command: str, payload, seed, out_dir) -> None:
     ).write(out)
 
 
+@contextlib.contextmanager
+def _flags_named(flags):
+    """Prefix a ValueError raised inside with the flags that fed it: the
+    library's checks know its parameters, not the flags that set them."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{', '.join(flags)}: {err}") from err
+
+
 # --- table generation -------------------------------------------------------
 
 
@@ -81,20 +92,20 @@ def _flag_payload(args) -> dict:
 
 def cmd_iv_gen(args) -> int:
     system = load_quantum_system(args.config)
-    config = ContactProbeConfig(
-        gamma_contact=args.gamma_contact, gamma_probe=args.gamma_probe
-    )
-    v_grid = np.linspace(0.0, args.v_max, args.v_points)
-    delta_grid = np.linspace(0.0, args.delta_max, args.delta_points)
-    table = iv_sweep(
-        system,
-        config,
-        v_grid,
-        delta_grid,
-        temperature=args.temperature,
-        threads=args.threads,
-        strand_id=args.strand_id,
-    )
+    with _flags_named(["--gamma-contact", "--gamma-probe"]):
+        config = ContactProbeConfig(
+            gamma_contact=args.gamma_contact, gamma_probe=args.gamma_probe
+        )
+    with _flags_named(["--v-max", "--v-points", "--delta-max", "--delta-points", "--temperature"]):
+        table = iv_sweep(
+            system,
+            config,
+            np.linspace(0.0, args.v_max, args.v_points),
+            np.linspace(0.0, args.delta_max, args.delta_points),
+            temperature=args.temperature,
+            threads=args.threads,
+            strand_id=args.strand_id,
+        )
     payload = {**_flag_payload(args), "system": runio.load_json(args.config)}
     _write_manifest("iv-gen", payload, None, args.out)
     save_table(table, Path(args.out) / "iv_table.json")
@@ -103,13 +114,14 @@ def cmd_iv_gen(args) -> int:
 
 
 def cmd_iv_synth(args) -> int:
-    table = synthesize_table(
-        args.r_low,
-        args.r_high,
-        knee=args.knee,
-        delta_sensitivity=args.sensitivity,
-        strand_id=args.strand_id,
-    )
+    with _flags_named(["--r-low", "--r-high", "--knee", "--sensitivity"]):
+        table = synthesize_table(
+            args.r_low,
+            args.r_high,
+            knee=args.knee,
+            delta_sensitivity=args.sensitivity,
+            strand_id=args.strand_id,
+        )
     _write_manifest("iv-synth", _flag_payload(args), None, args.out)
     save_table(table, Path(args.out) / "iv_table.json")
     print(f"iv-synth: strand '{table.strand_id}' -> iv_table.json")
@@ -157,10 +169,8 @@ def _with_flags(config, flags: dict):
     if not given:
         return config
     changes = {name: value for fields in given.values() for name, value in fields.items()}
-    try:
+    with _flags_named(given):
         return dataclasses.replace(config, **changes)
-    except ValueError as err:
-        raise ValueError(f"{', '.join(given)}: {err}") from err
 
 
 def cmd_mc(args) -> int:

@@ -20,7 +20,10 @@ nonlinear, with every other cell held at g_bar (solve_driven_rows, n
 unknowns per row through the capacitance-matrix method), then lifted to
 every node.  Newton's steps from there solve the mesh by conjugate
 gradients preconditioned at g_bar on the default route ("pcg"), which
-factors no sparse matrix.  The "sparse" route solves each step by direct
+factors no sparse matrix.  Each conjugate-gradient step walks the mesh
+once (_inflow), for the product with its search direction, and updates the
+residual by that same product; one more walk confirms the residual a solve
+stops on (DrivenFactor.solve).  The "sparse" route solves each step by direct
 sparse LU, the reference the default must match.  Only the functions that
 assemble or factor the mesh import scipy.sparse, at their first call, so
 the default route loads no scipy.
@@ -184,7 +187,11 @@ class ModalMesh:
         four dense mode products and one 2x2 solve per mode pair."""
         m, n = self.shape
         w, b = self.v.T @ y.reshape(2, m, n) @ self.u
-        x = np.stack((self.word * w + self.cross * b, self.cross * w + self.bit * b))
+        x = np.empty((2, m, n))
+        np.multiply(self.word, w, out=x[0])
+        np.multiply(self.cross, w, out=x[1])
+        x[0] += np.multiply(self.cross, b, out=w)  # w is read for the last time above
+        x[1] += np.multiply(self.bit, b, out=b)
         return (self.v @ x @ self.u.T).ravel()
 
     def driven_rows(self, rows=slice(None)):
@@ -251,54 +258,74 @@ class DrivenFactor:
         drive through the mesh with the driver at zero."""
         m, n = self.mesh.shape
         g, i, src = self.g, self.active_row, self.src
-        a = self.mesh.solve(y)
+        z = self.mesh.solve(y)
         lift = self.mesh.lift * y[: m * n].reshape(m, n).sum(axis=1)
-        w_src = a[src] + lift[i]
+        w_src = z[src] + lift[i]
         # lift[i] - g w_src mesh.lift / denom, taken over the one denominator
-        lift[i] = (lift[i] * (1.0 + g * self.unit[src]) - g * self.mesh.lift * a[src]) / self.denom
-        z = a - (g * w_src / self.denom) * self.unit
-        z[: m * n] += np.repeat(lift, n)
+        lift[i] = (lift[i] * (1.0 + g * self.unit[src]) - g * self.mesh.lift * z[src]) / self.denom
+        z -= (g * w_src / self.denom) * self.unit
+        word = z[: m * n].reshape(m, n)
+        word += lift[:, None]
         return z
 
     def solve(self, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
         """The mesh at g_cell (symmetric positive definite) solved against
         the node currents rhs by conjugate gradients from zero.
 
-        The loop stops on the residual rhs - A p itself: once no node is
-        out of balance by more than KCL_RTOL of the source current the step
-        leaves, g |gap - p_src|, gap being the source segment's drop before
-        it.  Where that lies below floor, one rounding of a wire current at
-        the source (a row drawing little current against its wires), steps
-        only chase rounding into overflow: the loop also stops once the
-        residual is inside that floor at every node and in its total, the
-        charge it leaves unbalanced.  A breakdown, or CG_MAX_STEPS steps
-        with neither, is solved directly.
+        Each step walks the mesh once, for the product A d its curvature
+        needs, and updates the residual rhs - A p by the same product
+        (Hestenes & Stiefel's recurrence) rather than walking p again.  The
+        loop stops on the residual: once no node is out of balance by more
+        than KCL_RTOL of the source current the step leaves,
+        g |gap - p_src|, gap being the source segment's drop before it.
+        Where that lies below floor, one rounding of a wire current at the
+        source (a row drawing little current against its wires), steps only
+        chase rounding into overflow: the loop also stops once the residual
+        is inside that floor at every node and in its total, the charge it
+        leaves unbalanced.  The recurrence drifts from the residual itself
+        by rounding, so once it passes, one walk of p confirms: the step is
+        returned only if the walked residual passes too.  Otherwise the
+        walked residual replaces the recurrence's (after van der Vorst &
+        Ye), and every later step walks p for its own: conjugate gradients
+        restart from it with a fresh direction, since the recurrence's may
+        lie far below it and the ratio of the two would weight the stale
+        direction.  A breakdown, or CG_MAX_STEPS steps with neither, is
+        solved directly.
         """
         g, row, src = self.g, self.active_row, self.src
 
-        def residual(p):
-            r = rhs + _inflow(g, g_cell, row, 0.0, p)
+        def settled(r, p):
             worst = np.max(np.abs(r))
             balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
-            return r, balanced or (worst <= floor and abs(np.sum(r)) <= floor)
+            return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
 
         p = np.zeros_like(rhs)
-        r, done = residual(p)
+        r = rhs.copy()  # rhs + _inflow(p): the walk of the zero state is exactly zero
+        walked = True  # r is the walked residual of p
+        replaced = False
         d = None
         rz = 0.0
-        for _ in range(CG_MAX_STEPS):
-            if done:
+        for step in range(CG_MAX_STEPS + 1):
+            if not walked and settled(r, p):
+                r, walked, replaced, d = rhs + _inflow(g, g_cell, row, 0.0, p), True, True, None
+            if walked and settled(r, p):
                 return p
+            if step == CG_MAX_STEPS:
+                break
             z = self.precondition(r)
             rz, rz_prev = float(r @ z), rz
             d = z if d is None else z + (rz / rz_prev) * d
-            curvature = float(d @ -_inflow(g, g_cell, row, 0.0, d))
+            q = _inflow(g, g_cell, row, 0.0, d)  # -A d
+            curvature = float(d @ -q)
             if not (curvature > 0.0 and np.isfinite(rz / curvature)):
                 break
-            p = p + (rz / curvature) * d
-            r, done = residual(p)
-        if done:
-            return p
+            alpha = rz / curvature
+            p += alpha * d
+            if replaced:
+                r = rhs + _inflow(g, g_cell, row, 0.0, p)
+            else:
+                r += alpha * q
+                walked = False
         return _solve_direct(g, g_cell, row, rhs)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.16.0"
+ARTIFACT_VERSION = "0.17.0"
 
 MANIFEST_NAME = "run_manifest.json"
 

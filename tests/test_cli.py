@@ -186,6 +186,32 @@ def test_out_of_range_flag_exits_one_and_names_the_flag(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("iv-gen", "--v-max", "-1"),
+        ("iv-gen", "--v-points", "0"),
+        ("iv-gen", "--delta-points", "0"),
+        ("iv-gen", "--temperature", "0"),
+        ("iv-gen", "--gamma-probe", "-1"),
+        ("iv-synth", "--r-low", "-1"),
+        ("iv-synth", "--knee", "2"),
+    ],
+)
+def test_out_of_range_table_flag_exits_one_and_names_it(tmp_path, capsys, command, flag, value):
+    """A table generator's flag goes through the library's own check, and
+    the error names the flags that fed the failing call, this one among
+    them, before anything is written."""
+    out = tmp_path / "out"
+    argv = pinned_run(tmp_path, command) + ["--out", str(out), flag, value]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+    named = err.removeprefix("error: ").split(": ")[0].split(", ")
+    assert flag in named and all(name.startswith("--") for name in named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, message",
     [("mc", "every trial failed to converge"), ("store", "every tile failed to converge")],
 )

@@ -550,6 +550,129 @@ def test_rows_inside_the_floor_but_off_balance_keep_stepping(monkeypatch, n, r_i
     assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
 
 
+def mesh_solves(spec, active_row):
+    """(factor, args) of every Newton step's conjugate-gradient solve of
+    `active_row`, as the oracle makes them."""
+    calls = []
+    solve = nodal.DrivenFactor.solve
+
+    def record(factor, *args):
+        calls.append((factor, args))
+        return solve(factor, *args)
+
+    with mock.patch.object(nodal.DrivenFactor, "solve", record):
+        kirchhoff_row_solve(spec, active_row)
+    return calls
+
+
+def meets_stop_rule(factor, g_cell, rhs, gap, floor, p):
+    """DrivenFactor.solve's stop rule, on the residual rhs - A p walked
+    edge by edge."""
+    g = factor.g
+    r = rhs + nodal._inflow(g, g_cell, factor.active_row, 0.0, p)
+    worst = np.max(np.abs(r))
+    balanced = worst <= nodal.KCL_RTOL * abs(g * (gap - p[factor.src]))
+    return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
+
+
+def counted_solve(monkeypatch, factor, args, perturb=None):
+    """factor.solve(*args), with the mesh walks, preconditioner applies
+    and direct solves it makes counted; perturb, if given, maps the walk
+    number and its product to what the solve sees instead."""
+    count = {"walk": 0, "precondition": 0, "direct": 0}
+    inflow, precondition, direct = nodal._inflow, nodal.DrivenFactor.precondition, nodal._solve_direct
+
+    def walk(*walk_args):
+        count["walk"] += 1
+        out = inflow(*walk_args)
+        return out if perturb is None else perturb(count["walk"], out)
+
+    def apply(self, y):
+        count["precondition"] += 1
+        return precondition(self, y)
+
+    def direct_solve(*direct_args):
+        count["direct"] += 1
+        return direct(*direct_args)
+
+    monkeypatch.setattr(nodal, "_inflow", walk)
+    monkeypatch.setattr(nodal.DrivenFactor, "precondition", apply)
+    monkeypatch.setattr(nodal, "_solve_direct", direct_solve)
+    p = factor.solve(*args)
+    monkeypatch.undo()
+    return p, count
+
+
+def test_conjugate_gradient_steps_walk_the_mesh_once(monkeypatch):
+    """Each step walks the mesh once, for the product its curvature and
+    the residual's recurrence share, and the solve walks once more to
+    confirm the residual it stops on."""
+    spec = disordered_spec(7, 12, 12, 1e7)
+    factor, args = mesh_solves(spec, 5)[0]
+    p, count = counted_solve(monkeypatch, factor, args)
+    assert count["direct"] == 0 and count["precondition"] >= 2
+    assert count["walk"] == count["precondition"] + 1
+    assert meets_stop_rule(factor, *args, p)
+
+
+def test_residual_drifting_from_the_walk_is_replaced(monkeypatch):
+    """With the first step's product off by 1e-6, the recurrence leaves a
+    residual the walk disagrees with: the solve carries on from the
+    walked residual, and the step it returns meets the stop rule on the
+    walk."""
+    spec = disordered_spec(7, 12, 12, 1e7)
+    factor, args = mesh_solves(spec, 5)[0]
+    _, clean = counted_solve(monkeypatch, factor, args)
+
+    def off_first_product(walk, out):
+        return out * (1.0 + 1e-6) if walk == 1 else out
+
+    p, count = counted_solve(monkeypatch, factor, args, off_first_product)
+    assert count["direct"] == 0
+    assert count["walk"] >= count["precondition"] + 2  # more than one confirming walk
+    assert count["precondition"] > clean["precondition"]
+    assert meets_stop_rule(factor, *args, p)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    st.floats(-10.0, -5.0).map(lambda e: 10.0**e),
+    st.integers(0, 11),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1e2, 1e-10, 0, 0)
+@example(12, 12, 1e8, 1e-5, 11, 0)
+@example(11, 3, 1e2, 1e-10, 8, 3)  # the recurrence drifts: the walk replaces it
+def test_every_conjugate_gradient_step_meets_the_stop_rule_on_the_walk(
+    m, n, r_int, g_bar, row, seed
+):
+    """Tangents scattered a decade either side of the preconditioner's
+    conductance, the driver's current and dipole currents across the
+    driven row's cells: a step conjugate gradients return meets the stop
+    rule on the residual walked from it, not only on the recurrence.  A
+    step they do not return is the direct solve's."""
+    row %= m
+    g = 1.0 / r_int
+    rng = np.random.default_rng(seed)
+    tangent = g_bar * 10.0 ** rng.uniform(-1.0, 1.0, (m, n))
+    factor = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_bar), row)
+    rhs = np.zeros(2 * m * n)
+    rhs[factor.src] = g
+    excess = 0.1 * g_bar * rng.standard_normal(n)
+    rhs[factor.src : factor.src + n] -= excess
+    rhs[m * n + factor.src : m * n + factor.src + n] += excess
+    args = (tangent, rhs, 1.0, g * np.finfo(float).eps)
+    with pytest.MonkeyPatch.context() as patch:
+        p, count = counted_solve(patch, factor, args)
+    if count["direct"]:
+        np.testing.assert_array_equal(p, nodal._solve_direct(g, tangent, row, rhs))
+    else:
+        assert meets_stop_rule(factor, *args, p)
+
+
 def test_unknown_backend_rejected():
     spec = random_spec(1, m=3, n=3)
     with pytest.raises(ValueError, match="backend"):
