@@ -8,7 +8,7 @@ conductances back out through bilinear interpolation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +49,6 @@ class IVTable:
             raise ValueError(
                 f"current shape {self.current.shape} does not match grids {expected}"
             )
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass
@@ -308,21 +299,20 @@ class LookupPlan:
         return out, rise / self._width[k]
 
 
-def validate_table(table: IVTable) -> ValidationReport:
-    """Check the table invariants; returns a report, never raises."""
-    report = ValidationReport()
+def validate_table(table: IVTable) -> list[str]:
+    """Check the table invariants; returns the violations, empty for a
+    valid table, and never raises."""
+    violations = []
     if not np.all(np.isfinite(table.current)):
         bad = np.argwhere(~np.isfinite(table.current))[0]
-        report.violations.append(
-            f"non-finite current at (delta index {bad[0]}, v index {bad[1]})"
-        )
-        return report
+        violations.append(f"non-finite current at (delta index {bad[0]}, v index {bad[1]})")
+        return violations
     if table.v_grid[0] > 0.0 or table.v_grid[-1] < 1.0:
-        report.violations.append(
+        violations.append(
             f"v grid [{table.v_grid[0]:.6g}, {table.v_grid[-1]:.6g}] does not span [0, 1]"
         )
     if table.delta_grid[0] > 0.0 or table.delta_grid[-1] < 0.2:
-        report.violations.append(
+        violations.append(
             f"delta grid [{table.delta_grid[0]:.6g}, {table.delta_grid[-1]:.6g}] "
             "does not span [0, 0.2]"
         )
@@ -330,7 +320,7 @@ def validate_table(table: IVTable) -> ValidationReport:
     for iz in zero_nodes:
         nonzero = np.where(table.current[:, iz] != 0.0)[0]
         if nonzero.size:
-            report.violations.append(
+            violations.append(
                 f"current at zero bias must vanish; delta index {nonzero[0]} "
                 f"holds {table.current[nonzero[0], iz]:.3e} A"
             )
@@ -340,11 +330,11 @@ def validate_table(table: IVTable) -> ValidationReport:
         seg = table.current[:, cols]
         drops = np.argwhere(np.diff(seg, axis=1) < 0)
         for idl, k in drops[:8]:  # report the first few, not thousands
-            report.violations.append(
+            violations.append(
                 f"current decreasing in v at delta index {idl}, "
                 f"between v indices {cols[k]} and {cols[k + 1]}"
             )
-    return report
+    return violations
 
 
 def synthesize_table(
@@ -375,11 +365,9 @@ def synthesize_table(
     base = conductance * v
     scale = np.exp(-delta_sensitivity * d)
     table = IVTable(strand_id, v, d, np.outer(scale, base))
-    report = validate_table(table)
-    if not report.ok:
-        raise ValueError(
-            "synthesized table violates its own contract: " + "; ".join(report.violations)
-        )
+    violations = validate_table(table)
+    if violations:
+        raise ValueError("synthesized table violates its own contract: " + "; ".join(violations))
     return table
 
 
@@ -412,8 +400,7 @@ def load_table(path) -> IVTable:
         table = IVTable(strand, v, d, cur.reshape(d.size, v.size))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    report = validate_table(table)
-    for violation in report.violations:
+    for violation in validate_table(table):
         warnings.warn(f"{path}: {violation}", stacklevel=2)
     return table
 

@@ -187,9 +187,11 @@ def load_crossbar_spec(path) -> CrossbarSpec:
     delta = None if delta is None else np.reshape(delta, (m, n))
     pair = load_pair(raw, path)
     try:
-        return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
+        spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+    runio.reject_unknown(raw, path, [*spec_payload(spec), *PAIR_KEYS])
+    return spec
 
 
 def spec_payload(spec: CrossbarSpec) -> dict:

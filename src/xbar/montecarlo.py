@@ -21,7 +21,7 @@ import numpy as np
 
 from xbar import runio
 from xbar.crossbar import SOLVERS, array_reader, map_in_stacks
-from xbar.ivtable import StrandPair, interpolate_current, load_pair, pair_payload
+from xbar.ivtable import PAIR_KEYS, StrandPair, interpolate_current, load_pair, pair_payload
 from xbar.model import CrossbarSpec
 
 # fixed sub-stream labels per trial; changing these invalidates every
@@ -325,6 +325,7 @@ def load_mc_config(path) -> McConfig:
         name: runio.require(raw, key, path, kind, defaults.get(name, runio.REQUIRED))
         for name, key, kind in _MC_FIELDS
     }
+    runio.reject_unknown(raw, path, [key for _, key, _ in _MC_FIELDS] + list(PAIR_KEYS))
     try:
         return McConfig(pair=pair, **values)
     except ValueError as err:

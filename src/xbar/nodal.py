@@ -23,10 +23,12 @@ gradients preconditioned at g_bar on the default route ("pcg"), which
 factors no sparse matrix.  Each conjugate-gradient step walks the mesh
 once (_inflow), for the product with its search direction, and updates the
 residual by that same product; one more walk confirms the residual a solve
-stops on (DrivenFactor.solve).  The "sparse" route solves each step by direct
-sparse LU, the reference the default must match.  Only the functions that
-assemble or factor the mesh import scipy.sparse, at their first call, so
-the default route loads no scipy.
+stops on (DrivenFactor.solve).  A step that walk does not confirm, a
+breakdown or an exhausted step budget is solved by direct sparse LU
+(_solve_direct), as the "sparse" route, the reference the default must
+match, solves every step.  Only the functions that assemble or factor the
+mesh import scipy.sparse, at their first call, so the default route loads
+no scipy.
 
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
@@ -284,13 +286,9 @@ class DrivenFactor:
         is inside that floor at every node and in its total, the charge it
         leaves unbalanced.  The recurrence drifts from the residual itself
         by rounding, so once it passes, one walk of p confirms: the step is
-        returned only if the walked residual passes too.  Otherwise the
-        walked residual replaces the recurrence's (after van der Vorst &
-        Ye), and every later step walks p for its own: conjugate gradients
-        restart from it with a fresh direction, since the recurrence's may
-        lie far below it and the ratio of the two would weight the stale
-        direction.  A breakdown, or CG_MAX_STEPS steps with neither, is
-        solved directly.
+        returned only if the walked residual passes too.  A step the walk
+        does not confirm, a breakdown, or CG_MAX_STEPS steps without a stop
+        is solved directly.
         """
         g, row, src = self.g, self.active_row, self.src
 
@@ -301,15 +299,13 @@ class DrivenFactor:
 
         p = np.zeros_like(rhs)
         r = rhs.copy()  # rhs + _inflow(p): the walk of the zero state is exactly zero
-        walked = True  # r is the walked residual of p
-        replaced = False
         d = None
         rz = 0.0
         for step in range(CG_MAX_STEPS + 1):
-            if not walked and settled(r, p):
-                r, walked, replaced, d = rhs + _inflow(g, g_cell, row, 0.0, p), True, True, None
-            if walked and settled(r, p):
-                return p
+            if settled(r, p):
+                if d is None or settled(rhs + _inflow(g, g_cell, row, 0.0, p), p):
+                    return p
+                break
             if step == CG_MAX_STEPS:
                 break
             z = self.precondition(r)
@@ -321,11 +317,7 @@ class DrivenFactor:
                 break
             alpha = rz / curvature
             p += alpha * d
-            if replaced:
-                r = rhs + _inflow(g, g_cell, row, 0.0, p)
-            else:
-                r += alpha * q
-                walked = False
+            r += alpha * q
         return _solve_direct(g, g_cell, row, rhs)
 
 

@@ -104,6 +104,15 @@ def require(mapping, key: str, path, kind=None, default=REQUIRED):
     return float(value) if kind is float else value
 
 
+def reject_unknown(mapping, path, known) -> None:
+    """Every key of a loaded JSON object must be one of known, the keys its
+    loader reads: a misspelled key would otherwise be ignored and its
+    field's default taken."""
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"{path}: unknown field '{key}'")
+
+
 def digest_payload(obj) -> str:
     """Content hash of an arbitrary JSON-serializable payload."""
     blob = json.dumps(_exact_floats(obj), sort_keys=True, separators=(",", ":"))

@@ -252,23 +252,45 @@ def save_storage_report(report: StorageReport, out_dir) -> None:
     )
 
 
+# a sweep file's keys besides its pair, and each image entry's: the JSON
+# kind each is read as and its default (runio.REQUIRED: none; an image's
+# name left out is its file's stem)
+_SWEEP_FIELDS = (
+    ("images", [dict], runio.REQUIRED),
+    ("sizes", [[int]], runio.REQUIRED),
+    ("r_int_ohm", [float], runio.REQUIRED),
+    ("v_in_v", float, 1.0),
+)
+_IMAGE_FIELDS = (
+    ("path", str, runio.REQUIRED),
+    ("binarization", str, "raw-bits"),
+    ("level", int, 128),
+    ("name", str, None),
+)
+
+
+def _read_fields(raw, path, declared, extra=()) -> list:
+    """The declared fields of one JSON object, read by runio.require; any
+    other key but extra is an error."""
+    values = [runio.require(raw, key, path, kind, default) for key, kind, default in declared]
+    runio.reject_unknown(raw, path, [key for key, _, _ in declared] + list(extra))
+    return values
+
+
 def load_store_config(path) -> StoreConfig:
     """Read a sweep file; image and table paths resolve relative to it."""
     path = Path(path)
     raw = runio.load_json(path)
+    entries, sizes, r_ints, v_in = _read_fields(raw, path, _SWEEP_FIELDS, PAIR_KEYS)
     jobs = []
-    for entry in runio.require(raw, "images", path, [dict]):
-        image = path.parent / runio.require(entry, "path", path, str)
-        binarization = runio.require(entry, "binarization", path, str, "raw-bits")
-        level = runio.require(entry, "level", path, int, 128)
-        name = runio.require(entry, "name", path, str, image.stem)
+    for entry in entries:
+        source, binarization, level, name = _read_fields(entry, path, _IMAGE_FIELDS)
+        image = path.parent / source
+        name = image.stem if name is None else name
         try:
             jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
-    sizes = runio.require(raw, "sizes", path, [[int]])
-    r_ints = runio.require(raw, "r_int_ohm", path, [float])
-    v_in = runio.require(raw, "v_in_v", path, float, 1.0)
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
     try:
         return StoreConfig(jobs, sizes, r_ints, pair, v_in)

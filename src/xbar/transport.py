@@ -165,27 +165,6 @@ class TransmissionSpectrum:
             raise ValueError("t_coherent length does not match energies")
 
 
-def lowdin_orthogonalize(fock, overlap) -> np.ndarray:
-    """Symmetric orthogonalization S^{-1/2} F S^{-1/2}.
-
-    Spectrum of the result equals the generalized spectrum of (F, S).
-    Rejects overlap matrices whose smallest eigenvalue is at or below the
-    positive-definiteness floor.
-    """
-    fock = np.asarray(fock, dtype=float)
-    overlap = np.asarray(overlap, dtype=float)
-    _check_symmetric(fock, "fock")
-    _check_symmetric(overlap, "overlap")
-    lam, q = np.linalg.eigh(overlap)
-    if lam[0] <= OVERLAP_EIG_FLOOR:
-        raise ValueError(
-            f"overlap is not positive definite: smallest eigenvalue {lam[0]:.3e}"
-        )
-    s_inv_half = (q * lam**-0.5) @ q.T
-    h_a = s_inv_half @ fock @ s_inv_half
-    return 0.5 * (h_a + h_a.T)
-
-
 def ramp_fractions(n_blocks: int) -> np.ndarray:
     """Per-block potential-drop fractions of the applied bias.
 
@@ -447,9 +426,14 @@ def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
 
 
 def orthogonal_block_hamiltonian(system: QuantumSystem) -> np.ndarray:
-    """The Löwdin-orthogonalized Hamiltonian, in the orbital order of the
-    system's blocks: the unbiased starting point for sweeps."""
-    return lowdin_orthogonalize(system.fock, system.overlap)
+    """The Löwdin-orthogonalized Hamiltonian S^{-1/2} F S^{-1/2}, in the
+    orbital order of the system's blocks: the unbiased starting point for
+    sweeps.  Its spectrum is the generalized spectrum of (F, S), which
+    QuantumSystem checks symmetric and positive definite."""
+    lam, q = np.linalg.eigh(system.overlap)
+    s_inv_half = (q * lam**-0.5) @ q.T
+    h_a = s_inv_half @ system.fock @ s_inv_half
+    return 0.5 * (h_a + h_a.T)
 
 
 def iv_sweep(

