@@ -412,7 +412,10 @@ PAIR_KEYS = ("logic1_table", "logic0_table")
 def load_pair(raw: dict, path) -> StrandPair:
     """The pair a config file references, its paths relative to the file."""
     logic1, logic0 = (
-        load_table(Path(path).parent / runio.require(raw, key, path, str)) for key in PAIR_KEYS
+        runio.read_referenced(
+            path, Path(path).parent / runio.require(raw, key, path, str), load_table
+        )
+        for key in PAIR_KEYS
     )
     try:
         return StrandPair(logic0_table=logic0, logic1_table=logic1)

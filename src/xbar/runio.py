@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.17.0"
+ARTIFACT_VERSION = "0.18.0"
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -64,6 +64,15 @@ def load_json(path):
         raise ValueError(
             f"{path}: malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+
+
+def read_referenced(config, path, read):
+    """read(path) for a file that the config file names; an OSError becomes
+    an input error naming the config, the file and the reason."""
+    try:
+        return read(path)
+    except OSError as err:
+        raise ValueError(f"{config}: cannot read '{path}': {err.strerror or err}") from err
 
 
 REQUIRED = object()  # require's default: the field must be present

@@ -287,8 +287,9 @@ def load_store_config(path) -> StoreConfig:
         source, binarization, level, name = _read_fields(entry, path, _IMAGE_FIELDS)
         image = path.parent / source
         name = image.stem if name is None else name
+        data = runio.read_referenced(path, image, Path.read_bytes)
         try:
-            jobs.append(ImageJob(image.read_bytes(), binarization, level, name))
+            jobs.append(ImageJob(data, binarization, level, name))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()

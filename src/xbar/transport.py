@@ -10,12 +10,23 @@ over a pair of blocks, so a rotation within a block changes no current: the
 orthogonalized matrix is used as it is.
 
 H + Sigma does not depend on energy, so it is diagonalized once per
-spectrum and every energy's Green's function is one product of its
-eigenvectors scaled by 1/(E - lambda).  Green's functions, terminal
-transmissions and the probe condition take a leading energy axis, so a
-spectrum is solved a block of energies at a time with one code path for
-one energy and for many.  An I-V sweep computes one spectrum per bias and
-integrates every Fermi offset's window from it.
+spectrum, A = V diag(lambda) W with W = V^-1, and G(E) = V diag(1/(E -
+lambda)) W.  A transmission needs only the block sums S_kl = sum |G_ab|^2
+over a in block k and b in block l.  With A_k = V^+ P_k V and B_l = W P_l
+W^+ (P_k the projector onto block k), partial fractions give, for real E,
+
+    S_kl(E) = 2 Re sum_p r_p / (E - lambda_p),
+    r_p = sum_q (A_k)_qp (B_l)_pq / (lambda_p - conj lambda_q),
+
+so a spectrum builds one residue table per live terminal pair and each
+energy costs one reciprocal 1/(E - lambda) and one product with the table.
+The sum is exact in exact arithmetic but only absolutely accurate: deep in
+a gap without probes its terms cancel.  Each energy carries the rounding
+bound 2 n eps sum_p rho_p / |E - lambda_p|, rho_p = sum_q |term_pq|, and an
+energy whose bound exceeds POLE_SUM_RTOL of its largest live terminal
+transmission is solved by the direct form instead: G formed from the same
+eigenvectors, then probe_transmissions.  An I-V sweep computes one
+spectrum per bias and integrates every Fermi offset's window from it.
 
 Energies are in eV throughout; currents come out in amperes.  The
 Boltzmann constant and the conductance quantum are built from the SI's
@@ -46,10 +57,15 @@ WINDOW_KT_MARGIN = 10.0
 
 ENERGY_SPACING = 1e-3  # eV
 
-# Energies per stacked product in transmission_spectrum.  At 28 orbitals
-# one BLAS thread takes ~20-23 us per energy at 32 and 64 and ~24 us at 16;
-# the block buffers grow with it (1.2 MiB at 32).
-ENERGY_BLOCK = 32
+# An energy whose pole sum may be off by more than this share of its largest
+# live terminal transmission is recomputed from its Green's function.
+POLE_SUM_RTOL = 1e-10
+
+# Energies per pole-sum product in transmission_spectrum, so that memory
+# stays flat however wide the spectrum.  At 28 orbitals one BLAS thread
+# takes ~6 us per energy at 128, ~5 at 256 and ~7 at 64; a block whose
+# energies all fall back holds a (128, n, n) complex stack (1.5 MiB).
+ENERGY_BLOCK = 128
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
@@ -218,19 +234,24 @@ def _resolvent(h_b, partition, config: ContactProbeConfig):
     return lam, vec, np.linalg.inv(vec)
 
 
-def _green(energy, resolvent, den=None, cols=None, out=None):
-    """G at one energy, or at each of a 1-D array of energies (a (k, n, n)
-    stack), from a _resolvent; den, cols and out are optional buffers for
-    E - lam, the scaled eigenvectors and G.  Each energy's G is one
-    (n, n) @ (n, n) product, the same arithmetic alone and in a stack."""
-    lam, vec, inv = resolvent
-    den = np.subtract(energy[..., None], lam, out=den)
+def _reciprocal(energy, lam):
+    """1/(E - lam) at one energy, or at each of a 1-D array of energies (a
+    (k, n) array).  An energy equal to an eigenvalue raises RuntimeError
+    naming the first such energy."""
+    den = energy[..., None] - lam
     singular = ~den.reshape(-1, lam.size).all(axis=1)
     if singular.any():
         e = energy.reshape(-1)[np.flatnonzero(singular)[0]]
         raise RuntimeError(f"singular transport matrix at E = {e:.6f} eV")
-    cols = np.divide(vec, den[..., None, :], out=cols)
-    return np.matmul(cols, inv, out=out)
+    return 1.0 / den
+
+
+def _green(energy, resolvent):
+    """G at one energy, or at each of a 1-D array of energies (a (k, n, n)
+    stack), from a _resolvent.  Each energy's G is one (n, n) @ (n, n)
+    product, the same arithmetic alone and in a stack."""
+    lam, vec, inv = resolvent
+    return np.matmul(vec * _reciprocal(energy, lam)[..., None, :], inv)
 
 
 def retarded_green(energy, h_b, partition, config: ContactProbeConfig):
@@ -270,16 +291,9 @@ def probe_transmissions(g_r, partition, config: ContactProbeConfig) -> np.ndarra
     Green's functions gives a (k, n_t, n_t) stack, matrix by matrix.
     """
     g_r = np.asarray(g_r)
-    return _transmissions(g_r, partition, config, np.empty((2,) + g_r.shape))
-
-
-def _transmissions(g_r, partition, config, squares):
-    """probe_transmissions with |Re G|^2 and |Im G|^2 written into squares,
-    a float buffer of shape (2,) + g_r.shape."""
     starts = np.concatenate([[0], np.cumsum(partition)[:-1]])
     blocks, gammas = terminal_blocks(len(partition), config)
-    abs2 = np.square(g_r.real, out=squares[0])
-    abs2 += np.square(g_r.imag, out=squares[1])
+    abs2 = np.square(g_r.real) + np.square(g_r.imag)
     sums = np.add.reduceat(np.add.reduceat(abs2, starts, axis=-2), starts, axis=-1)
     t = np.triu(
         np.multiply.outer(gammas, gammas) * sums[..., blocks, :][..., blocks], 1
@@ -345,11 +359,28 @@ def effective_transmission(t_terminals):
     return float(out) if out.ndim == 0 else out
 
 
-def transmission_at(energy: float, h_b, partition, config: ContactProbeConfig):
-    """(t_eff, t_coherent) at one energy."""
-    g_r = retarded_green(energy, h_b, partition, config)
-    t = probe_transmissions(g_r, partition, config)
-    return effective_transmission(t), float(t[0, 1])
+def _residue_table(resolvent, partition, pairs):
+    """Residues r and rounding weights rho of the block sums S_kl for each
+    (k, l) of pairs: S_kl(E) = 2 Re sum_p r_p / (E - lam_p), and rho_p sums
+    the moduli of the terms r_p sums.  Returns (n, len(pairs)) complex and
+    real arrays.  A pair of modes whose denominator lam_p - conj lam_q is
+    exactly 0 has two real eigenvalues: such modes carry no weight on any
+    broadened orbital, so their term vanishes for every live pair and is
+    taken as 0."""
+    lam, vec, inv = resolvent
+    den = lam[:, None] - lam.conj()
+    inv_den = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0)
+    slices = _block_slices(partition)
+    # (A_k)_qp / (lam_p - conj lam_q) and (B_l)_pq, both at [p, q]
+    a_den = [(vec[s].T @ vec[s].conj()) * inv_den for s in slices]
+    b = [inv[:, s] @ inv[:, s].conj().T for s in slices]
+    residues = np.empty((lam.size, len(pairs)), dtype=complex)
+    weights = np.empty((lam.size, len(pairs)))
+    for j, (k, l) in enumerate(pairs):
+        term = a_den[k] * b[l]
+        residues[:, j] = term.sum(axis=1)
+        weights[:, j] = np.abs(term).sum(axis=1)
+    return residues, weights
 
 
 def transmission_spectrum(
@@ -357,26 +388,44 @@ def transmission_spectrum(
 ) -> TransmissionSpectrum:
     """Evaluate the transmission over an energy grid.
 
-    H + Sigma is diagonalized once for the whole grid, which is then solved
-    ENERGY_BLOCK energies at a time through the stacked forms of
-    retarded_green, probe_transmissions and effective_transmission, so every
-    energy gets exactly the arithmetic of transmission_at.  The block
-    buffers are allocated once per spectrum.
+    H + Sigma is diagonalized once for the whole grid, and each live
+    terminal pair (off the diagonal, with Gamma_k Gamma_l > 0) gets one
+    residue table, so a terminal transmission is Gamma_k Gamma_l 2 Re
+    sum_p r_p / (E - lam_p), computed ENERGY_BLOCK energies at a time.
+    Each energy's rounding bound is 2 n eps Gamma_k Gamma_l sum_p rho_p /
+    |E - lam_p|; where it exceeds POLE_SUM_RTOL of the energy's largest
+    live terminal transmission (or is not finite), the energy's terminal
+    matrix is recomputed by the direct form, probe_transmissions of its
+    Green's function from the same eigenvectors, exactly as
+    retarded_green gives it.  effective_transmission then folds in the
+    probes.
     """
     energies = np.asarray(energies, dtype=float)
     t_eff = np.empty(energies.shape)
     t_coh = np.empty(energies.shape)
     resolvent = _resolvent(h_b, partition, config)
-    k, n = min(ENERGY_BLOCK, energies.size), resolvent[0].size
-    den = np.empty((k, n), dtype=complex)
-    cols = np.empty((k, n, n), dtype=complex)
-    g_r = np.empty((k, n, n), dtype=complex)
-    squares = np.empty((2, k, n, n))
+    lam = resolvent[0]
+    blocks, gammas = terminal_blocks(len(partition), config)
+    rows, cols = np.triu_indices(len(blocks), 1)
+    live = gammas[rows] * gammas[cols] > 0
+    rows, cols = rows[live], cols[live]
+    coupling = gammas[rows] * gammas[cols]
+    residues, weights = _residue_table(
+        resolvent, partition, [(blocks[i], blocks[j]) for i, j in zip(rows, cols)]
+    )
+    residues *= 2.0 * coupling
+    weights *= 2.0 * lam.size * np.finfo(float).eps * coupling
     for start in range(0, energies.size, ENERGY_BLOCK):
         block = slice(start, start + ENERGY_BLOCK)
-        c = energies[block].size
-        g = _green(energies[block], resolvent, den[:c], cols[:c], g_r[:c])
-        t = _transmissions(g, partition, config, squares[:, :c])
+        z = _reciprocal(energies[block], lam)
+        pair_t = (z @ residues).real
+        bound = np.abs(z) @ weights
+        t = np.zeros((z.shape[0], len(blocks), len(blocks)))
+        t[:, rows, cols] = t[:, cols, rows] = pair_t
+        direct = ~(bound.max(axis=1) <= POLE_SUM_RTOL * pair_t.max(axis=1))
+        if direct.any():
+            green = _green(energies[block][direct], resolvent)
+            t[direct] = probe_transmissions(green, partition, config)
         t_eff[block] = effective_transmission(t)
         t_coh[block] = t[:, 0, 1]
     return TransmissionSpectrum(energies, t_eff, t_coh)

@@ -718,6 +718,25 @@ def test_unknown_config_field_exits_one_and_names_it(tmp_path, capsys, command, 
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, file",
+    [("store", "img.bin"), ("mc", "t1.json"), ("oracle", "t0.json")],
+    ids=["store-image", "mc-table", "spec-table"],
+)
+def test_missing_referenced_file_exits_one_and_names_the_config(tmp_path, capsys, command, file):
+    """An image or table the config names but that cannot be read is an
+    input error naming the config, the file and the reason."""
+    write = {"store": write_store_config, "mc": write_mc_config, "oracle": write_single_cell_spec}
+    config = write[command](tmp_path)
+    (tmp_path / file).unlink()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {config}: cannot read '{tmp_path / file}': No such file or directory\n"
+    )
+    assert not out.exists()
+
+
 def write_system(tmp_path):
     tp.save_quantum_system(tp.tight_binding_chain(2, block_size=2), tmp_path / "system.json")
     return tmp_path / "system.json"

@@ -23,7 +23,7 @@ ALLOWED = {
     "tight_binding_chain": "seeded model systems for iv-gen where no Fock data exist",
     "probe_occupancies": "the probe potentials behind effective_transmission, to check their balance",
     "build_shipped_tables": "regenerates the shipped tables in xbar/data from their parameters",
-    "transmission_at": "the one-energy arithmetic each block of transmission_spectrum reproduces",
+    "retarded_green": "the direct Green's function the pole sum of transmission_spectrum is checked against",
     "RunManifest.from_file": "reads a manifest back, to check the reproducibility contract it states",
     "RunManifest.same_inputs": "the reproducibility contract the manifest docstring states",
 }

@@ -516,24 +516,75 @@ def test_iv_sweep_reproduces_pinned_tables(case):
     np.testing.assert_allclose(table.current, pinned, rtol=case["rtol"], atol=0.0)
 
 
-# ------------------------------------------------------- energy blocks
+# ------------------------------------------------------------ pole sum
 
 
-C = tp.ENERGY_BLOCK
+def direct_transmissions(energies, h_b, partition, config):
+    """The direct form the pole sum is checked against: terminal matrices
+    from each energy's Green's function, and t_eff from them."""
+    g = tp.retarded_green(energies, h_b, partition, config)
+    t = tp.probe_transmissions(g, partition, config)
+    return t, tp.effective_transmission(t)
 
 
-@pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 2 * C + 3])
-def test_spectrum_blocks_match_single_energies(count):
+@settings(max_examples=60, deadline=None)
+@given(
+    random_chains(),
+    st.sampled_from([0.0, 0.01]),
+    st.lists(st.floats(-6.2, -4.2), min_size=1, max_size=40, unique=True),
+)
+def test_spectrum_matches_direct_form_on_random_chains(system, gamma_probe, energies):
+    """Each energy's terminal matrix is within POLE_SUM_RTOL of its largest
+    entry, or recomputed directly; without probes that bounds t_eff
+    relative to itself."""
+    h_b = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig(gamma_probe=gamma_probe)
+    energies = np.sort(energies)
+    spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
+    t, t_eff = direct_transmissions(energies, h_b, system.partition, config)
+    scale = t.max(axis=(1, 2))
+    assert np.all(np.abs(spec.t_eff - t_eff) <= tp.POLE_SUM_RTOL * scale)
+    assert np.all(np.abs(spec.t_coherent - t[:, 0, 1]) <= tp.POLE_SUM_RTOL * scale)
+
+
+def test_deep_gap_energies_fall_back_to_the_direct_form(monkeypatch):
+    """Without probes the contact-to-contact transmission below and above
+    the band falls to ~1e-14 and less, where the pole sum's terms cancel;
+    those energies take the direct form, bit for bit, in every block of
+    ENERGY_BLOCK energies."""
     system = seven_block_system(seed=43)
     h_b = tp.orthogonal_block_hamiltonian(system)
-    config = ContactProbeConfig()
-    energies = -5.7 + 0.0137 * np.arange(count)
+    config = ContactProbeConfig(gamma_probe=0.0)
+    energies = np.linspace(-6.2, -4.2, 201)
+    assert tp.ENERGY_BLOCK < energies.size
+    fallen = []
+    green = tp._green
+
+    def recording(energy, resolvent):
+        fallen.extend(np.atleast_1d(energy))
+        return green(energy, resolvent)
+
+    monkeypatch.setattr(tp, "_green", recording)
     spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
-    single = [tp.transmission_at(e, h_b, system.partition, config) for e in energies]
-    np.testing.assert_array_equal(spec.t_eff, np.array([p[0] for p in single]).reshape(-1))
-    np.testing.assert_array_equal(
-        spec.t_coherent, np.array([p[1] for p in single]).reshape(-1)
-    )
+    monkeypatch.undo()
+    direct = np.isin(energies, fallen)
+    assert 0 < direct.sum() < energies.size
+    assert energies[0] in fallen and -5.2 not in fallen
+    for k in np.flatnonzero(direct):
+        t, t_eff = direct_transmissions(energies[k], h_b, system.partition, config)
+        assert spec.t_eff[k] == t_eff and spec.t_coherent[k] == t[0, 1]
+    assert not np.any(np.isnan(spec.t_eff)) and np.all(spec.t_eff >= 0.0)
+
+
+def test_modes_without_broadening_add_nothing():
+    """The isolated middle site is a real eigenvalue with no weight on the
+    contacts: its pair with itself has a zero denominator and adds 0."""
+    system = tp.tight_binding_chain(3, inter_hop=0.0)
+    h_b = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig(gamma_probe=0.0)
+    energies = np.linspace(-5.5, -4.9, 7)[[0, 1, 2, 4, 5, 6]]
+    spec = tp.transmission_spectrum(h_b, system.partition, config, energies)
+    assert np.all(spec.t_eff == 0.0) and np.all(spec.t_coherent == 0.0)
 
 
 def test_stacked_transmissions_match_single_energy_calls():
