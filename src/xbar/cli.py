@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -71,16 +70,6 @@ def _write_manifest(command: str, payload, seed, out_dir) -> None:
     ).write(out)
 
 
-@contextlib.contextmanager
-def _flags_named(flags):
-    """Prefix a ValueError raised inside with the flags that fed it: the
-    library's checks know its parameters, not the flags that set them."""
-    try:
-        yield
-    except ValueError as err:
-        raise ValueError(f"{', '.join(flags)}: {err}") from err
-
-
 # --- table generation -------------------------------------------------------
 
 
@@ -92,11 +81,11 @@ def _flag_payload(args) -> dict:
 
 def cmd_iv_gen(args) -> int:
     system = load_quantum_system(args.config)
-    with _flags_named(["--gamma-contact", "--gamma-probe"]):
+    with runio.named("--gamma-contact, --gamma-probe"):
         config = ContactProbeConfig(
             gamma_contact=args.gamma_contact, gamma_probe=args.gamma_probe
         )
-    with _flags_named(["--v-max", "--v-points", "--delta-max", "--delta-points", "--temperature"]):
+    with runio.named("--v-max, --v-points, --delta-max, --delta-points, --temperature"):
         table = iv_sweep(
             system,
             config,
@@ -114,7 +103,7 @@ def cmd_iv_gen(args) -> int:
 
 
 def cmd_iv_synth(args) -> int:
-    with _flags_named(["--r-low", "--r-high", "--knee", "--sensitivity"]):
+    with runio.named("--r-low, --r-high, --knee, --sensitivity"):
         table = synthesize_table(
             args.r_low,
             args.r_high,
@@ -169,7 +158,7 @@ def _with_flags(config, flags: dict):
     if not given:
         return config
     changes = {name: value for fields in given.values() for name, value in fields.items()}
-    with _flags_named(given):
+    with runio.named(", ".join(given)):
         return dataclasses.replace(config, **changes)
 
 

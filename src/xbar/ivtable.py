@@ -396,10 +396,8 @@ def load_table(path) -> IVTable:
         raise ValueError(
             f"{path}: current_a has {cur.size} entries, expected {v.size * d.size}"
         )
-    try:
+    with runio.named(path):
         table = IVTable(strand, v, d, cur.reshape(d.size, v.size))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
     for violation in validate_table(table):
         warnings.warn(f"{path}: {violation}", stacklevel=2)
     return table
@@ -417,10 +415,8 @@ def load_pair(raw: dict, path) -> StrandPair:
         )
         for key in PAIR_KEYS
     )
-    try:
+    with runio.named(path):
         return StrandPair(logic0_table=logic0, logic1_table=logic1)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
 
 
 def pair_payload(pair: StrandPair) -> dict:

@@ -170,28 +170,31 @@ def save_readout_solution(solution: ReadoutSolution, out_dir) -> None:
     )
 
 
+# a spec file's keys besides its pair: the JSON kind each is read as and
+# its default (runio.REQUIRED: none)
+_SPEC_FIELDS = (
+    ("m", int, runio.REQUIRED),
+    ("n", int, runio.REQUIRED),
+    ("r_int_ohm", float, runio.REQUIRED),
+    ("v_in_v", float, 1.0),
+    ("bits", [int], runio.REQUIRED),
+    ("delta_ev", [float], None),
+)
+
+
 def load_crossbar_spec(path) -> CrossbarSpec:
     """Read an array description; table paths resolve relative to the file."""
     path = Path(path)
     raw = runio.load_json(path)
-    m = runio.require(raw, "m", path, int)
-    n = runio.require(raw, "n", path, int)
-    r_int = runio.require(raw, "r_int_ohm", path, float)
-    v_in = runio.require(raw, "v_in_v", path, float, 1.0)
-    bits = runio.require(raw, "bits", path, [int])
-    delta = runio.require(raw, "delta_ev", path, [float], None)
+    m, n, r_int, v_in, bits, delta = runio.read_fields(raw, path, _SPEC_FIELDS, PAIR_KEYS)
     for key, cells in (("bits", bits), ("delta_ev", delta)):
         if cells is not None and len(cells) != m * n:
             raise ValueError(f"{path}: {key} has {len(cells)} entries, expected {m * n}")
     bits = np.reshape(bits, (m, n))
     delta = None if delta is None else np.reshape(delta, (m, n))
     pair = load_pair(raw, path)
-    try:
-        spec = CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
-    runio.reject_unknown(raw, path, [*spec_payload(spec), *PAIR_KEYS])
-    return spec
+    with runio.named(path):
+        return CrossbarSpec(m=m, n=n, r_int=r_int, bits=bits, pair=pair, delta=delta, v_in=v_in)
 
 
 def spec_payload(spec: CrossbarSpec) -> dict:

@@ -13,7 +13,7 @@ any number of threads without coupling their randomness.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,14 +48,16 @@ class McConfig:
     v_in: float = 1.0
     solver: str = "parametric"
     per_cell: bool = True  # False draws one offset per trial for the array
+    # the campaign's condition, every trial's arrays read on it; its own
+    # checks cover the geometry, r_int and v_in
+    spec: CrossbarSpec = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("array dimensions must be at least 1x1")
-        if not (self.r_int > 0 and np.isfinite(self.r_int)):
-            raise ValueError(f"r_int_ohm must be positive and finite, got {self.r_int:g}")
-        if not (self.v_in > 0 and np.isfinite(self.v_in)):
-            raise ValueError(f"v_in_v must be positive and finite, got {self.v_in:g}")
+        # each trial reads its own bits; a size below 1 fails the spec's check
+        blank = np.zeros((max(self.m, 0), max(self.n, 0)), dtype=np.int8)
+        self.spec = CrossbarSpec(
+            m=self.m, n=self.n, r_int=self.r_int, bits=blank, pair=self.pair, v_in=self.v_in
+        )
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -182,14 +184,7 @@ def run_mc(config: McConfig, threads: int = 1) -> McReport:
     Trials are read in stacks (crossbar.map_in_stacks) of the campaign's
     one spec, each trial with its own sample streams, threshold and
     histogram counts."""
-    spec = CrossbarSpec(
-        m=config.m,
-        n=config.n,
-        r_int=config.r_int,
-        bits=np.zeros((config.m, config.n), dtype=np.int8),
-        pair=config.pair,
-        v_in=config.v_in,
-    )
+    spec = config.spec
     read = array_reader(config.solver, spec, 1)
 
     # histogram support: currents can never exceed the strongest cell's
@@ -321,15 +316,10 @@ def load_mc_config(path) -> McConfig:
     raw = runio.load_json(path)
     pair = load_pair(raw, path)
     defaults = {f.name: f.default for f in fields(McConfig) if f.default is not MISSING}
-    values = {
-        name: runio.require(raw, key, path, kind, defaults.get(name, runio.REQUIRED))
-        for name, key, kind in _MC_FIELDS
-    }
-    runio.reject_unknown(raw, path, [key for _, key, _ in _MC_FIELDS] + list(PAIR_KEYS))
-    try:
-        return McConfig(pair=pair, **values)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    declared = [(key, kind, defaults.get(name, runio.REQUIRED)) for name, key, kind in _MC_FIELDS]
+    values = runio.read_fields(raw, path, declared, PAIR_KEYS)
+    with runio.named(path):
+        return McConfig(pair=pair, **{name: v for (name, _, _), v in zip(_MC_FIELDS, values)})
 
 
 def mc_config_payload(config: McConfig) -> dict:

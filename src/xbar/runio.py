@@ -1,12 +1,17 @@
 """Shared file-format plumbing: exact float serialization, JSON/CSV helpers,
 run manifests and the one parallel map.
 
+Every config file is read the same way: read_fields reads an object's
+declared fields as JSON kinds through require and rejects any other key,
+and named prefixes a check's error with the file or the flags that fed it.
+
 Every writer in the package funnels through these helpers so that reruns of
 the same command produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -113,13 +118,28 @@ def require(mapping, key: str, path, kind=None, default=REQUIRED):
     return float(value) if kind is float else value
 
 
-def reject_unknown(mapping, path, known) -> None:
-    """Every key of a loaded JSON object must be one of known, the keys its
-    loader reads: a misspelled key would otherwise be ignored and its
-    field's default taken."""
+def read_fields(mapping, path, declared, extra=()) -> list:
+    """The value of each declared (key, kind, default) of a loaded JSON
+    object, read by require.  Every other key must be in extra, the keys
+    the loader reads elsewhere: a misspelled key would otherwise be
+    ignored and its field's default taken."""
+    values = [require(mapping, key, path, kind, default) for key, kind, default in declared]
+    known = {key for key, _, _ in declared} | set(extra)
     for key in mapping:
         if key not in known:
             raise ValueError(f"{path}: unknown field '{key}'")
+    return values
+
+
+@contextlib.contextmanager
+def named(source):
+    """Prefix a ValueError raised inside with its source, a file or the
+    flags joined by ", ": a check knows its parameters, not where their
+    values came from."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from err
 
 
 def digest_payload(obj) -> str:

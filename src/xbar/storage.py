@@ -30,13 +30,15 @@ class ImageJob:
     bit per byte by gray-level thresholding."""
 
     source: bytes
+    name: str  # the tile ids' prefix, one per job of a sweep
     binarization: str = "raw-bits"
     level: int = 128
-    name: str = ""
 
     def __post_init__(self):
         if len(self.source) == 0:
             raise ValueError("empty byte source")
+        if not self.name:
+            raise ValueError("field 'name' must not be empty")
         if self.binarization not in BINARIZATIONS:
             raise ValueError(
                 f"field 'binarization' must be one of {BINARIZATIONS}, got '{self.binarization}'"
@@ -72,9 +74,10 @@ class StoreConfig:
         for key, values in (("r_int_ohm", self.r_ints), ("v_in_v", [self.v_in])):
             if not all(v > 0 and np.isfinite(v) for v in values):
                 raise ValueError(f"field '{key}' must be positive and finite")
-        # each condition is read once: one listed twice would report every
-        # tile of it twice
+        # each image and condition is read once: one listed twice would
+        # report every tile of it twice, under the same tile ids
         for label, values, show in (
+            ("image", [job.name for job in self.jobs], str),
             ("size", self.sizes, lambda s: f"{s[0]}x{s[1]}"),
             ("r_int", self.r_ints, lambda r: f"{r:g}"),
         ):
@@ -174,12 +177,11 @@ def run_storage_benchmark(config: StoreConfig, threads: int = 1) -> StorageRepor
     powers = []
     for m, n in config.sizes:
         tiled = []
-        for j, job in enumerate(config.jobs):
+        for job in config.jobs:
             tiles, pad = tile_bits(image_to_bits(job), m, n)
-            label = job.name or f"job{j}"
             for k, tile in enumerate(tiles):
                 tile_pad = pad if k == len(tiles) - 1 else 0
-                tiled.append((f"{label}/t{k}", tile, tile_pad))
+                tiled.append((f"{job.name}/t{k}", tile, tile_pad))
         for r_int in config.r_ints:
             blank = np.zeros((m, n), dtype=np.int8)
             spec = CrossbarSpec(
@@ -269,34 +271,22 @@ _IMAGE_FIELDS = (
 )
 
 
-def _read_fields(raw, path, declared, extra=()) -> list:
-    """The declared fields of one JSON object, read by runio.require; any
-    other key but extra is an error."""
-    values = [runio.require(raw, key, path, kind, default) for key, kind, default in declared]
-    runio.reject_unknown(raw, path, [key for key, _, _ in declared] + list(extra))
-    return values
-
-
 def load_store_config(path) -> StoreConfig:
     """Read a sweep file; image and table paths resolve relative to it."""
     path = Path(path)
     raw = runio.load_json(path)
-    entries, sizes, r_ints, v_in = _read_fields(raw, path, _SWEEP_FIELDS, PAIR_KEYS)
+    entries, sizes, r_ints, v_in = runio.read_fields(raw, path, _SWEEP_FIELDS, PAIR_KEYS)
     jobs = []
     for entry in entries:
-        source, binarization, level, name = _read_fields(entry, path, _IMAGE_FIELDS)
+        source, binarization, level, name = runio.read_fields(entry, path, _IMAGE_FIELDS)
         image = path.parent / source
         name = image.stem if name is None else name
         data = runio.read_referenced(path, image, Path.read_bytes)
-        try:
-            jobs.append(ImageJob(data, binarization, level, name))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+        with runio.named(path):
+            jobs.append(ImageJob(data, name, binarization, level))
     pair = load_pair(raw, path) if set(PAIR_KEYS) & raw.keys() else shipped_pair()
-    try:
+    with runio.named(path):
         return StoreConfig(jobs, sizes, r_ints, pair, v_in)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
 
 
 def store_payload(config: StoreConfig) -> dict:

@@ -611,9 +611,7 @@ def load_quantum_system(path) -> QuantumSystem:
         )
     if not partition:
         raise ValueError(f"{path}: partition is empty")
-    try:
+    with runio.named(path):
         return QuantumSystem(
             fock.reshape(n_orb, n_orb), overlap.reshape(n_orb, n_orb), partition, homo
         )
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err

@@ -159,6 +159,38 @@ def test_mc_flag_overrides_reach_the_report(tmp_path):
     assert summary["solver"] == "kirchhoff"
 
 
+def test_campaign_spec_follows_the_flags(tmp_path, monkeypatch):
+    """A flag that replaces a campaign's geometry or interconnect rebuilds
+    the campaign's spec, so every trial reads arrays of the flagged size on
+    the flagged interconnect rather than the file's."""
+    config = cli._with_flags(
+        montecarlo.load_mc_config(write_mc_config(tmp_path)),
+        {"--size": {"m": 6, "n": 5}, "--rint": {"r_int": 2e4}},
+    )
+    assert (config.spec.m, config.spec.n, config.spec.r_int) == (6, 5, 2e4)
+
+    built, read_shapes = [], []
+    array_reader = montecarlo.array_reader
+
+    def recording_reader(solver, spec, threads):
+        built.append((spec.m, spec.n, spec.r_int))
+        read = array_reader(solver, spec, threads)
+
+        def recorded(stack):
+            read_shapes.append(stack.bits.shape[-2:])
+            return read(stack)
+
+        return recorded
+
+    monkeypatch.setattr(montecarlo, "array_reader", recording_reader)
+    path = write_mc_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["mc", "--config", str(path), "--out", str(out), "--size", "6x5", "--rint", "2e4"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert built == [(6, 5, 2e4)]
+    assert read_shapes and all(shape == (6, 5) for shape in read_shapes)
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -326,6 +358,32 @@ def test_store_with_a_repeated_rint_exits_one(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert "r_int 10000 is listed more than once" in capsys.readouterr().err
     assert not (out / "storage_tiles.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ([{"path": "a/img.bin"}, {"path": "b/img.bin"}], "image img is listed more than once"),
+        ([{"path": "img.bin", "name": ""}], "field 'name' must not be empty"),
+    ],
+    ids=["same-stem", "empty-name"],
+)
+def test_store_image_names_are_distinct_and_not_empty(tmp_path, capsys, images, message):
+    """Each tile id starts with its image's name: two images of one name
+    would write tiles of the same id, and an empty name would write ids
+    naming no image."""
+    config = write_store_config(tmp_path)
+    for folder, seed in (("a", 1), ("b", 2)):
+        (tmp_path / folder).mkdir()
+        data = np.random.default_rng(seed).integers(0, 256, 64, dtype=np.uint8)
+        (tmp_path / folder / "img.bin").write_bytes(bytes(data))
+    raw = runio.load_json(config)
+    raw["images"] = images
+    runio.dump_json(raw, config)
+    out = tmp_path / "out"
+    assert cli.main(["store", "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:.*does not span")

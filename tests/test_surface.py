@@ -7,7 +7,8 @@ included) or in the benchmark under perfbench/ refers to it: by name, as
 an attribute, in an import, or as a string naming it (perfbench/spans.py
 patches functions by name).  Docstrings and comments do not count, and
 neither do tests.  A name only its own tests call is dead: delete it, or
-list it in ALLOWED with the reason it stays.
+list it in ALLOWED with the reason it stays.  A private top-level
+function that nothing in the program refers to is a leftover: delete it.
 """
 
 import ast
@@ -44,6 +45,14 @@ def public_definitions():
                     yield path.stem, f"{node.name}.{method.name}"
 
 
+def private_functions():
+    """(module, name) of every private top-level function."""
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                yield path.stem, node.name
+
+
 def referenced_names():
     names = set()
     for path in PACKAGE + BENCHMARK:
@@ -76,3 +85,9 @@ def test_allowlist_names_only_unused_definitions():
     assert not {name for name in ALLOWED if name.rsplit(".", 1)[-1] in used}, (
         "ALLOWED names a function the program uses"
     )
+
+
+def test_every_private_function_is_used_by_the_program():
+    used = referenced_names()
+    dead = [f"{module}.{name}" for module, name in private_functions() if name not in used]
+    assert dead == [], "a private function nothing calls: delete it"
