@@ -62,12 +62,28 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
-def _write_manifest(command: str, payload, seed, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runio.RunManifest(
-        command=command, config_digest=runio.digest_payload(payload), seed=seed
-    ).write(out)
+# the solver each readout subcommand runs, which its manifest records
+_READOUT_SOLVERS = {"solve": "parametric", "oracle": "kirchhoff"}
+
+
+def _command(args) -> str:
+    """The command a run records in its manifest."""
+    return _READOUT_SOLVERS.get(args.subcommand, args.subcommand)
+
+
+def _check_out(args) -> None:
+    """Refuse, before anything runs, an --out directory whose manifest records
+    another command: this run would replace it.  A rerun overwrites its own."""
+    path = Path(args.out) / runio.MANIFEST_NAME
+    if path.exists():
+        owner = runio.RunManifest.from_file(path).command
+        if owner != _command(args):
+            raise ValueError(f"{args.out}: holds the outputs of {owner}; choose another --out")
+
+
+def _write_manifest(args, payload, seed) -> None:
+    digest = runio.digest_payload(payload)
+    runio.RunManifest(command=_command(args), config_digest=digest, seed=seed).write(args.out)
 
 
 # --- table generation -------------------------------------------------------
@@ -96,7 +112,7 @@ def cmd_iv_gen(args) -> int:
             strand_id=args.strand_id,
         )
     payload = {**_flag_payload(args), "system": runio.load_json(args.config)}
-    _write_manifest("iv-gen", payload, None, args.out)
+    _write_manifest(args, payload, None)
     save_table(table, Path(args.out) / "iv_table.json")
     print(f"iv-gen: {table.v_grid.size}x{table.delta_grid.size} grid -> iv_table.json")
     return EXIT_OK
@@ -111,7 +127,7 @@ def cmd_iv_synth(args) -> int:
             delta_sensitivity=args.sensitivity,
             strand_id=args.strand_id,
         )
-    _write_manifest("iv-synth", _flag_payload(args), None, args.out)
+    _write_manifest(args, _flag_payload(args), None)
     save_table(table, Path(args.out) / "iv_table.json")
     print(f"iv-synth: strand '{table.strand_id}' -> iv_table.json")
     return EXIT_OK
@@ -120,11 +136,12 @@ def cmd_iv_synth(args) -> int:
 # --- readout ----------------------------------------------------------------
 
 
-def _run_readout(args, solver: str) -> int:
+def cmd_readout(args) -> int:
+    solver = _READOUT_SOLVERS[args.subcommand]
     spec = load_crossbar_spec(args.config)
     solution = array_reader(solver, spec, args.threads)(spec)
     payload = {"spec": {**spec_payload(spec), **pair_payload(spec.pair)}, "solver": solver}
-    _write_manifest(solver, payload, None, args.out)
+    _write_manifest(args, payload, None)
     save_readout_solution(solution, args.out)
     print(
         f"{solver}: power {solution.power:.6e} W in {solution.iterations} Newton steps,"
@@ -134,14 +151,6 @@ def _run_readout(args, solver: str) -> int:
         print(f"{solver}: iteration did not converge", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def cmd_solve(args) -> int:
-    return _run_readout(args, "parametric")
-
-
-def cmd_oracle(args) -> int:
-    return _run_readout(args, "kirchhoff")
 
 
 # --- campaigns ----------------------------------------------------------------
@@ -174,7 +183,7 @@ def cmd_mc(args) -> int:
     }
     config = _with_flags(load_mc_config(args.config), flags)
     report = run_mc(config, threads=args.threads)
-    _write_manifest("mc", mc_config_payload(config), config.seed, args.out)
+    _write_manifest(args, mc_config_payload(config), config.seed)
     save_mc_report(report, args.out)
     print(
         f"mc: {report.trials} trials, mean BER {report.ber_mean:.6f},"
@@ -191,7 +200,7 @@ def cmd_store(args) -> int:
     }
     config = _with_flags(load_store_config(args.config), flags)
     report = run_storage_benchmark(config, threads=args.threads)
-    _write_manifest("store", store_payload(config), None, args.out)
+    _write_manifest(args, store_payload(config), None)
     save_storage_report(report, args.out)
     print(f"store: {len(report.per_tile)} tiles, {report.failures} failed")
     if report.per_tile and report.failures == len(report.per_tile):
@@ -205,95 +214,74 @@ def cmd_store(args) -> int:
 
 def _read_csv_rows(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        return list(csv.reader(fh))[1:]
+
+
+def _mc_plots(src):
+    hist, trials = (_read_csv_rows(src / name) for name in ("mc_histogram.csv", "mc_trials.csv"))
+    return {
+        "histogram.csv": (
+            ["bin_center_na", "count_logic0", "count_logic1"],
+            [(0.5 * (float(lo) + float(hi)), int(c0), int(c1)) for lo, hi, c0, c1 in hist],
+        ),
+        "ber_series.csv": (["trial", "ber"], [(int(row[0]), float(row[1])) for row in trials]),
+    }
+
+
+def _store_plots(src):
+    summary = runio.load_json(src / "storage_summary.json")
+
+    def by_size(key, columns):
+        return [(f"{row['m']}x{row['n']}", *(row[c] for c in columns)) for row in summary[key]]
+
+    box = ("min", "q1", "median", "q3", "max")
+    return {
+        "boxplot.csv": (
+            ["size", "r_int_ohm", "bit_load_pct", "count", *(f"{k}_ber" for k in box)],
+            by_size("binned_ber", ("r_int_ohm", "bit_load_pct", "count", *box)),
+        ),
+        "power.csv": (
+            ["size", "r_int_ohm", "power_mean_w"],
+            by_size("power_vs_rint", ("r_int_ohm", "power_mean_w")),
+        ),
+    }
+
+
+def _heat_plots(src):
+    return {
+        f"heat_{name}.csv": np.loadtxt(src / f"{name}.csv", delimiter=",", ndmin=2)
+        for name in ("v_cell", "i_out")
+    }
+
+
+# each report kind: the files plot-data reads from it, the first of which
+# marks the kind, and the function from the report directory to its plot
+# tables by file name, each (header, rows) or a matrix for a heat map
+_PLOT_KINDS = (
+    (("mc_histogram.csv", "mc_trials.csv"), _mc_plots),
+    (("storage_summary.json",), _store_plots),
+    (("v_cell.csv", "i_out.csv"), _heat_plots),
+)
 
 
 def cmd_plot_data(args) -> int:
-    src = Path(args.config)
+    src, out = Path(args.config), Path(args.out)
     if not src.is_dir():
         raise ValueError(f"{src}: expected a report directory")
-    out = Path(args.out)
-    consumed = {}
-    written = []
-
-    def digest_file(name):
-        consumed[name] = hashlib.sha256((src / name).read_bytes()).hexdigest()
-
-    if (src / "mc_histogram.csv").exists():
-        digest_file("mc_histogram.csv")
-        digest_file("mc_trials.csv")
-        _, hist = _read_csv_rows(src / "mc_histogram.csv")
-        out.mkdir(parents=True, exist_ok=True)
-        runio.write_rows_csv(
-            out / "histogram.csv",
-            ["bin_center_na", "count_logic0", "count_logic1"],
-            [
-                (0.5 * (float(lo) + float(hi)), int(c0), int(c1))
-                for lo, hi, c0, c1 in hist
-            ],
-        )
-        _, trials = _read_csv_rows(src / "mc_trials.csv")
-        runio.write_rows_csv(
-            out / "ber_series.csv",
-            ["trial", "ber"],
-            [(int(row[0]), float(row[1])) for row in trials],
-        )
-        written = ["histogram.csv", "ber_series.csv"]
-    elif (src / "storage_summary.json").exists():
-        digest_file("storage_summary.json")
-        summary = runio.load_json(src / "storage_summary.json")
-        out.mkdir(parents=True, exist_ok=True)
-        runio.write_rows_csv(
-            out / "boxplot.csv",
-            [
-                "size",
-                "r_int_ohm",
-                "bit_load_pct",
-                "count",
-                "min_ber",
-                "q1_ber",
-                "median_ber",
-                "q3_ber",
-                "max_ber",
-            ],
-            [
-                (
-                    f"{row['m']}x{row['n']}",
-                    row["r_int_ohm"],
-                    row["bit_load_pct"],
-                    row["count"],
-                    row["min"],
-                    row["q1"],
-                    row["median"],
-                    row["q3"],
-                    row["max"],
-                )
-                for row in summary["binned_ber"]
-            ],
-        )
-        runio.write_rows_csv(
-            out / "power.csv",
-            ["size", "r_int_ohm", "power_mean_w"],
-            [
-                (f"{row['m']}x{row['n']}", row["r_int_ohm"], row["power_mean_w"])
-                for row in summary["power_vs_rint"]
-            ],
-        )
-        written = ["boxplot.csv", "power.csv"]
-    elif (src / "v_cell.csv").exists():
-        for name in ("v_cell", "i_out"):
-            digest_file(f"{name}.csv")
-            matrix = np.atleast_2d(
-                np.loadtxt(src / f"{name}.csv", delimiter=",", ndmin=2)
-            )
-            runio.write_long_csv(out / f"heat_{name}.csv", matrix)
-            written.append(f"heat_{name}.csv")
+    for files, plots in _PLOT_KINDS:
+        if (src / files[0]).exists():
+            break
     else:
         raise ValueError(f"{src}: no recognizable report files")
-
-    _write_manifest("plot-data", {"sources": consumed}, None, out)
-    print(f"plot-data: wrote {', '.join(written)}")
+    tables = plots(src)
+    sources = {name: hashlib.sha256((src / name).read_bytes()).hexdigest() for name in files}
+    for name, table in tables.items():
+        if isinstance(table, np.ndarray):
+            runio.write_long_csv(out / name, table)
+        else:
+            runio.write_rows_csv(out / name, *table)
+    _write_manifest(args, {"sources": sources}, None)
+    print(f"plot-data: wrote {', '.join(tables)}")
     return EXIT_OK
 
 
@@ -336,8 +324,8 @@ def build_parser() -> _Parser:
 
     # the parametric readout runs on one thread, but solve keeps --threads:
     # the benchmark (perfbench/workloads.py) passes it to solve and oracle alike
-    add_threaded("solve", cmd_solve, "readout via the sneak-path model")
-    add_threaded("oracle", cmd_oracle, "readout via full nodal analysis")
+    add_threaded("solve", cmd_readout, "readout via the sneak-path model")
+    add_threaded("oracle", cmd_readout, "readout via full nodal analysis")
 
     p = add_threaded("mc", cmd_mc, "seeded variability campaign")
     p.add_argument("--seed", type=int, default=None)
@@ -363,6 +351,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -261,36 +261,21 @@ def save_mc_report(report: McReport, out_dir) -> None:
             "solver": report.solver,
             "ber_mean": report.ber_mean,
             "mean_cell_voltage_v": report.mean_cell_voltage,
-            "failed_trials": list(report.failed_trials),
+            "failed_trials": report.failed_trials,
         },
         out / "mc_summary.json",
     )
     runio.write_rows_csv(
         out / "mc_trials.csv",
         ["trial", "ber", "threshold_a", "polarity", "mean_cell_voltage_v"],
-        [
-            (
-                t,
-                report.ber_samples[t],
-                report.threshold_samples[t],
-                int(report.polarity_samples[t]),
-                report.v_mean_samples[t],
-            )
-            for t in range(report.trials)
-        ],
+        zip(range(report.trials), report.ber_samples, report.threshold_samples,
+            report.polarity_samples, report.v_mean_samples),
     )
     runio.write_rows_csv(
         out / "mc_histogram.csv",
         ["bin_low_na", "bin_high_na", "count_logic0", "count_logic1"],
-        [
-            (
-                report.hist_edges_na[k],
-                report.hist_edges_na[k + 1],
-                int(report.hist_counts0[k]),
-                int(report.hist_counts1[k]),
-            )
-            for k in range(report.hist_counts0.size)
-        ],
+        zip(report.hist_edges_na[:-1], report.hist_edges_na[1:],
+            report.hist_counts0, report.hist_counts1),
     )
 
 

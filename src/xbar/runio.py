@@ -6,7 +6,10 @@ declared fields as JSON kinds through require and rejects any other key,
 and named prefixes a check's error with the file or the flags that fed it.
 
 Every writer in the package funnels through these helpers so that reruns of
-the same command produce byte-identical files.
+the same command produce byte-identical files.  JSON goes through json's
+own encoder with one default= fallback, which turns numpy arrays and
+scalars into plain Python values; json writes every float, np.float64
+included, in its shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -32,31 +35,21 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _exact_floats(obj):
-    # json.dump already emits shortest-round-trip reprs for floats; this pass
-    # only normalizes numpy scalars/arrays into plain Python containers.
-    if isinstance(obj, np.ndarray):
-        return [_exact_floats(v) for v in obj.tolist()]
-    # before the int branch: bool is a subclass of int
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _exact_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_exact_floats(v) for v in obj]
-    return obj
+def _jsonable(obj):
+    # json's default= fallback: json writes float subclasses (np.float64)
+    # in their shortest round-trip form itself; other numpy scalars and
+    # arrays become plain Python values
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj, path) -> None:
+    """Encoded before the file opens: a failed encoding leaves the file as it was."""
+    text = json.dumps(obj, indent=1, sort_keys=True, default=_jsonable)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(_exact_floats(obj), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n")
 
 
 def load_json(path):
@@ -144,7 +137,7 @@ def named(source):
 
 def digest_payload(obj) -> str:
     """Content hash of an arbitrary JSON-serializable payload."""
-    blob = json.dumps(_exact_floats(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_jsonable)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -206,10 +199,8 @@ class RunManifest:
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
 
-    def write(self, out_dir) -> Path:
-        path = Path(out_dir) / MANIFEST_NAME
-        dump_json(asdict(self), path)
-        return path
+    def write(self, out_dir) -> None:
+        dump_json(asdict(self), Path(out_dir) / MANIFEST_NAME)
 
     @classmethod
     def from_file(cls, path) -> "RunManifest":

@@ -491,6 +491,44 @@ def test_plot_data_rejects_unknown_directory(tmp_path, capsys):
     assert "no recognizable report" in capsys.readouterr().err
 
 
+def _files(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", ["plot-data-into-its-mc-report", "store-into-a-solve-directory"])
+def test_out_holding_another_commands_outputs_exits_one(tmp_path, capsys, case):
+    """A command refuses an --out whose manifest records another command,
+    before it solves or writes anything: its own manifest would replace
+    that one.  The error names the directory and that command."""
+    if case == "plot-data-into-its-mc-report":
+        out, owner = tmp_path / "mc", "mc"
+        assert cli.main(["mc", "--config", str(write_mc_config(tmp_path)), "--out", str(out)]) == 0
+        argv = ["plot-data", "--config", str(out), "--out", str(out)]
+    else:
+        out, owner = tmp_path / "sol", "parametric"
+        spec = write_single_cell_spec(tmp_path)
+        assert cli.main(["solve", "--config", str(spec), "--out", str(out)]) == 0
+        argv = ["store", "--config", str(write_store_config(tmp_path)), "--out", str(out)]
+    before = _files(out)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: holds the outputs of {owner}; choose another --out\n"
+    assert _files(out) == before
+
+
+def test_rerun_into_its_own_out_overwrites_it(tmp_path):
+    """The same command, run again into its own --out, replaces its outputs;
+    a readout's manifest records its solver, not the subcommand."""
+    configs = {"mc": write_mc_config(tmp_path), "oracle": write_single_cell_spec(tmp_path)}
+    for command, config in configs.items():
+        out = tmp_path / command
+        for _ in range(2):
+            assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert RunManifest.from_file(tmp_path / "mc" / runio.MANIFEST_NAME).seed == 11
+    assert RunManifest.from_file(tmp_path / "oracle" / runio.MANIFEST_NAME).command == "kirchhoff"
+
+
 # --- table generation -------------------------------------------------------------
 
 
@@ -842,6 +880,36 @@ def test_dump_json_writes_booleans_as_json_booleans(tmp_path):
     for key, word in (("t", "true"), ("f", "false"), ("np", "true")):
         assert f'"{key}": {word}' in text
     assert runio.load_json(path)["arr"] == [False] and "0" not in text
+
+
+def test_numpy_values_are_written_as_their_python_values(tmp_path):
+    """dump_json and digest_payload write numpy scalars and arrays, 0-d and
+    nested, and tuples exactly as the same values in plain Python types;
+    an object JSON has no form for is still a TypeError, and dump_json
+    then leaves the file it would have replaced as it was."""
+    nan = float("nan")
+    as_numpy = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+        "nan": np.float64(nan), "zero_d": np.array(2.5), "grid": np.array([[1.0, nan], [3.0, 4.0]]),
+        "pair": (np.int64(1), np.array([0.5, 2.0])),
+        "nested": [{"ids": np.arange(3)}, (np.float32(2.0),)],
+    }
+    as_python = {
+        "f64": 0.1, "f32": float(np.float32(0.1)), "i64": -7, "flag": True,
+        "nan": nan, "zero_d": 2.5, "grid": [[1.0, nan], [3.0, 4.0]],
+        "pair": [1, [0.5, 2.0]],
+        "nested": [{"ids": [0, 1, 2]}, [2.0]],
+    }
+    for name, payload in (("numpy", as_numpy), ("python", as_python)):
+        runio.dump_json(payload, tmp_path / f"{name}.json")
+    text = (tmp_path / "numpy.json").read_bytes()
+    assert text == (tmp_path / "python.json").read_bytes() and b"NaN" in text
+    assert runio.digest_payload(as_numpy) == runio.digest_payload(as_python)
+    with pytest.raises(TypeError):
+        runio.dump_json({"ids": {1, 2}}, tmp_path / "numpy.json")
+    assert (tmp_path / "numpy.json").read_bytes() == text  # not truncated
+    with pytest.raises(TypeError):
+        runio.digest_payload({"ids": {1, 2}})
 
 
 def test_unknown_flag_prints_usage_and_exits_one(tmp_path, capsys):

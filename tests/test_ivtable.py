@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xbar import ivtable as ivt
@@ -310,12 +310,22 @@ def test_interpolation_exact_on_every_grid_node(table):
     np.testing.assert_array_equal(ivt.interpolate_current(table, vv, dd), table.current)
 
 
-@given(monotone_tables(), st.data())
-def test_interpolation_bounded_by_its_cell_corners(table, data):
+# j and i pick the cell: monotone_tables draws at most 6 bias and 4 delta cells
+@given(
+    monotone_tables(),
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+@example(IVTable("prop", [0.0, 1.0], [0.0, 1.0], np.full((2, 2), 5e-324)), 0, 0, 0.5, 0.5)
+def test_interpolation_bounded_by_its_cell_corners(table, j, i, t, s):
+    """The lookup lies between its cell's corners up to rounding, in the
+    standard model with its underflow term (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2.1): 4 eps of the largest corner plus 4
+    smallest subnormals.  The example's subnormal corners blend to 0."""
     nv, nd = table.v_grid.size, table.delta_grid.size
-    j = data.draw(st.integers(0, nv - 2))
-    i = data.draw(st.integers(0, max(nd - 2, 0)))
-    t, s = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    j, i = j % (nv - 1), i % max(nd - 1, 1)
     v_lo, v_hi = table.v_grid[j], table.v_grid[j + 1]
     v = min(v_lo + t * (v_hi - v_lo), v_hi)
     if nd == 1:
@@ -325,7 +335,8 @@ def test_interpolation_bounded_by_its_cell_corners(table, data):
         d = min(d_lo + s * (d_hi - d_lo), d_hi)
         corners = table.current[i : i + 2, j : j + 2]
     got = ivt.interpolate_current(table, v, d)
-    slack = 4 * np.finfo(float).eps * np.abs(corners).max()
+    fp = np.finfo(float)
+    slack = 4 * fp.eps * np.abs(corners).max() + 4 * fp.smallest_subnormal
     assert corners.min() - slack <= got <= corners.max() + slack
 
 

@@ -25,7 +25,6 @@ ALLOWED = {
     "probe_occupancies": "the probe potentials behind effective_transmission, to check their balance",
     "build_shipped_tables": "regenerates the shipped tables in xbar/data from their parameters",
     "retarded_green": "the direct Green's function the pole sum of transmission_spectrum is checked against",
-    "RunManifest.from_file": "reads a manifest back, to check the reproducibility contract it states",
     "RunManifest.same_inputs": "the reproducibility contract the manifest docstring states",
 }
 
