@@ -72,8 +72,10 @@ def _command(args) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse, before anything runs, an --out directory whose manifest records
-    another command: this run would replace it.  A rerun overwrites its own."""
+    """Refuse, before anything runs, an --out that is a file or holds another
+    command's manifest, which this run would replace; a rerun overwrites its own."""
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ValueError(f"{args.out}: --out exists and is not a directory")
     path = Path(args.out) / runio.MANIFEST_NAME
     if path.exists():
         owner = runio.RunManifest.from_file(path).command
@@ -273,8 +275,9 @@ def cmd_plot_data(args) -> int:
             break
     else:
         raise ValueError(f"{src}: no recognizable report files")
+    contents = {name: runio.read_referenced(src, src / name, Path.read_bytes) for name in files}
     tables = plots(src)
-    sources = {name: hashlib.sha256((src / name).read_bytes()).hexdigest() for name in files}
+    sources = {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
     for name, table in tables.items():
         if isinstance(table, np.ndarray):
             runio.write_long_csv(out / name, table)

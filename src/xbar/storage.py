@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from xbar import runio
-from xbar.crossbar import array_reader, map_in_stacks
+from xbar.crossbar import SOLVERS, array_reader, map_in_stacks
 from xbar.defaults import shipped_pair
 from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair, pair_payload
 from xbar.model import CrossbarSpec
@@ -84,6 +84,8 @@ class StoreConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{label} {show(value)} is listed more than once")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver '{self.solver}', expected {SOLVERS}")
         self.pair.check_range(self.v_in, 0.0, "tile offsets")
 
 

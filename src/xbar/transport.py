@@ -302,13 +302,32 @@ def probe_transmissions(g_r, partition, config: ContactProbeConfig) -> np.ndarra
 
 
 def _probe_system(t_terminals):
-    """W matrices of the zero-net-probe-current conditions, one per
-    terminal matrix of the stack."""
+    """W matrices of the zero-net-probe-current conditions, one per terminal
+    matrix of the stack.  A probe that exchanges nothing (a zero row sum of
+    non-negative transmissions) gets a unit diagonal: held at 0, it adds nothing."""
     t = np.asarray(t_terminals)
     w = -t[..., 2:, 2:]
     idx = np.arange(w.shape[-1])
-    w[..., idx, idx] += t[..., 2:, :].sum(axis=-1)
+    exchanged = t[..., 2:, :].sum(axis=-1)
+    w[..., idx, idx] += np.where(exchanged == 0.0, 1.0, exchanged)
     return w
+
+
+def _probe_potentials(t, contact):
+    """Potentials v (k, p, 1), W v = t[probes, contact], of a stack t.  A stack
+    whose solve raises is solved energy by energy; a W still singular (probes
+    exchanging only among themselves) takes least squares, holding them at 0."""
+    w, rhs = _probe_system(t), t[:, 2:, contact : contact + 1]
+    try:
+        return np.linalg.solve(w, rhs)
+    except np.linalg.LinAlgError:
+        v = np.empty_like(rhs)
+        for k in range(len(w)):
+            try:
+                v[k] = np.linalg.solve(w[k], rhs[k])
+            except np.linalg.LinAlgError:
+                v[k] = np.linalg.lstsq(w[k], rhs[k], rcond=None)[0]
+        return v
 
 
 def probe_occupancies(t_terminals) -> np.ndarray:
@@ -317,45 +336,21 @@ def probe_occupancies(t_terminals) -> np.ndarray:
     These are the potentials the probes float to so that each carries zero
     net current; the left/right contacts sit at u = 1 and u = 0.
     """
-    t = np.asarray(t_terminals)
-    if t.shape[0] <= 2:
-        return np.zeros(0)
-    w = _probe_system(t)
-    return np.linalg.solve(w, t[2:, 0])
+    return _probe_potentials(np.asarray(t_terminals)[None], 0)[0, :, 0]
 
 
 def effective_transmission(t_terminals):
     """Contact-to-contact transmission with the probe contribution folded in.
 
     Adds to the direct term the current re-emitted by probes held at their
-    zero-net-current potentials; the probe condition enters through a linear
-    solve, never an explicit inverse.  An energy whose probes carry nothing
-    (every probe row sums to zero) keeps exactly the direct term, and so
-    does one whose probe system is singular (possible only with zero probe
-    coupling).  A (k, n_t, n_t) stack gives k values from one stacked
-    solve; a single terminal matrix gives a float.
+    zero-net-current potentials (_probe_potentials); a probe that exchanges
+    nothing adds nothing.  A (k, n_t, n_t) stack gives k values, a matrix a float.
     """
     t = np.asarray(t_terminals)
-    stack = t.reshape((-1,) + t.shape[-2:])
-    out = stack[:, 0, 1].copy()
-    live = np.flatnonzero(np.any(stack[:, 2:, :].sum(axis=-1) != 0.0, axis=-1))
-    if live.size:
-        sub = stack[live]
-        w = _probe_system(sub)
-        rhs = sub[:, 2:, 1:2]
-        solved = np.ones(live.size, dtype=bool)
-        try:
-            v = np.linalg.solve(w, rhs)
-        except np.linalg.LinAlgError:
-            v = np.zeros_like(rhs)
-            for k in range(live.size):
-                try:
-                    v[k] = np.linalg.solve(w[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    solved[k] = False
-        gain = (sub[:, 0:1, 2:] @ v)[:, 0, 0]
-        out[live[solved]] += gain[solved]
-    out = out.reshape(t.shape[:-2])
+    # in C order, each energy's product below rounds as it does alone
+    stack = np.ascontiguousarray(t.reshape((-1,) + t.shape[-2:]))
+    gain = stack[:, 0:1, 2:] @ _probe_potentials(stack, 1)
+    out = (stack[:, 0, 1] + gain[:, 0, 0]).reshape(t.shape[:-2])
     return float(out) if out.ndim == 0 else out
 
 

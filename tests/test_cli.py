@@ -529,6 +529,35 @@ def test_rerun_into_its_own_out_overwrites_it(tmp_path):
     assert RunManifest.from_file(tmp_path / "oracle" / runio.MANIFEST_NAME).command == "kirchhoff"
 
 
+def test_out_naming_a_file_exits_one_before_reading(tmp_path, capsys, monkeypatch):
+    """An --out that exists and is not a directory is an input error naming
+    it, raised before any array is read; the file is left as it was."""
+
+    def no_reads(*args):
+        raise AssertionError("an array reader was built")
+
+    monkeypatch.setattr(montecarlo, "array_reader", no_reads)
+    out = tmp_path / "afile"
+    out.write_text("kept")
+    argv = ["mc", "--config", str(write_mc_config(tmp_path)), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {out}: --out exists and is not a directory\n"
+    assert out.read_text() == "kept"
+
+
+def test_plot_data_names_a_missing_companion_file(tmp_path, capsys):
+    """A report directory with mc_histogram.csv but no mc_trials.csv is an
+    input error naming the directory and the missing file; nothing is written."""
+    mc_out, plots = tmp_path / "mc", tmp_path / "plots"
+    assert cli.main(["mc", "--config", str(write_mc_config(tmp_path)), "--out", str(mc_out)]) == 0
+    (mc_out / "mc_trials.csv").unlink()
+    capsys.readouterr()
+    assert cli.main(["plot-data", "--config", str(mc_out), "--out", str(plots)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mc_out}: cannot read '{mc_out / 'mc_trials.csv'}': ")
+    assert not plots.exists()
+
+
 # --- table generation -------------------------------------------------------------
 
 

@@ -197,6 +197,20 @@ def test_benchmark_rejects_a_condition_listed_twice(sizes, r_ints, repeated):
         )
 
 
+def test_benchmark_rejects_an_unknown_solver():
+    """The solver is checked when the sweep is built, as a campaign's is,
+    not when its first tile is read."""
+    message = r"^unknown solver 'exact', expected \('parametric', 'kirchhoff'\)$"
+    with pytest.raises(ValueError, match=message):
+        StoreConfig(
+            jobs=[ImageJob(source=bytes([7, 9]), name="img")],
+            r_ints=[1e4],
+            sizes=[(4, 4)],
+            pair=separable_pair(),
+            solver="exact",
+        )
+
+
 def test_binned_stats_group_by_condition_and_load():
     rng = np.random.default_rng(71)
     payload = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))

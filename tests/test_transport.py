@@ -626,6 +626,62 @@ def test_singular_probe_system_falls_back_to_direct_for_that_energy_only():
         assert t_eff[k] > t_stack[k, 0, 1]
 
 
+@st.composite
+def terminal_matrices(draw):
+    """Symmetric, non-negative terminal matrices with 1-5 probes, and the
+    index of one probe."""
+    n = draw(st.integers(3, 7))
+    upper = draw(st.lists(st.floats(0.0, 1.0), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    t = np.zeros((n, n))
+    t[np.triu_indices(n, 1)] = upper
+    return t + t.T, draw(st.integers(2, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terminal_matrices())
+def test_a_probe_that_exchanges_nothing_adds_nothing(case):
+    """A probe whose row and column are zero is held at 0; every other
+    probe keeps its share, as if that probe were not there."""
+    t, k = case
+    t[k, :] = t[:, k] = 0.0
+    reduced = np.delete(np.delete(t, k, axis=0), k, axis=1)
+    np.testing.assert_allclose(
+        tp.effective_transmission(t), tp.effective_transmission(reduced), rtol=1e-12, atol=0
+    )
+    u = tp.probe_occupancies(t)
+    assert u[k - 2] == 0.0
+    np.testing.assert_allclose(
+        np.delete(u, k - 2), tp.probe_occupancies(reduced), rtol=1e-12, atol=0
+    )
+
+
+def isolated_probe_chain():
+    """Five one-orbital blocks at -5.2 eV joined 0-1, 1-3 and 3-4 by hops of
+    0.1 eV: the probe on block 2 couples to nothing."""
+    fock = np.diag([-5.2] * 5)
+    for a, b in ((0, 1), (1, 3), (3, 4)):
+        fock[a, b] = fock[b, a] = 0.1
+    return QuantumSystem(fock, np.eye(5), [1] * 5, -5.2)
+
+
+def test_an_isolated_probe_keeps_the_other_probes_dephasing():
+    """At -5.25 eV the direct term alone reads 0.139; the probes on blocks 1
+    and 3 still dephase, as in the chain without block 2's probe."""
+    system = isolated_probe_chain()
+    h_b = tp.orthogonal_block_hamiltonian(system)
+    config = ContactProbeConfig(gamma_probe=0.05)
+    g = tp.retarded_green(-5.25, h_b, system.partition, config)
+    t = tp.probe_transmissions(g, system.partition, config)
+    assert not t[3].any()
+    reduced = np.delete(np.delete(t, 3, axis=0), 3, axis=1)
+    t_eff = tp.effective_transmission(t)
+    np.testing.assert_allclose(t_eff, tp.effective_transmission(reduced), rtol=1e-12)
+    assert t_eff == pytest.approx(0.258, abs=5e-4) and t[0, 1] == pytest.approx(0.139, abs=5e-4)
+    table = tp.iv_sweep(system, ContactProbeConfig(), [0.0, 0.5, 1.0], [0.0, 0.2])
+    np.testing.assert_allclose(table.current[0, 1:], [5.72e-6, 2.21e-6], rtol=2e-3)
+
+
 def test_singular_transport_matrix_names_its_energy():
     # the isolated middle site at -5.2 eV has no broadening without probes
     system = tp.tight_binding_chain(3, inter_hop=0.0)
