@@ -135,25 +135,37 @@ def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
     matrix-free product the conjugate-gradient steps use.  Every flow is
     formed from a voltage difference, so the residual resolves imbalances
     far below the branch currents themselves.
+
+    The walk runs over the flat node vectors in contiguous passes: the
+    wordline segments are the steps between neighbouring nodes, less the
+    step across each row break, and the bitline segments the steps n nodes
+    apart.  Each node sums its flows in the order of the edges, starting
+    from 0.0 - flow, so the sum is the same to the bit, and to the sign of
+    a zero, as an edge-by-edge walk over the (m, n) mesh.
     """
     m, n = g_cell.shape
     mn = m * n
-    w = x[:mn].reshape(m, n)
-    b = x[mn:].reshape(m, n)
-    out = np.zeros(2 * mn)
-    into_w = out[:mn].reshape(m, n)
-    into_b = out[mn:].reshape(m, n)
-    flow = g * (w[:, :-1] - w[:, 1:])
-    into_w[:, :-1] -= flow
-    into_w[:, 1:] += flow
-    flow = g * (b[:-1] - b[1:])
-    into_b[:-1] -= flow
-    into_b[1:] += flow
-    into_b[-1] -= g * b[-1]
-    flow = g_cell * (w - b)
+    w, b = x[:mn], x[mn:]
+    out = np.empty(2 * mn)
+    into_w, into_b = out[:mn], out[mn:]
+    flow = w[:-1] - w[1:]
+    flow *= g
+    flow[n - 1 :: n] = 0.0  # no segment joins a row's last node to the next row's first
+    np.subtract(0.0, flow, out=into_w[:-1])
+    into_w[-1] = 0.0
+    into_w[1:] += flow
+    flow = b[:-n] - b[n:]
+    flow *= g
+    np.subtract(0.0, flow, out=into_b[:-n])
+    into_b[-n:] = 0.0
+    into_b[n:] += flow
+    into_b[-n:] -= g * b[-n:]
+    flow = w - b
+    flow *= g_cell.reshape(mn)
     into_w -= flow
     into_b += flow
-    into_w[active_row, 0] += g * (v_source - w[active_row, 0])
+    src = active_row * n
+    into_w[src] += g * (v_source - w[src])
     return out
 
 
@@ -293,7 +305,7 @@ class DrivenFactor:
         g, row, src = self.g, self.active_row, self.src
 
         def settled(r, p):
-            worst = np.max(np.abs(r))
+            worst = max(r.max(), -r.min())  # NaN fails the rule below
             balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
             return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
 
@@ -310,9 +322,13 @@ class DrivenFactor:
                 break
             z = self.precondition(r)
             rz, rz_prev = float(r @ z), rz
-            d = z if d is None else z + (rz / rz_prev) * d
+            if d is None:
+                d = z
+            else:
+                d *= rz / rz_prev
+                d += z
             q = _inflow(g, g_cell, row, 0.0, d)  # -A d
-            curvature = float(d @ -q)
+            curvature = -float(d @ q)
             if not (curvature > 0.0 and np.isfinite(rz / curvature)):
                 break
             alpha = rz / curvature

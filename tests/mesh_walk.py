@@ -51,3 +51,27 @@ def edge_walk(spec, row):
     dissipated += flow * (spec.v_in - vw[row.active_row, 0])
 
     return float(np.abs(net).max()), dissipated, spec.v_in * flow
+
+
+def strided_inflow(g, g_cell, active_row, v_source, x):
+    """nodal._inflow as first written, over (m, n) views of the state: the
+    reference its flat walk must match to the bit."""
+    m, n = g_cell.shape
+    mn = m * n
+    w = x[:mn].reshape(m, n)
+    b = x[mn:].reshape(m, n)
+    out = np.zeros(2 * mn)
+    into_w = out[:mn].reshape(m, n)
+    into_b = out[mn:].reshape(m, n)
+    flow = g * (w[:, :-1] - w[:, 1:])
+    into_w[:, :-1] -= flow
+    into_w[:, 1:] += flow
+    flow = g * (b[:-1] - b[1:])
+    into_b[:-1] -= flow
+    into_b[1:] += flow
+    into_b[-1] -= g * b[-1]
+    flow = g_cell * (w - b)
+    into_w -= flow
+    into_b += flow
+    into_w[active_row, 0] += g * (v_source - w[active_row, 0])
+    return out

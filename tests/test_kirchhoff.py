@@ -16,6 +16,7 @@ import warnings
 from functools import partial
 from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -30,7 +31,7 @@ from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve, solve_linear_homoge
 
 import factories
 from factories import disordered_spec
-from mesh_walk import edge_walk
+from mesh_walk import edge_walk, strided_inflow
 
 
 knee_pair = partial(factories.knee_pair, ids=("knee-1", "knee-0"))
@@ -441,6 +442,38 @@ def test_path_modes_diagonalize_the_assembled_path(size, grounded):
     lap = nodal._path_laplacian(size, grounded).toarray()
     np.testing.assert_allclose(u.T @ u, np.eye(size), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(lap @ u, u * lam, rtol=0.0, atol=1e-13)
+
+
+@st.composite
+def mesh_states(draw):
+    """A mesh of 1 to 6 rows and columns, at wires of any resistance and
+    cells of any conductance down to zero, in a state of any voltages
+    (signed zeros and subnormals included), with any row driven and the
+    driver at 0 or at v_in."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    g = draw(st.floats(1e-8, 1e-2))
+    g_cell = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 1e-3)))
+    x = draw(hnp.arrays(float, 2 * m * n, elements=st.floats(-2.0, 2.0)))
+    return g, g_cell, draw(st.integers(0, m - 1)), draw(st.sampled_from([0.0, 1.0])), x
+
+
+def signed_zeros(size):
+    return np.resize([0.0, -0.0, -0.0, 0.0, 0.0], size)
+
+
+@settings(deadline=None)
+@given(mesh_states())
+@example((1e-6, np.zeros((1, 1)), 0, 0.0, np.array([-0.0, 0.0])))
+@example((1e-6, np.full((1, 4), 1e-9), 0, 1.0, signed_zeros(8)))
+@example((1e-6, np.full((4, 1), 1e-9), 2, 0.0, signed_zeros(8)))
+@example((1e-6, np.full((3, 3), 1e-9), 1, 0.0, -signed_zeros(18)))
+def test_flat_mesh_walk_matches_the_strided_walk_to_the_bit(case):
+    """The walk every conjugate-gradient step takes, over the flat node
+    vectors, against the walk over (m, n) views it replaced: the same
+    bits, and the same sign of every zero."""
+    got, ref = nodal._inflow(*case), strided_inflow(*case)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_direct_solve_resolves_cell_drops_where_cells_short_the_wires():
