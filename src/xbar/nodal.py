@@ -17,8 +17,10 @@ solves it mode by mode.  It is the calibration reference
 chord, the one operator each oracle row starts from and preconditions
 with.  A row's first state is its driven row solved exactly, cells
 nonlinear, with every other cell held at g_bar (solve_driven_rows, n
-unknowns per row through the capacitance-matrix method), then lifted to
-every node.  Newton's steps from there solve the mesh by conjugate
+unknowns per row through the capacitance-matrix method, each Newton step
+solved by conjugate gradients preconditioned by the row's drop response,
+which the operator applies in the mode basis), then lifted to every
+node.  Newton's steps from there solve the mesh by conjugate
 gradients preconditioned at g_bar on the default route ("pcg"), which
 factors no sparse matrix.  Each conjugate-gradient step walks the mesh
 once (_inflow), for the product with its search direction, and updates the
@@ -45,7 +47,8 @@ from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution
 
 KCL_RTOL = 1e-11  # worst node imbalance a mesh solve leaves, per unit source current
-CG_MAX_STEPS = 100  # conjugate-gradient steps before a Newton step is solved directly
+CG_MAX_STEPS = 100  # steps one conjugate-gradient solve may take; a mesh step out of them goes direct
+CAPACITANCE_RTOL = 1e-10  # residual a driven-row Newton step leaves, relative to its first
 
 
 @dataclass
@@ -210,9 +213,9 @@ class ModalMesh:
 
     def driven_rows(self, rows=slice(None)):
         """The drop response of each of `rows` (every row by default), that
-        row driven: the drops across its n cells that unit currents across
-        each of them drive (k x n x n for k rows), and that a unit bias at
-        the source drives (k x n).
+        row driven: the DrivenResponse whose D_i maps unit currents across
+        the row's n cells to the drops across them, and (k x n for k rows)
+        the drops a unit bias at the source drives.
 
         A current across cell (i, k), into its wordline node and out of its
         bitline node, drives mode pair (p, q) by V[i, p] U[k, q] and drops
@@ -224,24 +227,109 @@ class ModalMesh:
         there, it subtracts g s~ s~^T / denom, denom = 1 + g (u_s + lift),
         and the bias drives g s~ / denom.  The lift is taken over the one
         denominator, as in DrivenFactor.precondition: where n g_cell << g
-        the two lift terms would cancel to the digits of g/(n g_cell).
-        The per-row factors c, s and u_s take O(m^2 n) for every row at
-        once; only the n x n responses are formed for `rows` alone.
+        the two lift terms would cancel to the digits of g/(n g_cell).  So
+        D_i = U diag(c_i) U^T + a_i 11^T - (g / denom)(s s^T + lift (s 1^T +
+        1 s^T)), a_i = lift (1 + g u_s) / denom.  The factors c, s and u_s
+        take O(m^2 n) for every row at once, and are kept for `rows` alone.
         """
         g, lift, u = self.g, self.lift, self.u
+        n = self.shape[1]
         weight = self.v * self.v  # (i, p): row i's share of bitline mode p
         c = (weight @ (self.word + self.bit - 2.0 * self.cross))[rows]
         s = ((weight @ (self.word - self.cross) * u[0]) @ u.T)[rows]
         u_s = (weight @ self.word @ (u[0] * u[0]))[rows]
         denom = 1.0 + g * (u_s + lift)
-        response = (u * c[:, None, :]) @ u.T
-        response += (lift * (1.0 + g * u_s) / denom)[:, None, None]
-        s_lift = s + lift
-        update = s[:, :, None] * s_lift[:, None, :]  # with the next line s~ s~^T - lift^2 11^T
-        update += lift * s[:, None, :]
-        update *= (g / denom)[:, None, None]
-        response -= update
-        return response, (g / denom)[:, None] * s_lift
+        c[:, 0] += n * lift * (1.0 + g * u_s) / denom  # a 11^T, as U's uniform mode
+        gain = g / denom
+        return DrivenResponse(u, c, s, gain, lift), gain[:, None] * (s + lift)
+
+
+def _row_dot(a, b):
+    return np.einsum("kn,kn->k", a, b)
+
+
+class DrivenResponse:
+    """The drop responses D_i = A_i - W_i K_i W_i^T of k driven rows
+    (ModalMesh.driven_rows), applied and inverted from O(kn) factors.
+
+    A_i = U diag(c_i) U^T, with the uniform part of D_i in its first mode,
+    and the source segment is the rank-two term in W_i = [s_i, 1] with
+    K_i = gain_i [[1, lift], [lift, 0]].  Applying D_i is two (k, n) x
+    (n, n) mode products; D_i^-1 is A_i^-1 = U diag(1 / c_i) U^T and the
+    Woodbury correction A^-1 W (I - K W^T A^-1 W)^-1 K W^T A^-1, whose
+    2 x 2 capacitance is inverted in closed form once per row.  Every
+    method takes the rows `ids` (positions among the k) its currents are
+    for; no n x n matrix is formed.
+    """
+
+    def __init__(self, u, c, s, gain, lift):
+        self.u, self.c, self.s, self.gain, self.lift = u, c, s, gain, lift
+        w = np.stack([s, np.ones_like(s)], axis=1)  # W_i^T, (k, 2, n)
+        self.y = ((w @ u) / c[:, None, :]) @ u.T  # (A_i^-1 W_i)^T
+        k = gain[:, None, None] * np.array([[1.0, lift], [lift, 0.0]])
+        cap = np.eye(2) - k @ (w @ np.swapaxes(self.y, 1, 2))
+        det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
+        adj = np.stack([cap[:, 1, 1], -cap[:, 0, 1], -cap[:, 1, 0], cap[:, 0, 0]], axis=1)
+        self.t = (adj.reshape(-1, 2, 2) / det[:, None, None]) @ k  # (I - K W^T A^-1 W)^-1 K
+
+    def apply(self, r, ids=slice(None)):
+        """D_i r_i for each row i of ids: the drops currents r drive."""
+        s, gain = self.s[ids], self.gain[ids]
+        out = ((r @ self.u) * self.c[ids]) @ self.u.T
+        sr = _row_dot(s, r)
+        out -= (gain * (sr + self.lift * r.sum(axis=1)))[:, None] * s
+        out -= (gain * self.lift * sr)[:, None]
+        return out
+
+    def solve(self, d, ids=slice(None)):
+        """D_i^-1 d_i for each row i of ids: the currents that drive drops d."""
+        y = self.y[ids]
+        out = ((d @ self.u) / self.c[ids]) @ self.u.T
+        out += np.einsum("kjn,kj->kn", y, (self.t[ids] @ np.einsum("kjn,kn->kj", y, d)[..., None])[..., 0])
+        return out
+
+
+def _capacitance_step(response, ids, f, shift):
+    """Newton steps p of the driven rows ids: (D_i^-1 + diag(shift_i)) p_i
+    = f_i, each row solved by conjugate gradients preconditioned by D_i.
+
+    The search direction's product with D^-1 comes by recurrence: the
+    first direction is D r, so D^-1 of it is r, and each next direction
+    D r' + beta d has D^-1 of it r' + beta D^-1 d; each step applies D_i
+    once and D^-1 never.  A row stops once r^T D r, the residual's size in
+    the preconditioner's norm, falls to CAPACITANCE_RTOL^2 of its first,
+    after CG_MAX_STEPS steps, or with a NaN step, which the Newton driver
+    does not converge on, where its residual is NaN or its search breaks
+    down.  Rows that stop leave the batch,
+    so every decision is the row's own.
+    """
+    p = np.zeros_like(f)
+    live = np.arange(len(ids))
+    r = f.copy()
+    z = response.apply(r, ids)
+    rz = _row_dot(r, z)
+    target = CAPACITANCE_RTOL**2 * rz
+    direction, q = z, r.copy()  # q = D^-1 direction
+    for _ in range(CG_MAX_STEPS):
+        keep = rz > target
+        if not keep.all():
+            p[live[np.isnan(rz)]] = np.nan  # a NaN residual or a breakdown: a NaN step
+            live, r, direction, q, rz, target = (a[keep] for a in (live, r, direction, q, rz, target))
+            if not live.size:
+                break
+        product = q + shift[live] * direction  # H direction
+        alpha = rz / _row_dot(direction, product)
+        alpha[~(alpha > 0.0)] = np.nan  # a breakdown
+        p[live] += alpha[:, None] * direction
+        r -= alpha[:, None] * product
+        z = response.apply(r, ids[live])
+        rz, rz_prev = _row_dot(r, z), rz
+        beta = (rz / rz_prev)[:, None]
+        direction *= beta
+        direction += z
+        q *= beta
+        q += r
+    return p
 
 
 class DrivenFactor:
@@ -352,25 +440,22 @@ def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float, rows=slice
     the mesh's at those tangents, so it is symmetric positive definite and
     the rows iterate as one batch of fixedpoint.solve from d0 (Buzbee,
     Dorr, George & Golub's capacitance-matrix method, SIAM J. Numer. Anal.
-    8, 1971), each Newton step one stacked n x n solve.
+    8, 1971).  Each Newton step is solved by conjugate gradients
+    preconditioned by D (_capacitance_step), and D and D^-1 are applied
+    from their mode factors (DrivenResponse): no n x n matrix is formed.
     """
     rows = np.arange(mesh.shape[0])[rows]
     response, bias = mesh.driven_rows(rows)
-    conductance = np.linalg.inv(response)
-    del response
     d0 = v_in * bias
-    diag = np.arange(mesh.shape[1])
 
     def residual(ids, d):
         g_cell, tangent = plan.chord_tangent(d, rows[ids])
-        f = (conductance[ids] @ (d0[ids] - d)[..., None])[..., 0]
+        f = response.solve(d0[ids] - d, ids)
         f -= (g_cell - mesh.g_cell) * d
         return f, tangent - mesh.g_cell
 
     def step(ids, d, f, jac):
-        hessian = conductance[ids]
-        hessian[:, diag, diag] += jac
-        return np.linalg.solve(hessian, f[..., None])[..., 0]
+        return _capacitance_step(response, ids, f, jac)
 
     return fixedpoint.solve(residual, step, d0)[0]
 
@@ -387,7 +472,9 @@ class GeometryFactors:
     operator preconditions the Newton steps.  The drops
     (solve_driven_rows) are exact but for the cells off the driven row,
     which they hold at g_bar; lifted to every node they are the row's
-    first state.
+    first state.  They are solved matrix-free, by conjugate gradients on
+    O(mn) mode factors (DrivenResponse), so building the factors holds no
+    n x n matrix per row.
     """
 
     def __init__(self, spec: CrossbarSpec, rows=slice(None)):

@@ -304,12 +304,16 @@ def probe_transmissions(g_r, partition, config: ContactProbeConfig) -> np.ndarra
 def _probe_system(t_terminals):
     """W matrices of the zero-net-probe-current conditions, one per terminal
     matrix of the stack.  A probe that exchanges nothing (a zero row sum of
-    non-negative transmissions) gets a unit diagonal: held at 0, it adds nothing."""
+    non-negative transmissions) is pinned at 0, where it adds nothing, by a
+    diagonal of its energy's largest exchange (1 where none is exchanged),
+    so the pin stays within the scale of the singular values lstsq keeps."""
     t = np.asarray(t_terminals)
     w = -t[..., 2:, 2:]
     idx = np.arange(w.shape[-1])
     exchanged = t[..., 2:, :].sum(axis=-1)
-    w[..., idx, idx] += np.where(exchanged == 0.0, 1.0, exchanged)
+    pin = np.max(exchanged, axis=-1, keepdims=True, initial=0.0)
+    pin[pin == 0.0] = 1.0
+    w[..., idx, idx] += np.where(exchanged == 0.0, pin, exchanged)
     return w
 
 

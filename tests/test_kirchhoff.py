@@ -12,6 +12,7 @@ Newton driver accepts against the co-content integrated from the tables.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 from unittest import mock
@@ -25,7 +26,7 @@ from scipy.optimize import brentq
 
 from xbar import fixedpoint, nodal
 from xbar.defaults import shipped_pair
-from xbar.ivtable import V_FLOOR, interpolate_current, small_signal_conductance
+from xbar.ivtable import V_FLOOR, LookupPlan, interpolate_current, small_signal_conductance
 from xbar.model import CrossbarSpec
 from xbar.nodal import kirchhoff_row_solve, kirchhoff_solve, solve_linear_homogeneous
 
@@ -395,15 +396,16 @@ driven_arrays = st.tuples(
 @example((9, 1, 1e5, 1e-6))
 @example((16, 16, 1e4, 1e-9))
 def test_driven_row_response_matches_the_modal_preconditioner(array):
-    """Every row's closed-form drop response, to currents across each of
-    its cells and to the source bias, against DrivenFactor.precondition
-    applied to those currents: both solve the same driven homogeneous
-    mesh, the closed form without forming any node voltage."""
+    """Every row's closed-form drop response, applied to unit currents
+    across each of its cells, and its response to the source bias, against
+    DrivenFactor.precondition applied to those currents: both solve the
+    same driven homogeneous mesh, the closed form without forming any node
+    voltage."""
     m, n, r_int, g_cell = array
     g = 1.0 / r_int
     mesh = nodal.ModalMesh(g, m, n, g_cell)
     response, bias = mesh.driven_rows()
-    assert response.shape == (m, n, n) and bias.shape == (m, n)
+    assert bias.shape == (m, n)
     for row in range(m):
         factor = nodal.DrivenFactor(mesh, row)
         ref = np.empty((n, n))
@@ -414,8 +416,89 @@ def test_driven_row_response_matches_the_modal_preconditioner(array):
         y = np.zeros(2 * m * n)
         y[row * n] = g
         bias_ref = row_drops(factor.precondition(y), m, n, row)
-        assert np.max(np.abs(response[row] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        got = response.apply(np.eye(n), np.full(n, row)).T  # column k: the drops unit current k drives
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert np.max(np.abs(bias[row] - bias_ref)) <= 1e-9 * np.max(np.abs(bias_ref))
+
+
+def dense_driven_rows(mesh, plan, v_in):
+    """solve_driven_rows by dense algebra: every row's response formed by
+    applying it to unit currents, inverted, and each Newton step solved by
+    np.linalg.solve."""
+    m, n = mesh.shape
+    response, bias = mesh.driven_rows()
+    eye = np.eye(n)
+    conductance = np.linalg.inv(np.stack([response.apply(eye, np.full(n, i)).T for i in range(m)]))
+    d0 = v_in * bias
+
+    def residual(ids, d):
+        g_cell, tangent = plan.chord_tangent(d, ids)
+        f = (conductance[ids] @ (d0[ids] - d)[..., None])[..., 0]
+        return f - (g_cell - mesh.g_cell) * d, tangent - mesh.g_cell
+
+    def step(ids, d, f, jac):
+        hessian = conductance[ids] + jac[:, None, :] * eye
+        return np.linalg.solve(hessian, f[..., None])[..., 0]
+
+    return fixedpoint.solve(residual, step, d0)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(driven_arrays, st.integers(0, 2**32 - 1))
+@example((1, 9, 1e5, 1e-6), 0)
+@example((9, 1, 1e5, 1e-6), 0)
+@example((16, 16, 1e4, 1e-9), 0)
+@example((12, 12, 1e2, 1e-3), 1)
+@example((12, 12, 1e7, 1e-11), 2)
+def test_driven_row_drops_match_the_dense_capacitance_newton(array, seed):
+    """The matrix-free start, conjugate gradients in the mode basis,
+    against the same Newton iteration on the responses formed and inverted
+    densely: random bits and offsets on knee tables whose low-bias
+    conductance is the background's."""
+    m, n, r_int, g_cell = array
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (m, n)).astype(np.int8)
+    plan = LookupPlan(knee_pair(r1=1.0 / g_cell), bits, rng.uniform(0.0, 0.2, (m, n)))
+    mesh = nodal.ModalMesh(1.0 / r_int, m, n, g_cell)
+    got = nodal.solve_driven_rows(mesh, plan, 1.0)
+    ref = dense_driven_rows(mesh, plan, 1.0)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_capacitance_steps_are_each_rows_own():
+    """Each row's Newton step solves (D^-1 + diag(shift)) p = f, in a batch
+    as alone; a row whose residual is NaN gets a NaN step and leaves the
+    other rows' steps as they were."""
+    m, n = 10, 12
+    response, _ = nodal.ModalMesh(1e-5, m, n, 1e-8).driven_rows()
+    rng = np.random.default_rng(3)
+    f = 1e-9 * rng.standard_normal((m, n))
+    shift = 1e-8 * rng.uniform(-0.5, 5.0, (m, n))
+    ids = np.arange(m)
+    p = nodal._capacitance_step(response, ids, f, shift)
+    eye = np.eye(n)
+    for i in range(m):
+        hessian = np.linalg.inv(response.apply(eye, np.full(n, i)).T) + np.diag(shift[i])
+        assert np.max(np.abs(hessian @ p[i] - f[i])) <= 1e-9 * np.max(np.abs(f[i]))
+        alone = nodal._capacitance_step(response, ids[i : i + 1], f[i : i + 1], shift[i : i + 1])
+        np.testing.assert_allclose(alone[0], p[i], rtol=1e-12, atol=0.0)
+    f[4, 2] = np.nan
+    broken = nodal._capacitance_step(response, ids, f, shift)
+    assert np.isnan(broken[4]).all()
+    np.testing.assert_allclose(np.delete(broken, 4, axis=0), np.delete(p, 4, axis=0), rtol=1e-12, atol=0.0)
+
+
+def test_driven_row_start_forms_no_response_stack():
+    """The start of a 128x128 array holds O(mn) factors: its peak traced
+    memory stays below one (m, n, n) response stack, 16 MiB."""
+    spec = disordered_spec(7, 128, 128, 1e6)
+    tracemalloc.start()
+    try:
+        nodal.GeometryFactors(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @settings(max_examples=30, deadline=None)

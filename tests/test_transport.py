@@ -656,6 +656,20 @@ def test_a_probe_that_exchanges_nothing_adds_nothing(case):
     )
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-18])
+def test_a_pinned_probe_keeps_a_live_probe_at_any_transmission_scale(scale):
+    """Probes 2 and 3 exchange only with each other, probe 4 with both
+    contacts, probe 5 with nothing: probe 4 re-emits t_L4 t_4R / (t_4L +
+    t_4R) beside the direct 0.1 at every scale, however tiny the
+    transmissions beside probe 5's pin."""
+    t = np.zeros((6, 6))
+    for a, b, value in ((0, 1, 0.1), (2, 3, 0.3), (0, 4, 0.2), (1, 4, 0.25)):
+        t[a, b] = t[b, a] = scale * value
+    expected = scale * (0.1 + 0.2 * 0.25 / 0.45)
+    assert tp.effective_transmission(t) == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(tp.probe_occupancies(t), [0.0, 0.0, 0.2 / 0.45, 0.0], rtol=1e-12, atol=0)
+
+
 def isolated_probe_chain():
     """Five one-orbital blocks at -5.2 eV joined 0-1, 1-3 and 3-4 by hops of
     0.1 eV: the probe on block 2 couples to nothing."""
