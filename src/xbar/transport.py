@@ -311,9 +311,12 @@ def _probe_system(t_terminals):
     w = -t[..., 2:, 2:]
     idx = np.arange(w.shape[-1])
     exchanged = t[..., 2:, :].sum(axis=-1)
-    pin = np.max(exchanged, axis=-1, keepdims=True, initial=0.0)
-    pin[pin == 0.0] = 1.0
-    w[..., idx, idx] += np.where(exchanged == 0.0, pin, exchanged)
+    idle = exchanged == 0.0
+    if idle.any():
+        pin = exchanged.max(axis=-1, keepdims=True)
+        pin[pin == 0.0] = 1.0
+        exchanged = np.where(idle, pin, exchanged)
+    w[..., idx, idx] += exchanged
     return w
 
 

@@ -1,4 +1,6 @@
-"""Edge walk of a solved oracle row, shared by the circuit-law tests."""
+"""Walks of the oracle mesh the tests hold the solver to: an edge-by-edge
+walk of a solved row for the circuit-law tests, and the strided walk that
+nodal._inflow must match to the bit."""
 
 import numpy as np
 
