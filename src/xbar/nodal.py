@@ -285,7 +285,8 @@ class DrivenResponse:
         """D_i^-1 d_i for each row i of ids: the currents that drive drops d."""
         y = self.y[ids]
         out = ((d @ self.u) / self.c[ids]) @ self.u.T
-        out += np.einsum("kjn,kj->kn", y, (self.t[ids] @ np.einsum("kjn,kn->kj", y, d)[..., None])[..., 0])
+        weights = (self.t[ids] @ np.einsum("kjn,kn->kj", y, d)[..., None])[..., 0]
+        out += np.einsum("kjn,kj->kn", y, weights)
         return out
 
 
@@ -300,8 +301,8 @@ def _capacitance_step(response, ids, f, shift):
     the preconditioner's norm, falls to CAPACITANCE_RTOL^2 of its first,
     after CG_MAX_STEPS steps, or with a NaN step, which the Newton driver
     does not converge on, where its residual is NaN or its search breaks
-    down.  Rows that stop leave the batch,
-    so every decision is the row's own.
+    down.  Rows that stop leave the batch, so every decision is the row's
+    own.
     """
     p = np.zeros_like(f)
     live = np.arange(len(ids))
