@@ -12,6 +12,11 @@ from xbar import runio
 from xbar.ivtable import PAIR_KEYS, StrandPair, load_pair
 
 
+def _check_dimensions(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("array dimensions must be at least 1x1")
+
+
 @dataclass
 class CrossbarSpec:
     """An m x n array with its bit pattern, per-cell Fermi offsets, uniform
@@ -32,8 +37,7 @@ class CrossbarSpec:
     def __post_init__(self):
         self.m = int(self.m)
         self.n = int(self.n)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("array dimensions must be at least 1x1")
+        _check_dimensions(self.m, self.n)
         if not (self.r_int > 0 and np.isfinite(self.r_int)):
             raise ValueError(f"r_int_ohm must be positive and finite, got {self.r_int:g}")
         if not (self.v_in > 0 and np.isfinite(self.v_in)):
@@ -187,6 +191,8 @@ def load_crossbar_spec(path) -> CrossbarSpec:
     path = Path(path)
     raw = runio.load_json(path)
     m, n, r_int, v_in, bits, delta = runio.read_fields(raw, path, _SPEC_FIELDS, PAIR_KEYS)
+    with runio.named(path):
+        _check_dimensions(m, n)  # before the reshape, which would read -2 as an unknown size
     for key, cells in (("bits", bits), ("delta_ev", delta)):
         if cells is not None and len(cells) != m * n:
             raise ValueError(f"{path}: {key} has {len(cells)} entries, expected {m * n}")

@@ -188,11 +188,13 @@ def run_mc(config: McConfig, threads: int = 1) -> McReport:
     read = array_reader(config.solver, spec, 1)
 
     # histogram support: currents can never exceed the strongest cell's
-    # full-bias current, so the bin range is known before any trial runs
-    i_top = max(
-        float(interpolate_current(config.pair.logic1_table, config.v_in, 0.0)),
-        float(interpolate_current(config.pair.logic0_table, config.v_in, 0.0)),
-    )
+    # full-bias current at an offset in [0, delta_max], piecewise linear in
+    # the offset and so largest at a table node clipped into that range or
+    # at its end: the bin range is known before any trial runs
+    i_top = 0.0
+    for table in (config.pair.logic1_table, config.pair.logic0_table):
+        offsets = np.clip([*table.delta_grid, config.delta_max], 0.0, config.delta_max)
+        i_top = max(i_top, float(np.max(interpolate_current(table, config.v_in, offsets))))
     edges = np.linspace(0.0, i_top, HISTOGRAM_BINS + 1)
 
     def run_trials(trials):

@@ -12,20 +12,22 @@ residual and the Newton step, the solve of the mesh with every cell at
 its tangent.
 
 With every cell at one conductance the network is separable; ModalMesh
-solves it mode by mode.  It is the calibration reference
-(solve_linear_homogeneous), and at g_bar, an array's mean zero-bias
-chord, the one operator each oracle row starts from and preconditions
-with.  A row's first state is its driven row solved exactly, cells
-nonlinear, with every other cell held at g_bar (solve_driven_rows, n
-unknowns per row through the capacitance-matrix method, each Newton step
-solved by conjugate gradients preconditioned by the row's drop response,
-which the operator applies in the mode basis), then lifted to every
-node.  Newton's steps from there solve the mesh by conjugate
-gradients preconditioned at g_bar on the default route ("pcg"), which
-factors no sparse matrix.  Each conjugate-gradient step walks the mesh
-once (_inflow), for the product with its search direction, and updates the
-residual by that same product; one more walk confirms the residual a solve
-stops on (DrivenFactor.solve).  A step that walk does not confirm, a
+solves it mode by mode, and states once, for every row, the source
+segment's rank-one update that drives a row.  It is the calibration
+reference (solve_linear_homogeneous), and at g_bar, an array's mean
+zero-bias chord, the one operator each oracle row starts from and
+preconditions with.  A row's first state is its driven row solved
+exactly, cells nonlinear, with every other cell held at g_bar
+(solve_driven_rows, n unknowns per row through the capacitance-matrix
+method, each Newton step solved by conjugate gradients preconditioned by
+the row's drop response, which the operator applies in the mode basis),
+then lifted to every node by one solve of the operator.  Newton's steps
+from there solve the mesh by conjugate gradients preconditioned at g_bar
+on the default route ("pcg"), which factors no sparse matrix.  Each
+conjugate-gradient step solves the operator once and walks the mesh once
+(_inflow), for the product with its search direction, and updates the
+residual by that same product; one more walk confirms the residual a
+solve stops on (_pcg).  A step that walk does not confirm, a
 breakdown or an exhausted step budget is solved by direct sparse LU
 (_solve_direct), as the "sparse" route, the reference the default must
 match, solves every step.  Only the functions that assemble or factor the
@@ -39,6 +41,7 @@ against; it is deliberately free of modeling shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,18 +176,26 @@ def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
 
 
 class ModalMesh:
-    """The sourceless network with every cell at one conductance g_cell,
-    solved mode by mode.
+    """The network with every cell at one conductance g_cell, solved mode
+    by mode, any one row driven.
 
     In the eigenbasis (_path_modes) of the wordline path (U, lambda) and of
     the grounded bitline path (V, mu) that _assemble is built from, the
-    network splits into m*n two-node word/bit systems [[g lambda + g_cell,
-    -g_cell], [-g_cell, g mu + g_cell]] with determinant
+    sourceless network splits into m*n two-node word/bit systems [[g lambda
+    + g_cell, -g_cell], [-g_cell, g mu + g_cell]] with determinant
     g^2 mu lambda + g g_cell (mu + lambda) > 0 (Buzbee, Golub & Nielson's
     matrix decomposition for grid Poisson problems).  `word`, `cross` and
     `bit` are the entries of their inverses but for one part: a wordline's
     uniform mode (lambda = 0) reaches the rest only through its n cells,
     and its word entry's 1/g_cell lifts the wordline by `lift` per ampere.
+
+    Driving row i adds the source segment's stamp g at its first wordline
+    node, a rank-one (Sherman-Morrison) update, worked out once for every
+    row from the unit current into the source node, which drives mode pair
+    (p, q) by V[i, p] U[0, q]: `u_s` and `s`, the voltage it raises there
+    and the drops across the row's cells, each less the lift; `denom` =
+    1 + g (u_s + lift); `gain` = g / denom, the current a unit bias draws;
+    and `bias` = gain (s + lift), the drops it drives.
     """
 
     def __init__(self, g: float, m: int, n: int, g_cell: float):
@@ -197,19 +208,43 @@ class ModalMesh:
         self.bit = (g * lam + g_cell) / self.det
         self.word = (self.g_mu + g_cell) / self.det
         self.word[:, 0] = self.cross[:, 0]  # the uniform mode's, less its 1/g_cell
+        self.weight = self.v * self.v  # (i, p): row i's share of bitline mode p
+        self.u_s = self.weight @ self.word @ self.u[0] ** 2
+        self.denom = 1.0 + g * (self.u_s + self.lift)
+        self.gain = g / self.denom
+        self.s = (self.weight @ (self.word - self.cross) * self.u[0]) @ self.u.T
+        self.bias = self.gain[:, None] * (self.s + self.lift)
 
-    def solve(self, y: np.ndarray) -> np.ndarray:
+    def solve(self, y: np.ndarray, row: int) -> np.ndarray:
         """Node voltages, over [wordline nodes; bitline nodes], that node
-        currents y drive through the network, less each wordline's lift:
-        four dense mode products and one 2x2 solve per mode pair."""
+        currents y drive through the network, `row` driven with its driver
+        at zero: four dense mode products, one 2x2 solve per mode pair, and
+        the source update taken off the mode coefficients.  Each wordline's
+        lift is read from and added to its uniform mode, U[0, 0] on every
+        node, between the two products of each side: one entry per row.  The
+        driven row's lift is updated over the one denominator: where
+        n g_cell << g it and the update grow alike as 1/(n g_cell), and
+        subtracting them would lose the digits of g/(n g_cell).
+        """
         m, n = self.shape
-        w, b = self.v.T @ y.reshape(2, m, n) @ self.u
+        g, lift, uniform = self.g, self.lift, self.u[0, 0]
+        h = y.reshape(2, m, n) @ self.u
+        lifts = (lift / uniform) * h[0, :, 0]  # lift times each wordline's current
+        w, b = self.v.T @ h
         x = np.empty((2, m, n))
         np.multiply(self.word, w, out=x[0])
+        x[0] += np.multiply(self.cross, b, out=x[1])
+        v_src = self.v[row] @ x[0] @ self.u[0]  # the voltage y raises at the source node, less its lift
+        # the source current's modes, and lifts[row] - g (v_src + lifts[row]) lift / denom
+        source = (self.gain[row] * (v_src + lifts[row]) * self.v[row])[:, None] * self.u[0]
+        lifts[row] = (lifts[row] * (1.0 + g * self.u_s[row]) - g * lift * v_src) / self.denom[row]
+        w -= source
+        x[0] -= np.multiply(self.word, source, out=source)
         np.multiply(self.cross, w, out=x[1])
-        x[0] += np.multiply(self.cross, b, out=w)  # w is read for the last time above
         x[1] += np.multiply(self.bit, b, out=b)
-        return (self.v @ x @ self.u.T).ravel()
+        h = self.v @ x
+        h[0, :, 0] += lifts / uniform
+        return (h @ self.u.T).ravel()
 
     def driven_rows(self, rows=slice(None)):
         """The drop response of each of `rows` (every row by default), that
@@ -221,34 +256,33 @@ class ModalMesh:
         bitline node, drives mode pair (p, q) by V[i, p] U[k, q] and drops
         by word + bit - 2 cross there, and lifts wordline i by `lift`; so
         with c_i = (V o V)(word + bit - 2 cross) the sourceless response is
-        U diag(c_i) U^T + lift 11^T.  The source segment is DrivenFactor's
-        rank-one update: with s~_i = s_i + lift the drops a unit current
-        into the source node drives and u_s + lift the voltage it raises
-        there, it subtracts g s~ s~^T / denom, denom = 1 + g (u_s + lift),
-        and the bias drives g s~ / denom.  The lift is taken over the one
-        denominator, as in DrivenFactor.precondition: where n g_cell << g
-        the two lift terms would cancel to the digits of g/(n g_cell).  So
-        D_i = U diag(c_i) U^T + a_i 11^T - (g / denom)(s s^T + lift (s 1^T +
-        1 s^T)), a_i = lift (1 + g u_s) / denom.  The factors c, s and u_s
-        take O(m^2 n) for every row at once, and are kept for `rows` alone.
+        U diag(c_i) U^T + lift 11^T.  The source update, with s~_i = s_i +
+        lift, subtracts g s~ s~^T / denom, and the lift is taken over the
+        one denominator, as in `solve`: where n g_cell << g the two lift
+        terms would cancel to the digits of g/(n g_cell).  So D_i =
+        U diag(c_i) U^T + a_i 11^T - gain (s s^T + lift (s 1^T + 1 s^T)),
+        a_i = lift (1 + g u_s) / denom.  The factors c take O(m^2 n) for
+        every row at once, and are kept for `rows` alone.
         """
-        g, lift, u = self.g, self.lift, self.u
-        n = self.shape[1]
-        weight = self.v * self.v  # (i, p): row i's share of bitline mode p
-        c = (weight @ (self.word + self.bit - 2.0 * self.cross))[rows]
-        s = ((weight @ (self.word - self.cross) * u[0]) @ u.T)[rows]
-        u_s = (weight @ self.word @ (u[0] * u[0]))[rows]
-        denom = 1.0 + g * (u_s + lift)
-        c[:, 0] += n * lift * (1.0 + g * u_s) / denom  # a 11^T, as U's uniform mode
-        gain = g / denom
-        return DrivenResponse(u, c, s, gain, lift), gain[:, None] * (s + lift)
+        u, lift, s, gain = self.u, self.lift, self.s[rows], self.gain[rows]
+        c = (self.weight @ (self.word + self.bit - 2.0 * self.cross))[rows]
+        # a_i 11^T, as U's uniform mode
+        c[:, 0] += self.shape[1] * lift * (1.0 + self.g * self.u_s[rows]) / self.denom[rows]
+        w = np.stack([s, np.ones_like(s)], axis=1)  # W_i^T, (k, 2, n)
+        y = ((w @ u) / c[:, None, :]) @ u.T
+        k = gain[:, None, None] * np.array([[1.0, lift], [lift, 0.0]])
+        cap = np.eye(2) - k @ (w @ np.swapaxes(y, 1, 2))
+        det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
+        adj = np.stack([cap[:, 1, 1], -cap[:, 0, 1], -cap[:, 1, 0], cap[:, 0, 0]], axis=1)
+        t = (adj.reshape(-1, 2, 2) / det[:, None, None]) @ k
+        return DrivenResponse(u, lift, c, s, gain, y, t), self.bias[rows]
 
 
 def _row_dot(a, b):
     return np.einsum("kn,kn->k", a, b)
 
 
-class DrivenResponse:
+class DrivenResponse(NamedTuple):
     """The drop responses D_i = A_i - W_i K_i W_i^T of k driven rows
     (ModalMesh.driven_rows), applied and inverted from O(kn) factors.
 
@@ -257,42 +291,43 @@ class DrivenResponse:
     K_i = gain_i [[1, lift], [lift, 0]].  Applying D_i is two (k, n) x
     (n, n) mode products; D_i^-1 is A_i^-1 = U diag(1 / c_i) U^T and the
     Woodbury correction A^-1 W (I - K W^T A^-1 W)^-1 K W^T A^-1, whose
-    2 x 2 capacitance is inverted in closed form once per row.  Every
-    method takes the rows `ids` (positions among the k) its currents are
-    for; no n x n matrix is formed.
+    2 x 2 capacitance driven_rows inverts in closed form once per row.  Every
+    method takes one row of currents or drops per row of the response
+    (`take` restricts it to some of its rows); no n x n matrix is formed.
     """
 
-    def __init__(self, u, c, s, gain, lift):
-        self.u, self.c, self.s, self.gain, self.lift = u, c, s, gain, lift
-        w = np.stack([s, np.ones_like(s)], axis=1)  # W_i^T, (k, 2, n)
-        self.y = ((w @ u) / c[:, None, :]) @ u.T  # (A_i^-1 W_i)^T
-        k = gain[:, None, None] * np.array([[1.0, lift], [lift, 0.0]])
-        cap = np.eye(2) - k @ (w @ np.swapaxes(self.y, 1, 2))
-        det = cap[:, 0, 0] * cap[:, 1, 1] - cap[:, 0, 1] * cap[:, 1, 0]
-        adj = np.stack([cap[:, 1, 1], -cap[:, 0, 1], -cap[:, 1, 0], cap[:, 0, 0]], axis=1)
-        self.t = (adj.reshape(-1, 2, 2) / det[:, None, None]) @ k  # (I - K W^T A^-1 W)^-1 K
+    u: np.ndarray
+    lift: float
+    c: np.ndarray
+    s: np.ndarray
+    gain: np.ndarray
+    y: np.ndarray  # (A_i^-1 W_i)^T
+    t: np.ndarray  # (I - K W^T A^-1 W)^-1 K
 
-    def apply(self, r, ids=slice(None)):
-        """D_i r_i for each row i of ids: the drops currents r drive."""
-        s, gain = self.s[ids], self.gain[ids]
-        out = ((r @ self.u) * self.c[ids]) @ self.u.T
-        sr = _row_dot(s, r)
-        out -= (gain * (sr + self.lift * r.sum(axis=1)))[:, None] * s
-        out -= (gain * self.lift * sr)[:, None]
+    def take(self, ids):
+        """The responses of the rows ids (positions or a mask among the k) alone."""
+        return DrivenResponse(self.u, self.lift, *(a[ids] for a in self[2:]))
+
+    def apply(self, r):
+        """D_i r_i for each row i: the drops currents r drive."""
+        out = ((r @ self.u) * self.c) @ self.u.T
+        sr = _row_dot(self.s, r)
+        out -= (self.gain * (sr + self.lift * r.sum(axis=1)))[:, None] * self.s
+        out -= (self.gain * self.lift * sr)[:, None]
         return out
 
-    def solve(self, d, ids=slice(None)):
-        """D_i^-1 d_i for each row i of ids: the currents that drive drops d."""
-        y = self.y[ids]
-        out = ((d @ self.u) / self.c[ids]) @ self.u.T
-        weights = (self.t[ids] @ np.einsum("kjn,kn->kj", y, d)[..., None])[..., 0]
-        out += np.einsum("kjn,kj->kn", y, weights)
+    def solve(self, d):
+        """D_i^-1 d_i for each row i: the currents that drive drops d."""
+        out = ((d @ self.u) / self.c) @ self.u.T
+        weights = (self.t @ np.einsum("kjn,kn->kj", self.y, d)[..., None])[..., 0]
+        out += np.einsum("kjn,kj->kn", self.y, weights)
         return out
 
 
-def _capacitance_step(response, ids, f, shift):
-    """Newton steps p of the driven rows ids: (D_i^-1 + diag(shift_i)) p_i
-    = f_i, each row solved by conjugate gradients preconditioned by D_i.
+def _capacitance_step(response, f, shift):
+    """Newton steps p of the driven rows of `response`: (D_i^-1 +
+    diag(shift_i)) p_i = f_i, each row solved by conjugate gradients
+    preconditioned by D_i.
 
     The search direction's product with D^-1 comes by recurrence: the
     first direction is D r, so D^-1 of it is r, and each next direction
@@ -301,13 +336,13 @@ def _capacitance_step(response, ids, f, shift):
     the preconditioner's norm, falls to CAPACITANCE_RTOL^2 of its first,
     after CG_MAX_STEPS steps, or with a NaN step, which the Newton driver
     does not converge on, where its residual is NaN or its search breaks
-    down.  Rows that stop leave the batch, so every decision is the row's
-    own.
+    down.  Rows that stop leave the batch, the response and the shifts
+    with them, so every decision is the row's own.
     """
     p = np.zeros_like(f)
-    live = np.arange(len(ids))
+    live = np.arange(len(f))
     r = f.copy()
-    z = response.apply(r, ids)
+    z = response.apply(r)
     rz = _row_dot(r, z)
     target = CAPACITANCE_RTOL**2 * rz
     direction, q = z, r.copy()  # q = D^-1 direction
@@ -318,12 +353,13 @@ def _capacitance_step(response, ids, f, shift):
             live, r, direction, q, rz, target = (a[keep] for a in (live, r, direction, q, rz, target))
             if not live.size:
                 break
-        product = q + shift[live] * direction  # H direction
+            response, shift = response.take(keep), shift[keep]
+        product = q + shift * direction  # H direction
         alpha = rz / _row_dot(direction, product)
         alpha[~(alpha > 0.0)] = np.nan  # a breakdown
         p[live] += alpha[:, None] * direction
         r -= alpha[:, None] * product
-        z = response.apply(r, ids[live])
+        z = response.apply(r)
         rz, rz_prev = _row_dot(r, z), rz
         beta = (rz / rz_prev)[:, None]
         direction *= beta
@@ -333,97 +369,60 @@ def _capacitance_step(response, ids, f, shift):
     return p
 
 
-class DrivenFactor:
-    """A ModalMesh with one row's source segment added.
+def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
+    """The mesh at g_cell (symmetric positive definite), `row` driven,
+    solved against the node currents rhs by conjugate gradients from zero,
+    preconditioned by mesh.solve.
 
-    Driving a row only adds the source segment's diagonal stamp g at that
-    row's first wordline node, a rank-one change, so one mode operator
-    serves every row through the Sherman-Morrison formula.  At the
-    operator's conductance it gives the mesh state exactly, and with the
-    driven row's cells departing from it as dipole currents across them, a
-    row's first state; at any chord linearization an approximation, the
-    preconditioner of its conjugate gradients.  The driven row's lift is
-    updated apart: where n g_cell << g it and the update grow alike as
-    1/(n g_cell), and subtracting them would lose the digits of g/(n g_cell).
+    Each step walks the mesh once, for the product A d its curvature
+    needs, and updates the residual rhs - A p by the same product
+    (Hestenes & Stiefel's recurrence) rather than walking p again.  The
+    loop stops on the residual: once no node is out of balance by more
+    than KCL_RTOL of the source current the step leaves,
+    g |gap - p_src|, gap being the source segment's drop before it.
+    Where that lies below floor, one rounding of a wire current at the
+    source (a row drawing little current against its wires), steps only
+    chase rounding into overflow: the loop also stops once the residual
+    is inside that floor at every node and in its total, the charge it
+    leaves unbalanced.  The recurrence drifts from the residual itself
+    by rounding, so once it passes, one walk of p confirms: the step is
+    returned only if the walked residual passes too.  A step the walk
+    does not confirm, a breakdown, or CG_MAX_STEPS steps without a stop
+    is solved directly.
     """
+    g, src = mesh.g, row * mesh.shape[1]
 
-    def __init__(self, mesh: ModalMesh, active_row: int):
-        m, n = mesh.shape
-        self.mesh, self.g, self.active_row = mesh, mesh.g, active_row
-        self.src = active_row * n
-        e = np.zeros(2 * m * n)
-        e[self.src] = 1.0
-        self.unit = mesh.solve(e)  # response to a unit current at the source node, less mesh.lift
-        self.denom = 1.0 + self.g * (self.unit[self.src] + mesh.lift)
+    def settled(r, p):
+        worst = max(r.max(), -r.min())  # NaN fails the rule below
+        balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
+        return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
 
-    def precondition(self, y: np.ndarray) -> np.ndarray:
-        """Node voltages at the operator's conductance that node currents y
-        drive through the mesh with the driver at zero."""
-        m, n = self.mesh.shape
-        g, i, src = self.g, self.active_row, self.src
-        z = self.mesh.solve(y)
-        lift = self.mesh.lift * y[: m * n].reshape(m, n).sum(axis=1)
-        w_src = z[src] + lift[i]
-        # lift[i] - g w_src mesh.lift / denom, taken over the one denominator
-        lift[i] = (lift[i] * (1.0 + g * self.unit[src]) - g * self.mesh.lift * z[src]) / self.denom
-        z -= (g * w_src / self.denom) * self.unit
-        word = z[: m * n].reshape(m, n)
-        word += lift[:, None]
-        return z
-
-    def solve(self, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
-        """The mesh at g_cell (symmetric positive definite) solved against
-        the node currents rhs by conjugate gradients from zero.
-
-        Each step walks the mesh once, for the product A d its curvature
-        needs, and updates the residual rhs - A p by the same product
-        (Hestenes & Stiefel's recurrence) rather than walking p again.  The
-        loop stops on the residual: once no node is out of balance by more
-        than KCL_RTOL of the source current the step leaves,
-        g |gap - p_src|, gap being the source segment's drop before it.
-        Where that lies below floor, one rounding of a wire current at the
-        source (a row drawing little current against its wires), steps only
-        chase rounding into overflow: the loop also stops once the residual
-        is inside that floor at every node and in its total, the charge it
-        leaves unbalanced.  The recurrence drifts from the residual itself
-        by rounding, so once it passes, one walk of p confirms: the step is
-        returned only if the walked residual passes too.  A step the walk
-        does not confirm, a breakdown, or CG_MAX_STEPS steps without a stop
-        is solved directly.
-        """
-        g, row, src = self.g, self.active_row, self.src
-
-        def settled(r, p):
-            worst = max(r.max(), -r.min())  # NaN fails the rule below
-            balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
-            return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
-
-        p = np.zeros_like(rhs)
-        r = rhs.copy()  # rhs + _inflow(p): the walk of the zero state is exactly zero
-        d = None
-        rz = 0.0
-        for step in range(CG_MAX_STEPS + 1):
-            if settled(r, p):
-                if d is None or settled(rhs + _inflow(g, g_cell, row, 0.0, p), p):
-                    return p
-                break
-            if step == CG_MAX_STEPS:
-                break
-            z = self.precondition(r)
-            rz, rz_prev = float(r @ z), rz
-            if d is None:
-                d = z
-            else:
-                d *= rz / rz_prev
-                d += z
-            q = _inflow(g, g_cell, row, 0.0, d)  # -A d
-            curvature = -float(d @ q)
-            if not (curvature > 0.0 and np.isfinite(rz / curvature)):
-                break
-            alpha = rz / curvature
-            p += alpha * d
-            r += alpha * q
-        return _solve_direct(g, g_cell, row, rhs)
+    p = np.zeros_like(rhs)
+    r = rhs.copy()  # rhs + _inflow(p): the walk of the zero state is exactly zero
+    d = None
+    rz = 0.0
+    for step in range(CG_MAX_STEPS + 1):
+        if settled(r, p):
+            if d is None or settled(rhs + _inflow(g, g_cell, row, 0.0, p), p):
+                return p
+            break
+        if step == CG_MAX_STEPS:
+            break
+        z = mesh.solve(r, row)
+        rz, rz_prev = float(r @ z), rz
+        if d is None:
+            d = z
+        else:
+            d *= rz / rz_prev
+            d += z
+        q = _inflow(g, g_cell, row, 0.0, d)  # -A d
+        curvature = -float(d @ q)
+        if not (curvature > 0.0 and np.isfinite(rz / curvature)):
+            break
+        alpha = rz / curvature
+        p += alpha * d
+        r += alpha * q
+    return _solve_direct(g, g_cell, row, rhs)
 
 
 def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float, rows=slice(None)) -> np.ndarray:
@@ -451,12 +450,12 @@ def solve_driven_rows(mesh: ModalMesh, plan: LookupPlan, v_in: float, rows=slice
 
     def residual(ids, d):
         g_cell, tangent = plan.chord_tangent(d, rows[ids])
-        f = response.solve(d0[ids] - d, ids)
+        f = response.take(ids).solve(d0[ids] - d)
         f -= (g_cell - mesh.g_cell) * d
         return f, tangent - mesh.g_cell
 
     def step(ids, d, f, jac):
-        return _capacitance_step(response, ids, f, jac)
+        return _capacitance_step(response.take(ids), f, jac)
 
     return fixedpoint.solve(residual, step, d0)[0]
 
@@ -470,12 +469,13 @@ class GeometryFactors:
     background in one batch, NaN on every other row.
 
     Below a table's first bias node a cell's tangent is its chord, so the
-    operator preconditions the Newton steps.  The drops
-    (solve_driven_rows) are exact but for the cells off the driven row,
-    which they hold at g_bar; lifted to every node they are the row's
-    first state.  They are solved matrix-free, by conjugate gradients on
-    O(mn) mode factors (DrivenResponse), so building the factors holds no
-    n x n matrix per row.
+    operator, with the driven row's source update (ModalMesh.solve),
+    preconditions the Newton steps.  The drops (solve_driven_rows) are
+    exact but for the cells off the driven row, which they hold at g_bar;
+    lifted to every node by the same operator they are the row's first
+    state.  They are solved matrix-free, by conjugate gradients on O(mn)
+    mode factors (DrivenResponse), so building the factors holds no n x n
+    matrix per row.
     """
 
     def __init__(self, spec: CrossbarSpec, rows=slice(None)):
@@ -498,16 +498,18 @@ def kirchhoff_row_solve(
 
     The first state is the row's driven-row drops on the g_bar background
     (GeometryFactors, built here for this row alone or shared across rows by
-    kirchhoff_solve) lifted to every node: the settled operator, with its
-    rank-one source update, applied to the driver's current and, across each
-    driven cell, the current that cell carries beyond g_bar.  That state is
-    exact but for the cells off the driven row.  Every Newton step solves
-    the mesh with each cell at its tangent against the current-law residual,
-    each cell carrying its chord current.  The default backend ("pcg") runs
-    conjugate gradients preconditioned by the same operator, until the step
-    leaves no node out of balance by more than KCL_RTOL of the source
-    current.  "sparse", the reference, solves every step by direct sparse
-    LU.  The row stops unconverged after fixedpoint.MAX_ITER Newton steps.
+    kirchhoff_solve) lifted to every node: one solve of the settled
+    operator with this row driven (ModalMesh.solve, its rank-one source
+    update applied in the mode basis) against the driver's current and,
+    across each driven cell, the current that cell carries beyond g_bar.
+    That state is exact but for the cells off the driven row.  Every Newton
+    step solves the mesh with each cell at its tangent against the
+    current-law residual, each cell carrying its chord current.  The
+    default backend ("pcg") runs conjugate gradients preconditioned by the
+    same solve (_pcg), one per step, until the step leaves no node out of
+    balance by more than KCL_RTOL of the source current.  "sparse", the
+    reference, solves every step by direct sparse LU.  The row stops
+    unconverged after fixedpoint.MAX_ITER Newton steps.
     """
     if not 0 <= active_row < spec.m:
         raise ValueError(f"active row {active_row} outside 0..{spec.m - 1}")
@@ -518,21 +520,14 @@ def kirchhoff_row_solve(
     g = spec.g_int
     src = active_row * n
     factors = factors or GeometryFactors(spec, [active_row])
-    plan = factors.plan
-    factor = DrivenFactor(factors.settled, active_row)
+    plan, mesh = factors.plan, factors.settled
     drops = factors.drops[active_row : active_row + 1]
-    excess = ((plan.chord(drops, [active_row]) - factors.settled.g_cell) * drops)[0]
+    excess = ((plan.chord(drops, [active_row]) - mesh.g_cell) * drops)[0]
     drive = np.zeros(2 * mn)
     drive[src] = g * spec.v_in  # what the driver injects with every node at zero
     drive[src : src + n] -= excess  # each driven cell's current beyond g_bar, wordline to bitline
     drive[mn + src : mn + src + n] += excess
-    x = factor.precondition(drive)
-
-    if backend == "pcg":
-        solve_step = factor.solve
-    else:
-        def solve_step(g_cell, rhs, gap, floor):
-            return _solve_direct(g, g_cell, active_row, rhs)
+    x = mesh.solve(drive, active_row)
 
     floor = g * np.finfo(float).eps * abs(spec.v_in)
 
@@ -542,7 +537,9 @@ def kirchhoff_row_solve(
         return _inflow(g, g_cell, active_row, spec.v_in, x)[None], tangent[None]
 
     def step(ids, state, f, jac):
-        return solve_step(jac[0], f[0], spec.v_in - state[0, src], floor)[None]
+        if backend == "sparse":
+            return _solve_direct(g, jac[0], active_row, f[0])[None]
+        return _pcg(mesh, active_row, jac[0], f[0], spec.v_in - state[0, src], floor)[None]
 
     x, total, converged, size = fixedpoint.solve(residual, step, x[None])
     x = x[0]
@@ -594,13 +591,12 @@ def solve_linear_homogeneous(
 ):
     """All cells at one fixed conductance, solved for every activated row.
 
-    The ModalMesh's modes give every row's unit-current responses directly.
-    The driven row's source segment is the rank-one Sherman-Morrison update
-    of DrivenFactor: with w_i the voltage a unit current into row i's source
-    node raises there, the row draws gain_i * v_in, gain_i = g / (1 + g w_i),
-    and every node follows the unit response scaled by that current.  So
-    every output for all rows is a pair of small dense products.  This is
-    the calibration reference; it needs no Newton iteration.
+    The ModalMesh's source terms give every row's drops and source current
+    directly: row i draws gain_i v_in, and its cells drop bias_i v_in.  The
+    bottom bitline nodes follow their response to a unit current into the
+    source node, scaled by that current: one more pair of small dense
+    products for all rows.  This is the calibration reference; it needs no
+    Newton iteration.
 
     Returns (v_cell, i_out, source_current) with shapes (m, n), (m, n), (m,).
     """
@@ -609,15 +605,6 @@ def solve_linear_homogeneous(
     g = 1.0 / r_int
     mesh = ModalMesh(g, m, n, g_cell)
     u, v = mesh.u, mesh.v
-    row_weight = v * v  # (i, p): row i's share of bitline mode p
-    source_modes = u[0] * u  # (j, q): column j seen from the source column
-    # unit-current responses of row i: cell drops, bottom bitline nodes, source node
-    drop = row_weight @ (mesh.g_mu / mesh.det) @ source_modes.T
-    bottom = (v * v[-1]) @ mesh.cross @ source_modes.T
-    w = row_weight @ ((mesh.g_mu + g_cell) / mesh.det) @ (u[0] * u[0])
-    source_current = g / (1.0 + g * w) * v_in
-    return (
-        source_current[:, None] * drop,
-        g * source_current[:, None] * bottom,
-        source_current,
-    )
+    bottom = (v * v[-1]) @ mesh.cross @ (u[0] * u).T  # (i, j): row i's source to column j's ground
+    source_current = v_in * mesh.gain
+    return v_in * mesh.bias, g * source_current[:, None] * bottom, source_current

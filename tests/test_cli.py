@@ -872,6 +872,8 @@ def write_system(tmp_path):
     [
         ("oracle", "spec.json", {"m": 0, "bits": [], "delta_ev": []},
          "array dimensions must be at least 1x1"),
+        ("solve", "spec.json", {"m": -2, "n": -2, "bits": [1, 0, 1, 0], "delta_ev": [0.0] * 4},
+         "array dimensions must be at least 1x1"),
         ("oracle", "spec.json", {"m": 2, "n": 2, "bits": [1, 0, 1]},
          "bits has 3 entries, expected 4"),
         ("oracle", "spec.json", {"m": 2, "n": 2, "bits": [1, 0, 1, 0], "delta_ev": [0.1]},
@@ -882,7 +884,7 @@ def write_system(tmp_path):
         ("oracle", "t1.json", {"current_a": [0.0] * 5}, "current_a has 5 entries, expected 6"),
         ("oracle", "t1.json", {"v_grid_v": [0.0, 1.0, 0.5]}, "v_grid must be strictly increasing"),
     ],
-    ids=["spec-empty", "spec-bits-short", "spec-delta-short", "store-size-triple",
+    ids=["spec-empty", "spec-negative-size", "spec-bits-short", "spec-delta-short", "store-size-triple",
          "system-fock-short", "system-partition-sum", "table-current-short",
          "table-v-grid-swapped"],
 )
@@ -890,7 +892,8 @@ def test_inconsistent_input_file_exits_one_and_names_it(tmp_path, capsys, comman
                                                         message):
     """A file whose fields disagree with each other, or with the shape they
     declare, is an input error naming that file."""
-    write = {"oracle": write_single_cell_spec, "store": write_store_config, "iv-gen": write_system}
+    write = {"oracle": write_single_cell_spec, "solve": write_single_cell_spec,
+             "store": write_store_config, "iv-gen": write_system}
     config = write[command](tmp_path)
     raw = runio.load_json(tmp_path / file)
     raw.update(edit)

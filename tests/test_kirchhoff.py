@@ -374,7 +374,7 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
     row %= m
     g = 1.0 / r_int
     y = np.random.default_rng(seed).standard_normal(2 * m * n)
-    got = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_cell), row).precondition(y)
+    got = nodal.ModalMesh(g, m, n, g_cell).solve(y, row)
     ref = nodal._solve_direct(g, np.full((m, n), g_cell), row, y)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -398,7 +398,7 @@ driven_arrays = st.tuples(
 def test_driven_row_response_matches_the_modal_preconditioner(array):
     """Every row's closed-form drop response, applied to unit currents
     across each of its cells, and its response to the source bias, against
-    DrivenFactor.precondition applied to those currents: both solve the
+    ModalMesh.solve applied to those currents: both solve the
     same driven homogeneous mesh, the closed form without forming any node
     voltage."""
     m, n, r_int, g_cell = array
@@ -407,16 +407,15 @@ def test_driven_row_response_matches_the_modal_preconditioner(array):
     response, bias = mesh.driven_rows()
     assert bias.shape == (m, n)
     for row in range(m):
-        factor = nodal.DrivenFactor(mesh, row)
         ref = np.empty((n, n))
         for k in range(n):
             y = np.zeros(2 * m * n)
             y[row * n + k], y[m * n + row * n + k] = 1.0, -1.0
-            ref[:, k] = row_drops(factor.precondition(y), m, n, row)
+            ref[:, k] = row_drops(mesh.solve(y, row), m, n, row)
         y = np.zeros(2 * m * n)
         y[row * n] = g
-        bias_ref = row_drops(factor.precondition(y), m, n, row)
-        got = response.apply(np.eye(n), np.full(n, row)).T  # column k: the drops unit current k drives
+        bias_ref = row_drops(mesh.solve(y, row), m, n, row)
+        got = response.take(np.full(n, row)).apply(np.eye(n)).T  # column k: the drops unit current k drives
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert np.max(np.abs(bias[row] - bias_ref)) <= 1e-9 * np.max(np.abs(bias_ref))
 
@@ -428,7 +427,7 @@ def dense_driven_rows(mesh, plan, v_in):
     m, n = mesh.shape
     response, bias = mesh.driven_rows()
     eye = np.eye(n)
-    conductance = np.linalg.inv(np.stack([response.apply(eye, np.full(n, i)).T for i in range(m)]))
+    conductance = np.linalg.inv(np.stack([response.take(np.full(n, i)).apply(eye).T for i in range(m)]))
     d0 = v_in * bias
 
     def residual(ids, d):
@@ -474,16 +473,15 @@ def test_capacitance_steps_are_each_rows_own():
     rng = np.random.default_rng(3)
     f = 1e-9 * rng.standard_normal((m, n))
     shift = 1e-8 * rng.uniform(-0.5, 5.0, (m, n))
-    ids = np.arange(m)
-    p = nodal._capacitance_step(response, ids, f, shift)
+    p = nodal._capacitance_step(response, f, shift)
     eye = np.eye(n)
     for i in range(m):
-        hessian = np.linalg.inv(response.apply(eye, np.full(n, i)).T) + np.diag(shift[i])
+        hessian = np.linalg.inv(response.take(np.full(n, i)).apply(eye).T) + np.diag(shift[i])
         assert np.max(np.abs(hessian @ p[i] - f[i])) <= 1e-9 * np.max(np.abs(f[i]))
-        alone = nodal._capacitance_step(response, ids[i : i + 1], f[i : i + 1], shift[i : i + 1])
+        alone = nodal._capacitance_step(response.take([i]), f[i : i + 1], shift[i : i + 1])
         np.testing.assert_allclose(alone[0], p[i], rtol=1e-12, atol=0.0)
     f[4, 2] = np.nan
-    broken = nodal._capacitance_step(response, ids, f, shift)
+    broken = nodal._capacitance_step(response, f, shift)
     assert np.isnan(broken[4]).all()
     np.testing.assert_allclose(np.delete(broken, 4, axis=0), np.delete(p, 4, axis=0), rtol=1e-12, atol=0.0)
 
@@ -667,54 +665,53 @@ def test_rows_inside_the_floor_but_off_balance_keep_stepping(monkeypatch, n, r_i
 
 
 def mesh_solves(spec, active_row):
-    """(factor, args) of every Newton step's conjugate-gradient solve of
-    `active_row`, as the oracle makes them."""
+    """The args (mesh, row, g_cell, rhs, gap, floor) of every Newton step's
+    conjugate-gradient solve of `active_row`, as the oracle makes them."""
     calls = []
-    solve = nodal.DrivenFactor.solve
+    pcg = nodal._pcg
 
-    def record(factor, *args):
-        calls.append((factor, args))
-        return solve(factor, *args)
+    def record(*args):
+        calls.append(args)
+        return pcg(*args)
 
-    with mock.patch.object(nodal.DrivenFactor, "solve", record):
+    with mock.patch.object(nodal, "_pcg", record):
         kirchhoff_row_solve(spec, active_row)
     return calls
 
 
-def meets_stop_rule(factor, g_cell, rhs, gap, floor, p):
-    """DrivenFactor.solve's stop rule, on the residual rhs - A p walked
-    edge by edge."""
-    g = factor.g
-    r = rhs + nodal._inflow(g, g_cell, factor.active_row, 0.0, p)
+def meets_stop_rule(mesh, row, g_cell, rhs, gap, floor, p):
+    """_pcg's stop rule, on the residual rhs - A p walked edge by edge."""
+    g = mesh.g
+    r = rhs + nodal._inflow(g, g_cell, row, 0.0, p)
     worst = np.max(np.abs(r))
-    balanced = worst <= nodal.KCL_RTOL * abs(g * (gap - p[factor.src]))
+    balanced = worst <= nodal.KCL_RTOL * abs(g * (gap - p[row * mesh.shape[1]]))
     return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
 
 
-def counted_solve(monkeypatch, factor, args, perturb=None):
-    """factor.solve(*args), with the mesh walks, preconditioner applies
-    and direct solves it makes counted; perturb, if given, maps the walk
-    number and its product to what the solve sees instead."""
+def counted_solve(monkeypatch, args, perturb=None):
+    """_pcg(*args), with the mesh walks, preconditioner applies and direct
+    solves it makes counted; perturb, if given, maps the walk number and
+    its product to what the solve sees instead."""
     count = {"walk": 0, "precondition": 0, "direct": 0}
-    inflow, precondition, direct = nodal._inflow, nodal.DrivenFactor.precondition, nodal._solve_direct
+    inflow, precondition, direct = nodal._inflow, nodal.ModalMesh.solve, nodal._solve_direct
 
     def walk(*walk_args):
         count["walk"] += 1
         out = inflow(*walk_args)
         return out if perturb is None else perturb(count["walk"], out)
 
-    def apply(self, y):
+    def apply(self, y, row):
         count["precondition"] += 1
-        return precondition(self, y)
+        return precondition(self, y, row)
 
     def direct_solve(*direct_args):
         count["direct"] += 1
         return direct(*direct_args)
 
     monkeypatch.setattr(nodal, "_inflow", walk)
-    monkeypatch.setattr(nodal.DrivenFactor, "precondition", apply)
+    monkeypatch.setattr(nodal.ModalMesh, "solve", apply)
     monkeypatch.setattr(nodal, "_solve_direct", direct_solve)
-    p = factor.solve(*args)
+    p = nodal._pcg(*args)
     monkeypatch.undo()
     return p, count
 
@@ -724,11 +721,43 @@ def test_conjugate_gradient_steps_walk_the_mesh_once(monkeypatch):
     the residual's recurrence share, and the solve walks once more to
     confirm the residual it stops on."""
     spec = disordered_spec(7, 12, 12, 1e7)
-    factor, args = mesh_solves(spec, 5)[0]
-    p, count = counted_solve(monkeypatch, factor, args)
+    args = mesh_solves(spec, 5)[0]
+    p, count = counted_solve(monkeypatch, args)
     assert count["direct"] == 0 and count["precondition"] >= 2
     assert count["walk"] == count["precondition"] + 1
-    assert meets_stop_rule(factor, *args, p)
+    assert meets_stop_rule(*args, p)
+
+
+def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_step(monkeypatch):
+    """The source update is applied to the mode coefficients, so a row
+    solves the mode operator once for its first state and once per
+    preconditioned conjugate-gradient step, and never for a unit current
+    at its source.  Each step is counted by its mesh walk, less the one
+    walk that confirms each solve."""
+    spec = disordered_spec(7, 12, 12, 1e7)
+    count = {"modes": 0, "walks": 0, "steps": 0}
+    solve, inflow, pcg = nodal.ModalMesh.solve, nodal._inflow, nodal._pcg
+
+    def modes(self, y, row):
+        count["modes"] += 1
+        return solve(self, y, row)
+
+    def walk(g, g_cell, row, v_source, x):
+        count["walks"] += v_source == 0.0  # a product, not the Newton residual
+        return inflow(g, g_cell, row, v_source, x)
+
+    def steps(*args):
+        walks = count["walks"]
+        p = pcg(*args)
+        count["steps"] += max(count["walks"] - walks - 1, 0)
+        return p
+
+    monkeypatch.setattr(nodal.ModalMesh, "solve", modes)
+    monkeypatch.setattr(nodal, "_inflow", walk)
+    monkeypatch.setattr(nodal, "_pcg", steps)
+    assert kirchhoff_row_solve(spec, 5).converged
+    assert count["steps"] > 0
+    assert count["modes"] == count["steps"] + 1
 
 
 @pytest.mark.parametrize(
@@ -745,15 +774,15 @@ def test_a_failed_conjugate_gradient_solve_is_solved_directly(monkeypatch, off_f
     the curvature is negative.  Either way the solve ends in one direct
     solve and returns its step."""
     spec = disordered_spec(7, 12, 12, 1e7)
-    factor, args = mesh_solves(spec, 5)[0]
+    args = mesh_solves(spec, 5)[0]
 
     def perturb(walk, out):
         return off_first_product(out) if walk == 1 else out
 
-    p, count = counted_solve(monkeypatch, factor, args, perturb)
+    p, count = counted_solve(monkeypatch, args, perturb)
     assert count["direct"] == 1
-    g_cell, rhs = args[:2]
-    np.testing.assert_array_equal(p, nodal._solve_direct(factor.g, g_cell, factor.active_row, rhs))
+    mesh, row, g_cell, rhs = args[:4]
+    np.testing.assert_array_equal(p, nodal._solve_direct(mesh.g, g_cell, row, rhs))
 
 
 @settings(deadline=None)
@@ -780,19 +809,19 @@ def test_every_conjugate_gradient_step_meets_the_stop_rule_on_the_walk(
     g = 1.0 / r_int
     rng = np.random.default_rng(seed)
     tangent = g_bar * 10.0 ** rng.uniform(-1.0, 1.0, (m, n))
-    factor = nodal.DrivenFactor(nodal.ModalMesh(g, m, n, g_bar), row)
+    src = row * n
     rhs = np.zeros(2 * m * n)
-    rhs[factor.src] = g
+    rhs[src] = g
     excess = 0.1 * g_bar * rng.standard_normal(n)
-    rhs[factor.src : factor.src + n] -= excess
-    rhs[m * n + factor.src : m * n + factor.src + n] += excess
-    args = (tangent, rhs, 1.0, g * np.finfo(float).eps)
+    rhs[src : src + n] -= excess
+    rhs[m * n + src : m * n + src + n] += excess
+    args = (nodal.ModalMesh(g, m, n, g_bar), row, tangent, rhs, 1.0, g * np.finfo(float).eps)
     with pytest.MonkeyPatch.context() as patch:
-        p, count = counted_solve(patch, factor, args)
+        p, count = counted_solve(patch, args)
     if count["direct"]:
         np.testing.assert_array_equal(p, nodal._solve_direct(g, tangent, row, rhs))
     else:
-        assert meets_stop_rule(factor, *args, p)
+        assert meets_stop_rule(*args, p)
 
 
 def test_unknown_backend_rejected():

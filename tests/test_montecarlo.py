@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xbar import crossbar, montecarlo
-from xbar.ivtable import StrandPair, save_table, synthesize_table
+from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
 from xbar.montecarlo import (
     McConfig,
     load_mc_config,
@@ -296,3 +296,25 @@ def test_unconverged_trials_keep_nan_slots_and_leave_the_aggregates(monkeypatch)
     assert report.mean_cell_voltage == np.mean(clean.v_mean_samples[kept])
     counted = report.hist_counts0.sum() + report.hist_counts1.sum()
     assert counted == len(kept) * config.m * config.n
+
+
+def test_histogram_top_edge_covers_currents_that_rise_with_the_offset():
+    """Tables whose current grows with the offset (1x, 2x and 3x of v/R at
+    offsets 0, 0.1 and 0.2): the top bin edge is the largest current at the
+    read bias over [0, delta_max], not the one at offset 0, so the pooled
+    currents spread over the bins rather than pile up in the last.  At
+    delta_max 0.15, between nodes, the edge is the current there."""
+    v_grid = np.linspace(0.0, 1.0, 11)
+    delta_grid = np.array([0.0, 0.1, 0.2])
+
+    def rising(resistance, strand_id):
+        current = np.outer([1.0, 2.0, 3.0], v_grid / resistance)
+        return IVTable(strand_id=strand_id, v_grid=v_grid, delta_grid=delta_grid, current=current)
+
+    pair = StrandPair(logic0_table=rising(2e10, "rise0"), logic1_table=rising(1e9, "rise1"))
+    config = McConfig(m=4, n=4, r_int=1e3, pair=pair, delta_max=0.2, seed=1, trials=3)
+    report = run_mc(config)
+    assert report.hist_edges_na[-1] == pytest.approx(3.0, rel=1e-12)
+    assert report.hist_counts1[-1] < report.hist_counts1.sum() / 2
+    narrow = run_mc(McConfig(m=4, n=4, r_int=1e3, pair=pair, delta_max=0.15, seed=1, trials=3))
+    assert narrow.hist_edges_na[-1] == pytest.approx(2.5, rel=1e-12)
