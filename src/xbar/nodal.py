@@ -21,16 +21,18 @@ exactly, cells nonlinear, with every other cell held at g_bar
 (solve_driven_rows, n unknowns per row through the capacitance-matrix
 method, each Newton step solved by conjugate gradients preconditioned by
 the row's drop response, which the operator applies in the mode basis),
-then lifted to every node by one solve of the operator.  Newton's steps
-from there solve the mesh by conjugate gradients preconditioned at g_bar
-on the default route ("pcg"), which factors no sparse matrix.  Each
-conjugate-gradient step solves the operator once and walks the mesh once
-(_inflow), for the product with its search direction, and updates the
-residual by that same product; one more walk confirms the residual a
-solve stops on (_pcg).  A step that walk does not confirm, a
-breakdown or an exhausted step budget is solved by direct sparse LU
-(_solve_direct), as the "sparse" route, the reference the default must
-match, solves every step.  Only the functions that assemble or factor the
+then lifted to every node by one solve of the operator.  From there
+every Newton residual is a current across each cell, and on the default
+route ("pcg"), which factors no sparse matrix, each Newton step is
+solved by the same method on all m*n cells: conjugate gradients on the
+cell currents, preconditioned by the operator's cell response
+(ModalMesh.cells), whose steps neither solve the operator nor walk the
+mesh.  The step is lifted to every node by one solve of the operator and
+confirmed by one walk of the mesh (_inflow) against the stop rule
+(_pcg).  A step that walk does not confirm, a breakdown or an exhausted
+step budget is solved by direct sparse LU (_solve_direct), as the
+"sparse" route, the reference the default must match, solves every
+step.  Only the functions that assemble or factor the
 mesh import scipy.sparse, at their first call, so the default route loads
 no scipy.
 
@@ -195,7 +197,10 @@ class ModalMesh:
     (p, q) by V[i, p] U[0, q]: `u_s` and `s`, the voltage it raises there
     and the drops across the row's cells, each less the lift; `denom` =
     1 + g (u_s + lift); `gain` = g / denom, the current a unit bias draws;
-    and `bias` = gain (s + lift), the drops it drives.
+    and `bias` = gain (s + lift), the drops it drives.  `solve` (node
+    currents to node voltages) and `cells` (cell currents to cell drops)
+    take the update off the mode coefficients through one method,
+    `_source`.  Every term is of the array's size, (m, n) or smaller.
     """
 
     def __init__(self, g: float, m: int, n: int, g_cell: float):
@@ -208,36 +213,51 @@ class ModalMesh:
         self.bit = (g * lam + g_cell) / self.det
         self.word = (self.g_mu + g_cell) / self.det
         self.word[:, 0] = self.cross[:, 0]  # the uniform mode's, less its 1/g_cell
+        self.word_drop = self.word - self.cross  # the drop a wordline node's current drives
+        self.drop = self.word + self.bit - 2.0 * self.cross  # the drop a cell's current drives
         self.weight = self.v * self.v  # (i, p): row i's share of bitline mode p
         self.u_s = self.weight @ self.word @ self.u[0] ** 2
         self.denom = 1.0 + g * (self.u_s + self.lift)
         self.gain = g / self.denom
-        self.s = (self.weight @ (self.word - self.cross) * self.u[0]) @ self.u.T
+        self.s = (self.weight @ self.word_drop * self.u[0]) @ self.u.T
         self.bias = self.gain[:, None] * (self.s + self.lift)
+
+    def _source(self, x_word: np.ndarray, lifts: np.ndarray, row: int):
+        """The source update of a sourceless response, `row` driven: x_word
+        the wordline side of its mode coefficients and lifts each
+        wordline's lift.  Returns the mode coefficients of the current the
+        source segment draws, and the voltage the source node is left at,
+        (v_src + lift_row) / denom by Sherman-Morrison, v_src being the
+        voltage the sourceless response raises there less its lift; the
+        driven row's lift is updated in place, over the one denominator:
+        where n g_cell << g it and the update grow alike as 1/(n g_cell),
+        and subtracting them would lose the digits of g/(n g_cell).
+        """
+        g, lift = self.g, self.lift
+        v_src = self.v[row] @ x_word @ self.u[0]
+        raised = v_src + lifts[row]
+        source = (self.gain[row] * raised * self.v[row])[:, None] * self.u[0]
+        lifts[row] = (lifts[row] * (1.0 + g * self.u_s[row]) - g * lift * v_src) / self.denom[row]
+        return source, raised / self.denom[row]
 
     def solve(self, y: np.ndarray, row: int) -> np.ndarray:
         """Node voltages, over [wordline nodes; bitline nodes], that node
         currents y drive through the network, `row` driven with its driver
         at zero: four dense mode products, one 2x2 solve per mode pair, and
-        the source update taken off the mode coefficients.  Each wordline's
-        lift is read from and added to its uniform mode, U[0, 0] on every
-        node, between the two products of each side: one entry per row.  The
-        driven row's lift is updated over the one denominator: where
-        n g_cell << g it and the update grow alike as 1/(n g_cell), and
-        subtracting them would lose the digits of g/(n g_cell).
+        the source update (_source) taken off the mode coefficients.  Each
+        wordline's lift is read from and added to its uniform mode, U[0, 0]
+        on every node, between the two products of each side: one entry per
+        row.
         """
         m, n = self.shape
-        g, lift, uniform = self.g, self.lift, self.u[0, 0]
+        uniform = self.u[0, 0]
         h = y.reshape(2, m, n) @ self.u
-        lifts = (lift / uniform) * h[0, :, 0]  # lift times each wordline's current
+        lifts = (self.lift / uniform) * h[0, :, 0]  # lift times each wordline's current
         w, b = self.v.T @ h
         x = np.empty((2, m, n))
         np.multiply(self.word, w, out=x[0])
         x[0] += np.multiply(self.cross, b, out=x[1])
-        v_src = self.v[row] @ x[0] @ self.u[0]  # the voltage y raises at the source node, less its lift
-        # the source current's modes, and lifts[row] - g (v_src + lifts[row]) lift / denom
-        source = (self.gain[row] * (v_src + lifts[row]) * self.v[row])[:, None] * self.u[0]
-        lifts[row] = (lifts[row] * (1.0 + g * self.u_s[row]) - g * lift * v_src) / self.denom[row]
+        source, _ = self._source(x[0], lifts, row)
         w -= source
         x[0] -= np.multiply(self.word, source, out=source)
         np.multiply(self.cross, w, out=x[1])
@@ -245,6 +265,28 @@ class ModalMesh:
         h = self.v @ x
         h[0, :, 0] += lifts / uniform
         return (h @ self.u.T).ravel()
+
+    def cells(self, j: np.ndarray, row: int):
+        """The cell response S = P M^-1 P^T, `row` driven: the drops
+        (m x n) that currents j across the cells, each into its wordline
+        node and out of its bitline node, drive across them, and the
+        voltage they leave the source node at.  It is `solve` of [j; -j]
+        read across the cells, on one (m, n) array: a mode pair drops by
+        `drop` = word + bit - 2 cross, the source current by `word_drop`
+        = word - cross, and each wordline's lift, as in `solve`, rides its
+        uniform mode; two products per side.
+        """
+        uniform = self.u[0, 0]
+        h = j @ self.u
+        lifts = (self.lift / uniform) * h[:, 0]
+        h = self.v.T @ h
+        x = np.multiply(self.word_drop, h)
+        source, v_source = self._source(x, lifts, row)
+        h *= self.drop
+        h -= np.multiply(self.word_drop, source, out=x)
+        h = self.v @ h
+        h[:, 0] += lifts / uniform
+        return h @ self.u.T, v_source
 
     def driven_rows(self, rows=slice(None)):
         """The drop response of each of `rows` (every row by default), that
@@ -265,7 +307,7 @@ class ModalMesh:
         every row at once, and are kept for `rows` alone.
         """
         u, lift, s, gain = self.u, self.lift, self.s[rows], self.gain[rows]
-        c = (self.weight @ (self.word + self.bit - 2.0 * self.cross))[rows]
+        c = (self.weight @ self.drop)[rows]
         # a_i 11^T, as U's uniform mode
         c[:, 0] += self.shape[1] * lift * (1.0 + self.g * self.u_s[rows]) / self.denom[rows]
         w = np.stack([s, np.ones_like(s)], axis=1)  # W_i^T, (k, 2, n)
@@ -371,57 +413,85 @@ def _capacitance_step(response, f, shift):
 
 def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
     """The mesh at g_cell (symmetric positive definite), `row` driven,
-    solved against the node currents rhs by conjugate gradients from zero,
-    preconditioned by mesh.solve.
+    solved against the node currents rhs: the node-space step p with
+    J p = rhs, found by conjugate gradients on the m*n cell currents.
 
-    Each step walks the mesh once, for the product A d its curvature
-    needs, and updates the residual rhs - A p by the same product
-    (Hestenes & Stiefel's recurrence) rather than walking p again.  The
-    loop stops on the residual: once no node is out of balance by more
-    than KCL_RTOL of the source current the step leaves,
-    g |gap - p_src|, gap being the source segment's drop before it.
-    Where that lies below floor, one rounding of a wire current at the
+    Every Newton residual of an oracle row is a cell-pair vector [rho;
+    -rho] up to rounding, so rho is taken as the wordline half of rhs,
+    exact on the wordline nodes, and off = rhs_w + rhs_b is left on the
+    bitline nodes.  With M the mesh at mesh.g_cell, S = P M^-1 P^T its cell
+    response (ModalMesh.cells) and Delta = diag(g_cell - mesh.g_cell), the
+    step p = M^-1 ([e; off - e]) balances the mesh where the cell currents
+    e = S^-1 delta have (S^-1 + Delta) delta = rho, the Schur complement of
+    J on the cells (Concus, Golub & O'Leary, 1976), but for Delta times
+    the drops off drives, which is rounding.  That system is solved by
+    conjugate gradients from zero preconditioned by S, each direction's
+    product with S^-1 by recurrence, as in _capacitance_step: each step
+    applies S once and accumulates e, and neither solves M nor walks the
+    mesh.  The source node's voltage p_src in the lifted step is carried
+    by the same recurrence on the source voltage each apply returns.
+
+    The node residual of the lifted step is [rho_k; -rho_k], rho_k the
+    loop's residual, so the loop stops on the mesh's rule: once no node is
+    out of balance by more than KCL_RTOL of the source current the step
+    leaves, g |gap - p_src|, gap being the source segment's drop before
+    it.  Where that lies below floor, one rounding of a wire current at the
     source (a row drawing little current against its wires), steps only
-    chase rounding into overflow: the loop also stops once the residual
-    is inside that floor at every node and in its total, the charge it
-    leaves unbalanced.  The recurrence drifts from the residual itself
-    by rounding, so once it passes, one walk of p confirms: the step is
-    returned only if the walked residual passes too.  A step the walk
-    does not confirm, a breakdown, or CG_MAX_STEPS steps without a stop
-    is solved directly.
+    chase rounding into overflow: the loop also stops once the residual is
+    inside that floor.  The step is then lifted by one solve of M and
+    confirmed by one walk of the mesh: it is returned only if the walked
+    residual passes the rule too, at every node and, against the floor,
+    in its total, the charge it leaves unbalanced.  An rhs that already
+    passes returns a zero step.  A step the walk does not confirm, a
+    breakdown, or CG_MAX_STEPS steps without a stop is solved directly.
     """
-    g, src = mesh.g, row * mesh.shape[1]
+    g, (m, n) = mesh.g, mesh.shape
+    mn = m * n
 
-    def settled(r, p):
+    def settled(r, p_src, total=0.0):
         worst = max(r.max(), -r.min())  # NaN fails the rule below
-        balanced = worst <= KCL_RTOL * abs(g * (gap - p[src]))
-        return balanced or (worst <= floor and abs(np.sum(r)) <= floor)
+        balanced = worst <= KCL_RTOL * abs(g * (gap - p_src))
+        return balanced or (worst <= floor and abs(total) <= floor)
 
-    p = np.zeros_like(rhs)
-    r = rhs.copy()  # rhs + _inflow(p): the walk of the zero state is exactly zero
+    if settled(rhs, 0.0, np.sum(rhs)):
+        return np.zeros_like(rhs)
+    shift = g_cell - mesh.g_cell
+    r = rhs[:mn].reshape(m, n).copy()
+    e = np.zeros((m, n))
+    e_source = 0.0  # the source node's voltage in the step e lifts to, less off's
     d = None
     rz = 0.0
     for step in range(CG_MAX_STEPS + 1):
-        if settled(r, p):
-            if d is None or settled(rhs + _inflow(g, g_cell, row, 0.0, p), p):
+        if settled(r, e_source):
+            y = np.concatenate([e.ravel(), rhs[:mn] + rhs[mn:]])
+            y[mn:] -= y[:mn]
+            p = mesh.solve(y, row)
+            walked = rhs + _inflow(g, g_cell, row, 0.0, p)
+            if settled(walked, p[row * n], np.sum(walked)):
                 return p
             break
         if step == CG_MAX_STEPS:
             break
-        z = mesh.solve(r, row)
-        rz, rz_prev = float(r @ z), rz
+        z, z_source = mesh.cells(r, row)
+        rz, rz_prev = float(np.vdot(r, z)), rz
         if d is None:
-            d = z
+            d, q, q_source = z, r.copy(), z_source  # q = S^-1 d
         else:
-            d *= rz / rz_prev
+            beta = rz / rz_prev
+            d *= beta
             d += z
-        q = _inflow(g, g_cell, row, 0.0, d)  # -A d
-        curvature = -float(d @ q)
+            q *= beta
+            q += r
+            q_source = beta * q_source + z_source
+        product = shift * d
+        product += q  # H d
+        curvature = float(np.vdot(d, product))
         if not (curvature > 0.0 and np.isfinite(rz / curvature)):
             break
         alpha = rz / curvature
-        p += alpha * d
-        r += alpha * q
+        e += alpha * q
+        e_source += alpha * q_source
+        r -= alpha * product
     return _solve_direct(g, g_cell, row, rhs)
 
 
@@ -469,11 +539,11 @@ class GeometryFactors:
     background in one batch, NaN on every other row.
 
     Below a table's first bias node a cell's tangent is its chord, so the
-    operator, with the driven row's source update (ModalMesh.solve),
-    preconditions the Newton steps.  The drops (solve_driven_rows) are
-    exact but for the cells off the driven row, which they hold at g_bar;
-    lifted to every node by the same operator they are the row's first
-    state.  They are solved matrix-free, by conjugate gradients on O(mn)
+    operator's cell response, with the driven row's source update
+    (ModalMesh.cells), preconditions the Newton steps.  The drops
+    (solve_driven_rows) are exact but for the cells off the driven row,
+    which they hold at g_bar; lifted to every node by the same operator
+    they are the row's first state.  They are solved matrix-free, by conjugate gradients on O(mn)
     mode factors (DrivenResponse), so building the factors holds no n x n
     matrix per row.
     """
@@ -505,9 +575,11 @@ def kirchhoff_row_solve(
     That state is exact but for the cells off the driven row.  Every Newton
     step solves the mesh with each cell at its tangent against the
     current-law residual, each cell carrying its chord current.  The
-    default backend ("pcg") runs conjugate gradients preconditioned by the
-    same solve (_pcg), one per step, until the step leaves no node out of
-    balance by more than KCL_RTOL of the source current.  "sparse", the
+    default backend ("pcg") runs conjugate gradients on the cell currents,
+    preconditioned by the same operator's cell response (_pcg), until the
+    step leaves no node out of balance by more than KCL_RTOL of the source
+    current, then lifts the step with one solve and confirms it with one
+    walk: at most one solve of the operator per Newton step.  "sparse", the
     reference, solves every step by direct sparse LU.  The row stops
     unconverged after fixedpoint.MAX_ITER Newton steps.
     """

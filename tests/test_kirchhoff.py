@@ -379,6 +379,32 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
+@settings(deadline=None)
+@given(homogeneous_arrays, st.integers(0, 11), st.integers(0, 2**32 - 1))
+@example(one_row, 0, 0)
+@example(one_column, 8, 0)
+def test_cell_response_reads_the_modal_solve_across_the_cells(array, row, seed):
+    """The cell response the conjugate-gradient steps apply, against
+    ModalMesh.solve of the same currents as node currents [j; -j]: the
+    drops it returns across every cell, and the voltage it leaves the
+    source node at, which the steps carry to the lifted step's source.
+    The reference drops are differences of what the currents into the
+    wordline nodes and out of the bitline nodes drive, each rounding at
+    its own scale (up to a bitline's resistance to ground where cells
+    short the wires), so they are compared at the largest voltage the
+    wordline half drives alone."""
+    m, n, r_int, g_cell, _ = array
+    row %= m
+    mn = m * n
+    mesh = nodal.ModalMesh(1.0 / r_int, m, n, g_cell)
+    j = np.random.default_rng(seed).standard_normal((m, n)).ravel()
+    drops, v_source = mesh.cells(j.reshape(m, n), row)
+    x = mesh.solve(np.concatenate([j, -j]), row)
+    scale = np.max(np.abs(mesh.solve(np.concatenate([j, np.zeros(mn)]), row)))
+    assert np.max(np.abs(drops.ravel() - (x[:mn] - x[mn:]))) <= 1e-12 * scale
+    assert abs(v_source - x[row * n]) <= 1e-12 * scale
+
+
 # wires from 1e2 to 1e7 ohm and cells from 1e-11 to 1e-3 S: from cells so
 # faint that a row's lift outgrows its wires' resistance a billionfold to
 # cells that short the wires
@@ -664,6 +690,30 @@ def test_rows_inside_the_floor_but_off_balance_keep_stepping(monkeypatch, n, r_i
     assert_same_state(row, ref, fixedpoint.DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3) for n in range(1, 7)])
+def test_faint_rows_on_strong_wires_keep_to_the_direct_route(monkeypatch, m, n):
+    """Knee-0 cells at r1 1e11 on 1e2 ohm wires: every row draws a current
+    far below one rounding of a wire current, so each Newton residual is
+    rounding, and a floating wordline's uniform mode lifts whatever lands
+    in it by 1/(n g_bar).  The cell currents conjugate gradients solve for
+    are the wordline half of each residual, exact there, so every row
+    keeps to the direct route's state to 1e-12 V with no direct solve."""
+    spec = CrossbarSpec(
+        m=m, n=n, r_int=1e2, bits=np.zeros((m, n), np.int8), pair=knee_pair(r1=1e11), v_in=1.0
+    )
+    refs = [kirchhoff_row_solve(spec, i, backend="sparse") for i in range(m)]
+
+    def no_direct_solve(*args):
+        raise AssertionError("a Newton step fell back to the direct solve")
+
+    monkeypatch.setattr(nodal, "_solve_direct", no_direct_solve)
+    for i, ref in enumerate(refs):
+        row = kirchhoff_row_solve(spec, i)
+        assert row.converged
+        assert np.max(np.abs(row.v_word - ref.v_word)) <= 1e-12
+        assert np.max(np.abs(row.v_bit - ref.v_bit)) <= 1e-12
+
+
 def mesh_solves(spec, active_row):
     """The args (mesh, row, g_cell, rhs, gap, floor) of every Newton step's
     conjugate-gradient solve of `active_row`, as the oracle makes them."""
@@ -680,7 +730,8 @@ def mesh_solves(spec, active_row):
 
 
 def meets_stop_rule(mesh, row, g_cell, rhs, gap, floor, p):
-    """_pcg's stop rule, on the residual rhs - A p walked edge by edge."""
+    """_pcg's stop rule, on the residual rhs - A p of the lifted step walked
+    edge by edge."""
     g = mesh.g
     r = rhs + nodal._inflow(g, g_cell, row, 0.0, p)
     worst = np.max(np.abs(r))
@@ -689,54 +740,74 @@ def meets_stop_rule(mesh, row, g_cell, rhs, gap, floor, p):
 
 
 def counted_solve(monkeypatch, args, perturb=None):
-    """_pcg(*args), with the mesh walks, preconditioner applies and direct
-    solves it makes counted; perturb, if given, maps the walk number and
-    its product to what the solve sees instead."""
-    count = {"walk": 0, "precondition": 0, "direct": 0}
-    inflow, precondition, direct = nodal._inflow, nodal.ModalMesh.solve, nodal._solve_direct
+    """_pcg(*args), with the cell-response applies, mode solves, mesh walks
+    and direct solves it makes counted; perturb, if given, maps the kind
+    of call ("cells" or "walk"), its number among its kind and its product
+    to what the solve sees instead."""
+    count = {"cells": 0, "modes": 0, "walk": 0, "direct": 0}
+    cells, modes = nodal.ModalMesh.cells, nodal.ModalMesh.solve
+    inflow, direct = nodal._inflow, nodal._solve_direct
+
+    def seen(kind, out):
+        count[kind] += 1
+        return out if perturb is None else perturb(kind, count[kind], out)
+
+    def apply(self, j, row):
+        drops, v_source = cells(self, j, row)
+        return seen("cells", drops), v_source
+
+    def solve(self, y, row):
+        count["modes"] += 1
+        return modes(self, y, row)
 
     def walk(*walk_args):
-        count["walk"] += 1
-        out = inflow(*walk_args)
-        return out if perturb is None else perturb(count["walk"], out)
-
-    def apply(self, y, row):
-        count["precondition"] += 1
-        return precondition(self, y, row)
+        return seen("walk", inflow(*walk_args))
 
     def direct_solve(*direct_args):
         count["direct"] += 1
         return direct(*direct_args)
 
+    monkeypatch.setattr(nodal.ModalMesh, "cells", apply)
+    monkeypatch.setattr(nodal.ModalMesh, "solve", solve)
     monkeypatch.setattr(nodal, "_inflow", walk)
-    monkeypatch.setattr(nodal.ModalMesh, "solve", apply)
     monkeypatch.setattr(nodal, "_solve_direct", direct_solve)
     p = nodal._pcg(*args)
     monkeypatch.undo()
     return p, count
 
 
-def test_conjugate_gradient_steps_walk_the_mesh_once(monkeypatch):
-    """Each step walks the mesh once, for the product its curvature and
-    the residual's recurrence share, and the solve walks once more to
-    confirm the residual it stops on."""
+def test_conjugate_gradient_steps_apply_the_cell_response_and_walk_nothing(monkeypatch):
+    """Each step applies the cell response once, for its preconditioned
+    residual, and neither solves the modes nor walks the mesh: a solve cut
+    off by the step budget makes as many applies as steps and no mode
+    solve.  A solve that stops lifts its cell currents by one mode solve
+    and walks the mesh once, to confirm the residual it stops on."""
     spec = disordered_spec(7, 12, 12, 1e7)
     args = mesh_solves(spec, 5)[0]
     p, count = counted_solve(monkeypatch, args)
-    assert count["direct"] == 0 and count["precondition"] >= 2
-    assert count["walk"] == count["precondition"] + 1
+    assert count["direct"] == 0 and count["cells"] >= 2
+    assert count["modes"] == 1 and count["walk"] == 1
     assert meets_stop_rule(*args, p)
+    budget = count["cells"] - 1
+    monkeypatch.setattr(nodal, "CG_MAX_STEPS", budget)
+    _, cut = counted_solve(monkeypatch, args)
+    assert cut["direct"] == 1 and cut["cells"] == budget and cut["modes"] == 0
 
 
-def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_step(monkeypatch):
-    """The source update is applied to the mode coefficients, so a row
-    solves the mode operator once for its first state and once per
-    preconditioned conjugate-gradient step, and never for a unit current
-    at its source.  Each step is counted by its mesh walk, less the one
-    walk that confirms each solve."""
+def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_mesh_solve(monkeypatch):
+    """Conjugate gradients run on the cell currents, so a row solves the
+    mode operator once for its first state and once per mesh solve, to
+    lift its step, and never in a conjugate-gradient step or for a unit
+    current at its source; each mesh solve walks the mesh once, to confirm
+    its step.  A residual that already settles returns a zero step, with
+    neither, and is not counted."""
     spec = disordered_spec(7, 12, 12, 1e7)
-    count = {"modes": 0, "walks": 0, "steps": 0}
-    solve, inflow, pcg = nodal.ModalMesh.solve, nodal._inflow, nodal._pcg
+    count = {"modes": 0, "walks": 0, "solves": 0, "steps": 0}
+    cells, solve, inflow, pcg = nodal.ModalMesh.cells, nodal.ModalMesh.solve, nodal._inflow, nodal._pcg
+
+    def steps(self, j, row):
+        count["steps"] += 1
+        return cells(self, j, row)
 
     def modes(self, y, row):
         count["modes"] += 1
@@ -746,41 +817,43 @@ def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_step(monkeypa
         count["walks"] += v_source == 0.0  # a product, not the Newton residual
         return inflow(g, g_cell, row, v_source, x)
 
-    def steps(*args):
-        walks = count["walks"]
+    def solves(*args):
         p = pcg(*args)
-        count["steps"] += max(count["walks"] - walks - 1, 0)
+        count["solves"] += bool(p.any())
         return p
 
+    monkeypatch.setattr(nodal.ModalMesh, "cells", steps)
     monkeypatch.setattr(nodal.ModalMesh, "solve", modes)
     monkeypatch.setattr(nodal, "_inflow", walk)
-    monkeypatch.setattr(nodal, "_pcg", steps)
+    monkeypatch.setattr(nodal, "_pcg", solves)
     assert kirchhoff_row_solve(spec, 5).converged
-    assert count["steps"] > 0
-    assert count["modes"] == count["steps"] + 1
+    assert count["steps"] > count["solves"] > 0
+    assert count["modes"] == count["solves"] + 1
+    assert count["walks"] == count["solves"]
 
 
 @pytest.mark.parametrize(
-    "off_first_product",
+    "kind, off_first_product",
     [
-        lambda out: out * (1.0 + 1e-6),  # the recurrence drifts from the walk
-        lambda out: -out,  # negative curvature: a breakdown
+        ("walk", lambda out: out * (1.0 + 1e-6)),  # the walk disagrees with the recurrence
+        ("cells", lambda out: -out),  # negative curvature: a breakdown
     ],
     ids=["unconfirmed", "breakdown"],
 )
-def test_a_failed_conjugate_gradient_solve_is_solved_directly(monkeypatch, off_first_product):
-    """With the first step's product off by 1e-6, the recurrence leaves a
-    residual the confirming walk disagrees with; with its sign flipped,
-    the curvature is negative.  Either way the solve ends in one direct
-    solve and returns its step."""
+def test_a_failed_conjugate_gradient_solve_is_solved_directly(monkeypatch, kind, off_first_product):
+    """With the confirming walk's product off by 1e-6, it disagrees with
+    the residual the recurrence stopped on; with the first cell-response
+    apply's sign flipped, the curvature is negative.  Either way the solve
+    ends in one direct solve and returns its step."""
     spec = disordered_spec(7, 12, 12, 1e7)
     args = mesh_solves(spec, 5)[0]
 
-    def perturb(walk, out):
-        return off_first_product(out) if walk == 1 else out
+    def perturb(seen, number, out):
+        return off_first_product(out) if (seen, number) == (kind, 1) else out
 
     p, count = counted_solve(monkeypatch, args, perturb)
     assert count["direct"] == 1
+    assert count["modes"] == (kind == "walk")  # a breakdown stops before the lift
     mesh, row, g_cell, rhs = args[:4]
     np.testing.assert_array_equal(p, nodal._solve_direct(mesh.g, g_cell, row, rhs))
 
@@ -815,6 +888,39 @@ def test_every_conjugate_gradient_step_meets_the_stop_rule_on_the_walk(
     excess = 0.1 * g_bar * rng.standard_normal(n)
     rhs[src : src + n] -= excess
     rhs[m * n + src : m * n + src + n] += excess
+    args = (nodal.ModalMesh(g, m, n, g_bar), row, tangent, rhs, 1.0, g * np.finfo(float).eps)
+    with pytest.MonkeyPatch.context() as patch:
+        p, count = counted_solve(patch, args)
+    if count["direct"]:
+        np.testing.assert_array_equal(p, nodal._solve_direct(g, tangent, row, rhs))
+    else:
+        assert meets_stop_rule(*args, p)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    st.floats(-10.0, -5.0).map(lambda e: 10.0**e),
+    st.integers(0, 11),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1e2, 1e-10, 0, 0)
+@example(12, 12, 1e8, 1e-5, 11, 0)
+def test_every_cell_current_step_meets_the_stop_rule_on_the_walk(m, n, r_int, g_bar, row, seed):
+    """The residual shape every oracle Newton step solves against: currents
+    across every cell, [rho; -rho], a tenth of the driver's current, with
+    tangents scattered a decade either side of the preconditioner's
+    conductance.  A step the cell-current loop returns meets the stop rule
+    on the residual walked from its lift; a step the walk does not confirm
+    is the direct solve's."""
+    row %= m
+    g = 1.0 / r_int
+    rng = np.random.default_rng(seed)
+    tangent = g_bar * 10.0 ** rng.uniform(-1.0, 1.0, (m, n))
+    rho = 0.1 * g * rng.standard_normal(m * n)
+    rhs = np.concatenate([rho, -rho])
     args = (nodal.ModalMesh(g, m, n, g_bar), row, tangent, rhs, 1.0, g * np.finfo(float).eps)
     with pytest.MonkeyPatch.context() as patch:
         p, count = counted_solve(patch, args)
