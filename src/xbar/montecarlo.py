@@ -108,8 +108,9 @@ def optimal_threshold(currents, labels) -> ThresholdResult:
     """Exhaustive scan for the misclassification-minimizing cut.
 
     Candidates are the midpoints between consecutive distinct sorted
-    currents plus the two outside sentinels, each tried with both polarity
-    assignments.  Ties prefer the cut with the widest gap around it.
+    currents plus a sentinel below them all, each tried with both polarity
+    assignments.  Ties prefer the widest gap, then the lowest cut (a
+    sentinel above them all would tie the one below, and lose).
     """
     c = np.asarray(currents, dtype=float).ravel()
     y = np.asarray(labels).ravel().astype(np.int8)
@@ -127,29 +128,23 @@ def optimal_threshold(currents, labels) -> ThresholdResult:
     order = np.argsort(c, kind="stable")
     cs = c[order]
     ys = y[order]
-    # cut index k means the threshold sits between cs[k] and cs[k+1];
-    # k = -1 and k = size-1 are the outside sentinels
-    boundary = np.nonzero(np.diff(cs) > 0)[0]
-    cuts = np.concatenate([[-1], boundary, [c.size - 1]])
+    # cut index k means the threshold sits between cs[k] and cs[k+1],
+    # and below every current at k = -1
+    steps = np.diff(cs)
+    boundary = np.nonzero(steps > 0)[0]
+    cuts = np.concatenate([[-1], boundary])
     ones_le = np.concatenate([[0], np.cumsum(ys)])[cuts + 1]
     errors_high = 2 * ones_le + n0 - (cuts + 1)  # ones below + zeros above
     errors = np.minimum(errors_high, c.size - errors_high)
     polarity = np.where(errors_high <= c.size - errors_high, 1, -1)
 
-    gaps = np.full(cuts.size, np.inf)
-    interior = (cuts >= 0) & (cuts < c.size - 1)
-    gaps[interior] = cs[cuts[interior] + 1] - cs[cuts[interior]]
+    gaps = np.concatenate([[np.inf], steps[boundary]])
     best_err = errors.min()
     candidates = np.nonzero(errors == best_err)[0]
     pick = candidates[np.argmax(gaps[candidates])]
 
     k = cuts[pick]
-    if k < 0:
-        threshold = -np.inf
-    elif k >= c.size - 1:
-        threshold = np.inf
-    else:
-        threshold = 0.5 * (cs[k] + cs[k + 1])
+    threshold = -np.inf if k < 0 else 0.5 * (cs[k] + cs[k + 1])
     return ThresholdResult(
         float(threshold), best_err / c.size, int(polarity[pick]), False
     )

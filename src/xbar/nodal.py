@@ -19,22 +19,25 @@ zero-bias chord, the one operator each oracle row starts from and
 preconditions with.  A row's first state is its driven row solved
 exactly, cells nonlinear, with every other cell held at g_bar
 (solve_driven_rows, n unknowns per row through the capacitance-matrix
-method, each Newton step solved by conjugate gradients preconditioned by
-the row's drop response, which the operator applies in the mode basis),
-then lifted to every node by one solve of the operator.  From there
-every Newton residual is a current across each cell, and on the default
-route ("pcg"), which factors no sparse matrix, each Newton step is
-solved by the same method on all m*n cells: conjugate gradients on the
-cell currents, preconditioned by the operator's cell response
-(ModalMesh.cells), whose steps neither solve the operator nor walk the
-mesh.  The step is lifted to every node by one solve of the operator and
-confirmed by one walk of the mesh (_inflow) against the stop rule
-(_pcg).  A step that walk does not confirm, a breakdown or an exhausted
-step budget is solved by direct sparse LU (_solve_direct), as the
-"sparse" route, the reference the default must match, solves every
-step.  Only the functions that assemble or factor the
-mesh import scipy.sparse, at their first call, so the default route loads
-no scipy.
+method), then lifted to every node by one solve of the operator.  From
+there every Newton residual is a current across each cell, and on the
+default route ("pcg"), which factors no sparse matrix, each Newton step
+is solved on the m*n cell currents, lifted by one solve of the operator
+and confirmed by one walk of the mesh (_inflow).  A step that walk does
+not confirm, a breakdown or an exhausted step budget is solved by direct
+sparse LU (_solve_direct), as the "sparse" route, the reference the
+default must match, solves every step; only that route's functions
+import scipy.sparse, at their first call.
+
+The two kinds of Newton step are solved by two loops of preconditioned
+conjugate gradients, each carrying its directions' products with the
+inverse preconditioner by recurrence: _capacitance_step, masked over a
+batch of driven rows, and _pcg, over one row's cells, with the source
+voltage carried along and the mesh's stop rule.  One batched loop for
+both kept every output within 7e-12 relative, but its masks and vector
+steps, paid by a batch of one, made a mesh step 18-56 % and a readout
+12-28 % slower at 32x32 and 64x64 (ROADMAP item 18): it would pay only
+once the mesh steps of many rows run as one batch.
 
 This solver is the ground truth the parametric model is calibrated
 against; it is deliberately free of modeling shortcuts.
@@ -140,9 +143,9 @@ def _inflow(g: float, g_cell: np.ndarray, active_row: int, v_source: float, x):
 
     With the driver at v_source this is the Kirchhoff current-law residual
     b - A x of the assembled system; with v_source = 0 it is -A x, the
-    matrix-free product the conjugate-gradient steps use.  Every flow is
-    formed from a voltage difference, so the residual resolves imbalances
-    far below the branch currents themselves.
+    product that confirms a conjugate-gradient step and refines a direct
+    solve.  Every flow is formed from a voltage difference, so the
+    residual resolves imbalances far below the branch currents themselves.
 
     The walk runs over the flat node vectors in contiguous passes: the
     wordline segments are the steps between neighbouring nodes, less the
@@ -459,8 +462,7 @@ def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: fl
     r = rhs[:mn].reshape(m, n).copy()
     e = np.zeros((m, n))
     e_source = 0.0  # the source node's voltage in the step e lifts to, less off's
-    d = None
-    rz = 0.0
+    d, q, q_source, rz = np.zeros((m, n)), np.zeros((m, n)), 0.0, np.inf  # q = S^-1 d
     for step in range(CG_MAX_STEPS + 1):
         if settled(r, e_source):
             y = np.concatenate([e.ravel(), rhs[:mn] + rhs[mn:]])
@@ -474,15 +476,12 @@ def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: fl
             break
         z, z_source = mesh.cells(r, row)
         rz, rz_prev = float(np.vdot(r, z)), rz
-        if d is None:
-            d, q, q_source = z, r.copy(), z_source  # q = S^-1 d
-        else:
-            beta = rz / rz_prev
-            d *= beta
-            d += z
-            q *= beta
-            q += r
-            q_source = beta * q_source + z_source
+        beta = rz / rz_prev  # 0 on the first step, from rz_prev = inf
+        d *= beta
+        d += z
+        q *= beta
+        q += r
+        q_source = beta * q_source + z_source
         product = shift * d
         product += q  # H d
         curvature = float(np.vdot(d, product))

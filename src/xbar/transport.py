@@ -468,6 +468,7 @@ def landauer_current(spectrum: TransmissionSpectrum, bias: BiasPoint) -> float:
         np.arange(lo, hi + 0.5 * h_fine, h_fine),
         energies[(energies >= lo) & (energies <= hi)],
     )
+    grid = grid[np.concatenate([[True], np.diff(grid) > 1e-6 * h_fine])]  # drop near-duplicates
     t = np.interp(grid, energies, spectrum.t_eff)
     window = fermi_occupation(grid, bias.e_fermi_right, kt) - fermi_occupation(
         grid, bias.e_fermi_left, kt

@@ -225,8 +225,10 @@ def test_out_of_range_flag_exits_one_and_names_the_flag(tmp_path, capsys, comman
         ("iv-gen", "--delta-points", "0"),
         ("iv-gen", "--temperature", "0"),
         ("iv-gen", "--gamma-probe", "-1"),
+        ("iv-gen", "--gamma-contact", "0"),
         ("iv-synth", "--r-low", "-1"),
         ("iv-synth", "--knee", "2"),
+        ("iv-synth", "--sensitivity", "-1"),
     ],
 )
 def test_out_of_range_table_flag_exits_one_and_names_it(tmp_path, capsys, command, flag, value):
@@ -271,6 +273,24 @@ def test_thread_count_below_one_exits_one_and_writes_nothing(tmp_path, capsys, c
     argv = pinned_run(tmp_path, command) + ["--out", str(out), "--threads", threads]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("mc", "--size", "8by8", "expected <m>x<n>, got '8by8'"),
+        ("store", "--rint", "1e6,abc", "bad resistance list '1e6,abc'"),
+    ],
+    ids=["size-without-x", "rint-not-a-number"],
+)
+def test_unparsable_flag_exits_one_and_names_it(tmp_path, capsys, command, flag, value, message):
+    """A flag value that does not parse is an input error naming the flag
+    and the value, raised as the flags are parsed."""
+    out = tmp_path / "out"
+    argv = pinned_run(tmp_path, command) + ["--out", str(out), flag, value]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -491,6 +511,15 @@ def test_plot_data_rejects_unknown_directory(tmp_path, capsys):
     assert "no recognizable report" in capsys.readouterr().err
 
 
+def test_plot_data_rejects_a_file_for_its_report_directory(tmp_path, capsys):
+    report = tmp_path / "mc_summary.json"
+    report.write_text("{}")
+    code = cli.main(["plot-data", "--config", str(report), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {report}: expected a report directory\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _files(root):
     return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
@@ -656,6 +685,19 @@ def test_truncated_config_exits_one_and_names_field(tmp_path, capsys):
     code = cli.main(["solve", "--config", str(tmp_path / "broken.json"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "r_int_ohm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "mc", "store", "iv-gen"])
+def test_config_holding_a_json_array_exits_one_and_names_it(tmp_path, capsys, command):
+    """A config file whose top level is not a JSON object is an input
+    error naming the file and the first field it was read for."""
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: field '") and "must be in a JSON object" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -881,12 +923,19 @@ def write_system(tmp_path):
         ("store", "store.json", {"sizes": [[8, 8, 8]]}, "field 'sizes' must list [m, n] pairs"),
         ("iv-gen", "system.json", {"fock": [-5.0] * 15}, "fock has 15 entries, expected 16"),
         ("iv-gen", "system.json", {"partition": [2, 3]}, "partition sums to 5, expected 4"),
+        ("iv-gen", "system.json", {"partition": []}, "partition is empty"),
+        ("iv-gen", "system.json", {"partition": [4, 0]}, "partition entries must be positive"),
         ("oracle", "t1.json", {"current_a": [0.0] * 5}, "current_a has 5 entries, expected 6"),
         ("oracle", "t1.json", {"v_grid_v": [0.0, 1.0, 0.5]}, "v_grid must be strictly increasing"),
+        ("oracle", "t1.json", {"v_grid_v": [], "current_a": []}, "v_grid needs at least one point"),
+        ("oracle", "t1.json", {"delta_grid_ev": [], "current_a": []},
+         "delta_grid needs at least one point"),
+        ("oracle", "t1.json", {"delta_grid_ev": [0.2, 0.0]}, "delta_grid must be strictly increasing"),
     ],
     ids=["spec-empty", "spec-negative-size", "spec-bits-short", "spec-delta-short", "store-size-triple",
-         "system-fock-short", "system-partition-sum", "table-current-short",
-         "table-v-grid-swapped"],
+         "system-fock-short", "system-partition-sum", "system-partition-empty",
+         "system-partition-zero", "table-current-short", "table-v-grid-swapped", "table-v-grid-empty",
+         "table-delta-grid-empty", "table-delta-grid-decreasing"],
 )
 def test_inconsistent_input_file_exits_one_and_names_it(tmp_path, capsys, command, file, edit,
                                                         message):

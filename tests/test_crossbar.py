@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xbar import fixedpoint, ivtable
+from xbar import fixedpoint, ivtable, runio
 from xbar.crossbar import (
     _ladder_fractions,
     _solve_rows,
@@ -23,7 +23,8 @@ from xbar.crossbar import (
 from xbar.defaults import shipped_pair
 from xbar.ivtable import LookupPlan
 from xbar.model import CrossbarSpec, ReadoutSolution, SneakParams
-from xbar.nodal import GeometryFactors, kirchhoff_solve
+from xbar.nodal import GeometryFactors, kirchhoff_row_solve, kirchhoff_solve
+from xbar.storage import tile_bits
 
 from factories import disordered_spec, knee_pair, linear_pair, random_spec
 
@@ -373,6 +374,32 @@ def test_spec_rejects_stacks_of_the_wrong_shape():
     with pytest.raises(ValueError, match="delta shape"):
         CrossbarSpec(m=2, n=2, r_int=1e4, bits=np.zeros((3, 2, 2)), delta=np.zeros((2, 2)),
                      pair=shipped_pair())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kirchhoff_row_solve(random_spec(1, 3, 3, 1e4, linear_pair(1e6, 1e8)), 3),
+         r"active row 3 outside 0\.\.2"),
+        (lambda: kirchhoff_row_solve(random_spec(1, 3, 3, 1e4, linear_pair(1e6, 1e8)), -1),
+         r"active row -1 outside 0\.\.2"),
+        (lambda: array_reader("block", homogeneous_spec(2, 2, 1e4, shipped_pair()), 1),
+         "unknown solver 'block'"),
+        (lambda: runio.parallel_map(abs, [1, 2], 0), "thread count must be >= 1, got 0"),
+        (lambda: tile_bits([], 2, 2), "no bits to tile"),
+        (lambda: tile_bits([1, 0], 2, 0), "tile dimensions must be at least 1x1"),
+        (lambda: SneakParams(np.full((2, 2), 0.5), np.ones(2)), "alpha must be one-dimensional"),
+        (lambda: SneakParams(np.ones(2), [0.5, 1.5]), r"beta entries must lie in \(0, 1\]"),
+        (lambda: SneakParams([0.0, 1.0], np.ones(2)), r"alpha entries must lie in \(0, 1\]"),
+    ],
+    ids=["row-past-last", "row-negative", "unknown-solver", "zero-threads", "no-bits",
+         "zero-wide-tile", "factors-2d", "factor-above-one", "factor-zero"],
+)
+def test_library_input_check_raises_and_names_the_fault(call, message):
+    """Checks of the library's own arguments, which no command can reach
+    with a bad value: each is a ValueError that says what is wrong."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_oracle_reads_a_stack_array_by_array():
