@@ -125,7 +125,9 @@ def optimal_threshold(currents, labels) -> ThresholdResult:
     if n1 == 0:
         return ThresholdResult(np.inf, 0.0, 1, True)
 
-    order = np.argsort(c, kind="stable")
+    # the scan reads label counts only at boundaries between distinct
+    # currents, so the order within a tie never reaches the result
+    order = np.argsort(c)
     cs = c[order]
     ys = y[order]
     # cut index k means the threshold sits between cs[k] and cs[k+1],

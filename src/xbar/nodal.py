@@ -12,11 +12,11 @@ residual and the Newton step, the solve of the mesh with every cell at
 its tangent.
 
 With every cell at one conductance the network is separable; ModalMesh
-solves it mode by mode, and states once, for every row, the source
-segment's rank-one update that drives a row.  It is the calibration
-reference (solve_linear_homogeneous), and at g_bar, an array's mean
-zero-bias chord, the one operator each oracle row starts from and
-preconditions with.  A row's first state is its driven row solved
+solves it mode by mode, with the source segment's rank-one update that
+drives a row stated once, in DrivenRow, and formed once per row.  It is
+the calibration reference (solve_linear_homogeneous), and at g_bar, an
+array's mean zero-bias chord, the one operator each oracle row starts
+from and preconditions with.  A row's first state is its driven row solved
 exactly, cells nonlinear, with every other cell held at g_bar
 (solve_driven_rows, n unknowns per row through the capacitance-matrix
 method), then lifted to every node by one solve of the operator.  From
@@ -200,15 +200,17 @@ class ModalMesh:
     (p, q) by V[i, p] U[0, q]: `u_s` and `s`, the voltage it raises there
     and the drops across the row's cells, each less the lift; `denom` =
     1 + g (u_s + lift); `gain` = g / denom, the current a unit bias draws;
-    and `bias` = gain (s + lift), the drops it drives.  `solve` (node
-    currents to node voltages) and `cells` (cell currents to cell drops)
-    take the update off the mode coefficients through one method,
-    `_source`.  Every term is of the array's size, (m, n) or smaller.
+    and `bias` = gain (s + lift), the drops it drives; `driven` forms one
+    row's share (DrivenRow).  Every term is of the array's size, (m, n) or
+    smaller.  `ut`, U^T laid out contiguously, serves DrivenRow's back
+    products a third faster than the transposed view at 64x64; `s` keeps
+    the view, to keep calibration's bytes.
     """
 
     def __init__(self, g: float, m: int, n: int, g_cell: float):
         self.g, self.g_cell, self.shape, self.lift = g, g_cell, (m, n), 1.0 / (n * g_cell)
         lam, self.u = _path_modes(n, grounded=False)
+        self.ut = np.ascontiguousarray(self.u.T)
         mu, self.v = _path_modes(m, grounded=True)
         self.g_mu = g * mu[:, None]
         self.det = self.g_mu * (g * lam + g_cell) + g * g_cell * lam
@@ -225,71 +227,9 @@ class ModalMesh:
         self.s = (self.weight @ self.word_drop * self.u[0]) @ self.u.T
         self.bias = self.gain[:, None] * (self.s + self.lift)
 
-    def _source(self, x_word: np.ndarray, lifts: np.ndarray, row: int):
-        """The source update of a sourceless response, `row` driven: x_word
-        the wordline side of its mode coefficients and lifts each
-        wordline's lift.  Returns the mode coefficients of the current the
-        source segment draws, and the voltage the source node is left at,
-        (v_src + lift_row) / denom by Sherman-Morrison, v_src being the
-        voltage the sourceless response raises there less its lift; the
-        driven row's lift is updated in place, over the one denominator:
-        where n g_cell << g it and the update grow alike as 1/(n g_cell),
-        and subtracting them would lose the digits of g/(n g_cell).
-        """
-        g, lift = self.g, self.lift
-        v_src = self.v[row] @ x_word @ self.u[0]
-        raised = v_src + lifts[row]
-        source = (self.gain[row] * raised * self.v[row])[:, None] * self.u[0]
-        lifts[row] = (lifts[row] * (1.0 + g * self.u_s[row]) - g * lift * v_src) / self.denom[row]
-        return source, raised / self.denom[row]
-
-    def solve(self, y: np.ndarray, row: int) -> np.ndarray:
-        """Node voltages, over [wordline nodes; bitline nodes], that node
-        currents y drive through the network, `row` driven with its driver
-        at zero: four dense mode products, one 2x2 solve per mode pair, and
-        the source update (_source) taken off the mode coefficients.  Each
-        wordline's lift is read from and added to its uniform mode, U[0, 0]
-        on every node, between the two products of each side: one entry per
-        row.
-        """
-        m, n = self.shape
-        uniform = self.u[0, 0]
-        h = y.reshape(2, m, n) @ self.u
-        lifts = (self.lift / uniform) * h[0, :, 0]  # lift times each wordline's current
-        w, b = self.v.T @ h
-        x = np.empty((2, m, n))
-        np.multiply(self.word, w, out=x[0])
-        x[0] += np.multiply(self.cross, b, out=x[1])
-        source, _ = self._source(x[0], lifts, row)
-        w -= source
-        x[0] -= np.multiply(self.word, source, out=source)
-        np.multiply(self.cross, w, out=x[1])
-        x[1] += np.multiply(self.bit, b, out=b)
-        h = self.v @ x
-        h[0, :, 0] += lifts / uniform
-        return (h @ self.u.T).ravel()
-
-    def cells(self, j: np.ndarray, row: int):
-        """The cell response S = P M^-1 P^T, `row` driven: the drops
-        (m x n) that currents j across the cells, each into its wordline
-        node and out of its bitline node, drive across them, and the
-        voltage they leave the source node at.  It is `solve` of [j; -j]
-        read across the cells, on one (m, n) array: a mode pair drops by
-        `drop` = word + bit - 2 cross, the source current by `word_drop`
-        = word - cross, and each wordline's lift, as in `solve`, rides its
-        uniform mode; two products per side.
-        """
-        uniform = self.u[0, 0]
-        h = j @ self.u
-        lifts = (self.lift / uniform) * h[:, 0]
-        h = self.v.T @ h
-        x = np.multiply(self.word_drop, h)
-        source, v_source = self._source(x, lifts, row)
-        h *= self.drop
-        h -= np.multiply(self.word_drop, source, out=x)
-        h = self.v @ h
-        h[:, 0] += lifts / uniform
-        return h @ self.u.T, v_source
+    def driven(self, row: int) -> DrivenRow:
+        """The operator with `row` driven, its source terms formed."""
+        return DrivenRow(self, row)
 
     def driven_rows(self, rows=slice(None)):
         """The drop response of each of `rows` (every row by default), that
@@ -303,7 +243,7 @@ class ModalMesh:
         with c_i = (V o V)(word + bit - 2 cross) the sourceless response is
         U diag(c_i) U^T + lift 11^T.  The source update, with s~_i = s_i +
         lift, subtracts g s~ s~^T / denom, and the lift is taken over the
-        one denominator, as in `solve`: where n g_cell << g the two lift
+        one denominator, as in DrivenRow: where n g_cell << g the two lift
         terms would cancel to the digits of g/(n g_cell).  So D_i =
         U diag(c_i) U^T + a_i 11^T - gain (s s^T + lift (s 1^T + 1 s^T)),
         a_i = lift (1 + g u_s) / denom.  The factors c take O(m^2 n) for
@@ -321,6 +261,86 @@ class ModalMesh:
         adj = np.stack([cap[:, 1, 1], -cap[:, 0, 1], -cap[:, 1, 0], cap[:, 0, 0]], axis=1)
         t = (adj.reshape(-1, 2, 2) / det[:, None, None]) @ k
         return DrivenResponse(u, lift, c, s, gain, y, t), self.bias[rows]
+
+
+class DrivenRow:
+    """A ModalMesh with one row driven: the one place the source update is
+    written, its terms formed once per row.  A unit current into the
+    source node drives mode pair (p, q) by `modes` = V[row, p] U[0, q], so
+    a sourceless response raises it, less its lift, by one dot product of
+    `modes` with the wordline side of its mode coefficients, and the
+    source current takes one scaled copy off them: `word_modes` = word o
+    modes in `solve`, `drop_modes` = word_drop o modes in `cells`.
+    """
+
+    def __init__(self, mesh: ModalMesh, row: int):
+        self.mesh, self.row = mesh, row
+        self.modes = np.outer(mesh.v[row], mesh.u[0])
+        self.word_modes = mesh.word * self.modes
+        self.drop_modes = mesh.word_drop * self.modes
+        self.gain, self.denom = float(mesh.gain[row]), float(mesh.denom[row])
+        self.kept = 1.0 + mesh.g * float(mesh.u_s[row])
+        self.g_lift = mesh.g * mesh.lift
+
+    def _source(self, v_src: float, lift: float):
+        """For a source node at v_src above the row's lift: the source
+        current's scale of `modes`, the new lift and the source voltage,
+        by Sherman-Morrison.  The lift is updated over one denominator:
+        where n g_cell << g it and the update grow alike as 1/(n g_cell),
+        and subtracting them would lose the digits of g/(n g_cell).
+        """
+        raised = v_src + lift
+        return self.gain * raised, (lift * self.kept - self.g_lift * v_src) / self.denom, raised / self.denom
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Node voltages, over [wordline nodes; bitline nodes], that node
+        currents y drive through the network, the driver at zero: four
+        dense mode products, one 2x2 solve per mode pair, and the source
+        update taken off the mode coefficients.  Each wordline's lift is
+        read from and added to its uniform mode, U[0, 0] on every node,
+        between the two products of each side: one entry per row.  The
+        source voltage is summed pairwise: a BLAS dot rounds it worse, which
+        cost a uniform 64x64 array at r_int 1e5 ten more mesh solves.
+        """
+        mesh, row = self.mesh, self.row
+        m, n = mesh.shape
+        uniform = mesh.u[0, 0]
+        h = y.reshape(2, m, n) @ mesh.u
+        lifts = (mesh.lift / uniform) * h[0, :, 0]  # lift times each wordline's current
+        w, b = mesh.v.T @ h
+        x = np.empty((2, m, n))
+        np.multiply(mesh.word, w, out=x[0])
+        x[0] += np.multiply(mesh.cross, b, out=x[1])
+        source, lifts[row], _ = self._source(float(np.sum(self.modes * x[0])), lifts[row])
+        x[0] -= source * self.word_modes
+        w -= source * self.modes
+        np.multiply(mesh.cross, w, out=x[1])
+        x[1] += np.multiply(mesh.bit, b, out=b)
+        h = mesh.v @ x
+        h[0, :, 0] += lifts / uniform
+        return (h @ mesh.ut).ravel()
+
+    def cells(self, j: np.ndarray):
+        """The cell response S = P M^-1 P^T: the drops (m x n) that
+        currents j across the cells, each into its wordline node and out of
+        its bitline node, drive across them, and the voltage they leave the
+        source node at.  It is `solve` of [j; -j] read across the cells, on
+        one (m, n) array: a mode pair drops by `drop` = word + bit - 2
+        cross, the source current by `word_drop` = word - cross, and each
+        wordline's lift, as in `solve`, rides its uniform mode; two
+        products per side.
+        """
+        mesh, row = self.mesh, self.row
+        uniform = mesh.u[0, 0]
+        h = j @ mesh.u
+        lifts = (mesh.lift / uniform) * h[:, 0]
+        h = mesh.v.T @ h
+        source, lifts[row], v_source = self._source(float(np.vdot(self.drop_modes, h)), lifts[row])
+        h *= mesh.drop
+        h -= source * self.drop_modes
+        h = mesh.v @ h
+        h[:, 0] += lifts / uniform
+        return h @ mesh.ut, v_source
 
 
 def _row_dot(a, b):
@@ -414,16 +434,18 @@ def _capacitance_step(response, f, shift):
     return p
 
 
-def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
-    """The mesh at g_cell (symmetric positive definite), `row` driven,
-    solved against the node currents rhs: the node-space step p with
-    J p = rhs, found by conjugate gradients on the m*n cell currents.
+def _pcg(driven: DrivenRow, g_cell: np.ndarray, rhs: np.ndarray, gap: float, floor: float):
+    """The mesh at g_cell (symmetric positive definite), the row of
+    `driven` driven, solved against the node currents rhs: the node-space
+    step p with J p = rhs, found by conjugate gradients on the m*n cell
+    currents.
 
     Every Newton residual of an oracle row is a cell-pair vector [rho;
     -rho] up to rounding, so rho is taken as the wordline half of rhs,
     exact on the wordline nodes, and off = rhs_w + rhs_b is left on the
     bitline nodes.  With M the mesh at mesh.g_cell, S = P M^-1 P^T its cell
-    response (ModalMesh.cells) and Delta = diag(g_cell - mesh.g_cell), the
+    response (DrivenRow.cells, its source terms formed once per row) and
+    Delta = diag(g_cell - mesh.g_cell), the
     step p = M^-1 ([e; off - e]) balances the mesh where the cell currents
     e = S^-1 delta have (S^-1 + Delta) delta = rho, the Schur complement of
     J on the cells (Concus, Golub & O'Leary, 1976), but for Delta times
@@ -448,6 +470,7 @@ def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: fl
     passes returns a zero step.  A step the walk does not confirm, a
     breakdown, or CG_MAX_STEPS steps without a stop is solved directly.
     """
+    mesh, row = driven.mesh, driven.row
     g, (m, n) = mesh.g, mesh.shape
     mn = m * n
 
@@ -467,14 +490,14 @@ def _pcg(mesh: ModalMesh, row: int, g_cell: np.ndarray, rhs: np.ndarray, gap: fl
         if settled(r, e_source):
             y = np.concatenate([e.ravel(), rhs[:mn] + rhs[mn:]])
             y[mn:] -= y[:mn]
-            p = mesh.solve(y, row)
+            p = driven.solve(y)
             walked = rhs + _inflow(g, g_cell, row, 0.0, p)
             if settled(walked, p[row * n], np.sum(walked)):
                 return p
             break
         if step == CG_MAX_STEPS:
             break
-        z, z_source = mesh.cells(r, row)
+        z, z_source = driven.cells(r)
         rz, rz_prev = float(np.vdot(r, z)), rz
         beta = rz / rz_prev  # 0 on the first step, from rz_prev = inf
         d *= beta
@@ -539,7 +562,7 @@ class GeometryFactors:
 
     Below a table's first bias node a cell's tangent is its chord, so the
     operator's cell response, with the driven row's source update
-    (ModalMesh.cells), preconditions the Newton steps.  The drops
+    (DrivenRow.cells), preconditions the Newton steps.  The drops
     (solve_driven_rows) are exact but for the cells off the driven row,
     which they hold at g_bar; lifted to every node by the same operator
     they are the row's first state.  They are solved matrix-free, by conjugate gradients on O(mn)
@@ -568,8 +591,8 @@ def kirchhoff_row_solve(
     The first state is the row's driven-row drops on the g_bar background
     (GeometryFactors, built here for this row alone or shared across rows by
     kirchhoff_solve) lifted to every node: one solve of the settled
-    operator with this row driven (ModalMesh.solve, its rank-one source
-    update applied in the mode basis) against the driver's current and,
+    operator with this row driven (DrivenRow, formed once per row)
+    against the driver's current and,
     across each driven cell, the current that cell carries beyond g_bar.
     That state is exact but for the cells off the driven row.  Every Newton
     step solves the mesh with each cell at its tangent against the
@@ -592,13 +615,14 @@ def kirchhoff_row_solve(
     src = active_row * n
     factors = factors or GeometryFactors(spec, [active_row])
     plan, mesh = factors.plan, factors.settled
+    driven = mesh.driven(active_row)
     drops = factors.drops[active_row : active_row + 1]
     excess = ((plan.chord(drops, [active_row]) - mesh.g_cell) * drops)[0]
     drive = np.zeros(2 * mn)
     drive[src] = g * spec.v_in  # what the driver injects with every node at zero
     drive[src : src + n] -= excess  # each driven cell's current beyond g_bar, wordline to bitline
     drive[mn + src : mn + src + n] += excess
-    x = mesh.solve(drive, active_row)
+    x = driven.solve(drive)
 
     floor = g * np.finfo(float).eps * abs(spec.v_in)
 
@@ -610,7 +634,7 @@ def kirchhoff_row_solve(
     def step(ids, state, f, jac):
         if backend == "sparse":
             return _solve_direct(g, jac[0], active_row, f[0])[None]
-        return _pcg(mesh, active_row, jac[0], f[0], spec.v_in - state[0, src], floor)[None]
+        return _pcg(driven, jac[0], f[0], spec.v_in - state[0, src], floor)[None]
 
     x, total, converged, size = fixedpoint.solve(residual, step, x[None])
     x = x[0]

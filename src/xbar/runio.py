@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.23.0"
+ARTIFACT_VERSION = "0.24.0"
 
 MANIFEST_NAME = "run_manifest.json"
 

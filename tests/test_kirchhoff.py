@@ -374,7 +374,7 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
     row %= m
     g = 1.0 / r_int
     y = np.random.default_rng(seed).standard_normal(2 * m * n)
-    got = nodal.ModalMesh(g, m, n, g_cell).solve(y, row)
+    got = nodal.ModalMesh(g, m, n, g_cell).driven(row).solve(y)
     ref = nodal._solve_direct(g, np.full((m, n), g_cell), row, y)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -385,7 +385,7 @@ def test_modal_preconditioner_solves_the_driven_homogeneous_mesh(array, row, see
 @example(one_column, 8, 0)
 def test_cell_response_reads_the_modal_solve_across_the_cells(array, row, seed):
     """The cell response the conjugate-gradient steps apply, against
-    ModalMesh.solve of the same currents as node currents [j; -j]: the
+    DrivenRow.solve of the same currents as node currents [j; -j]: the
     drops it returns across every cell, and the voltage it leaves the
     source node at, which the steps carry to the lifted step's source.
     The reference drops are differences of what the currents into the
@@ -396,11 +396,11 @@ def test_cell_response_reads_the_modal_solve_across_the_cells(array, row, seed):
     m, n, r_int, g_cell, _ = array
     row %= m
     mn = m * n
-    mesh = nodal.ModalMesh(1.0 / r_int, m, n, g_cell)
+    driven = nodal.ModalMesh(1.0 / r_int, m, n, g_cell).driven(row)
     j = np.random.default_rng(seed).standard_normal((m, n)).ravel()
-    drops, v_source = mesh.cells(j.reshape(m, n), row)
-    x = mesh.solve(np.concatenate([j, -j]), row)
-    scale = np.max(np.abs(mesh.solve(np.concatenate([j, np.zeros(mn)]), row)))
+    drops, v_source = driven.cells(j.reshape(m, n))
+    x = driven.solve(np.concatenate([j, -j]))
+    scale = np.max(np.abs(driven.solve(np.concatenate([j, np.zeros(mn)]))))
     assert np.max(np.abs(drops.ravel() - (x[:mn] - x[mn:]))) <= 1e-12 * scale
     assert abs(v_source - x[row * n]) <= 1e-12 * scale
 
@@ -424,7 +424,7 @@ driven_arrays = st.tuples(
 def test_driven_row_response_matches_the_modal_preconditioner(array):
     """Every row's closed-form drop response, applied to unit currents
     across each of its cells, and its response to the source bias, against
-    ModalMesh.solve applied to those currents: both solve the
+    DrivenRow.solve applied to those currents: both solve the
     same driven homogeneous mesh, the closed form without forming any node
     voltage."""
     m, n, r_int, g_cell = array
@@ -433,14 +433,15 @@ def test_driven_row_response_matches_the_modal_preconditioner(array):
     response, bias = mesh.driven_rows()
     assert bias.shape == (m, n)
     for row in range(m):
+        driven = mesh.driven(row)
         ref = np.empty((n, n))
         for k in range(n):
             y = np.zeros(2 * m * n)
             y[row * n + k], y[m * n + row * n + k] = 1.0, -1.0
-            ref[:, k] = row_drops(mesh.solve(y, row), m, n, row)
+            ref[:, k] = row_drops(driven.solve(y), m, n, row)
         y = np.zeros(2 * m * n)
         y[row * n] = g
-        bias_ref = row_drops(mesh.solve(y, row), m, n, row)
+        bias_ref = row_drops(driven.solve(y), m, n, row)
         got = response.take(np.full(n, row)).apply(np.eye(n)).T  # column k: the drops unit current k drives
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert np.max(np.abs(bias[row] - bias_ref)) <= 1e-9 * np.max(np.abs(bias_ref))
@@ -715,7 +716,7 @@ def test_faint_rows_on_strong_wires_keep_to_the_direct_route(monkeypatch, m, n):
 
 
 def mesh_solves(spec, active_row):
-    """The args (mesh, row, g_cell, rhs, gap, floor) of every Newton step's
+    """The args (driven, g_cell, rhs, gap, floor) of every Newton step's
     conjugate-gradient solve of `active_row`, as the oracle makes them."""
     calls = []
     pcg = nodal._pcg
@@ -729,9 +730,10 @@ def mesh_solves(spec, active_row):
     return calls
 
 
-def meets_stop_rule(mesh, row, g_cell, rhs, gap, floor, p):
+def meets_stop_rule(driven, g_cell, rhs, gap, floor, p):
     """_pcg's stop rule, on the residual rhs - A p of the lifted step walked
     edge by edge."""
+    mesh, row = driven.mesh, driven.row
     g = mesh.g
     r = rhs + nodal._inflow(g, g_cell, row, 0.0, p)
     worst = np.max(np.abs(r))
@@ -745,20 +747,20 @@ def counted_solve(monkeypatch, args, perturb=None):
     of call ("cells" or "walk"), its number among its kind and its product
     to what the solve sees instead."""
     count = {"cells": 0, "modes": 0, "walk": 0, "direct": 0}
-    cells, modes = nodal.ModalMesh.cells, nodal.ModalMesh.solve
+    cells, modes = nodal.DrivenRow.cells, nodal.DrivenRow.solve
     inflow, direct = nodal._inflow, nodal._solve_direct
 
     def seen(kind, out):
         count[kind] += 1
         return out if perturb is None else perturb(kind, count[kind], out)
 
-    def apply(self, j, row):
-        drops, v_source = cells(self, j, row)
+    def apply(self, j):
+        drops, v_source = cells(self, j)
         return seen("cells", drops), v_source
 
-    def solve(self, y, row):
+    def solve(self, y):
         count["modes"] += 1
-        return modes(self, y, row)
+        return modes(self, y)
 
     def walk(*walk_args):
         return seen("walk", inflow(*walk_args))
@@ -767,8 +769,8 @@ def counted_solve(monkeypatch, args, perturb=None):
         count["direct"] += 1
         return direct(*direct_args)
 
-    monkeypatch.setattr(nodal.ModalMesh, "cells", apply)
-    monkeypatch.setattr(nodal.ModalMesh, "solve", solve)
+    monkeypatch.setattr(nodal.DrivenRow, "cells", apply)
+    monkeypatch.setattr(nodal.DrivenRow, "solve", solve)
     monkeypatch.setattr(nodal, "_inflow", walk)
     monkeypatch.setattr(nodal, "_solve_direct", direct_solve)
     p = nodal._pcg(*args)
@@ -803,15 +805,15 @@ def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_mesh_solve(mo
     neither, and is not counted."""
     spec = disordered_spec(7, 12, 12, 1e7)
     count = {"modes": 0, "walks": 0, "solves": 0, "steps": 0}
-    cells, solve, inflow, pcg = nodal.ModalMesh.cells, nodal.ModalMesh.solve, nodal._inflow, nodal._pcg
+    cells, solve, inflow, pcg = nodal.DrivenRow.cells, nodal.DrivenRow.solve, nodal._inflow, nodal._pcg
 
-    def steps(self, j, row):
+    def steps(self, j):
         count["steps"] += 1
-        return cells(self, j, row)
+        return cells(self, j)
 
-    def modes(self, y, row):
+    def modes(self, y):
         count["modes"] += 1
-        return solve(self, y, row)
+        return solve(self, y)
 
     def walk(g, g_cell, row, v_source, x):
         count["walks"] += v_source == 0.0  # a product, not the Newton residual
@@ -822,14 +824,45 @@ def test_an_oracle_row_solves_its_modes_once_to_start_and_once_per_mesh_solve(mo
         count["solves"] += bool(p.any())
         return p
 
-    monkeypatch.setattr(nodal.ModalMesh, "cells", steps)
-    monkeypatch.setattr(nodal.ModalMesh, "solve", modes)
+    monkeypatch.setattr(nodal.DrivenRow, "cells", steps)
+    monkeypatch.setattr(nodal.DrivenRow, "solve", modes)
     monkeypatch.setattr(nodal, "_inflow", walk)
     monkeypatch.setattr(nodal, "_pcg", solves)
     assert kirchhoff_row_solve(spec, 5).converged
     assert count["steps"] > count["solves"] > 0
     assert count["modes"] == count["solves"] + 1
     assert count["walks"] == count["solves"]
+
+
+def test_an_oracle_row_forms_its_driven_operator_once(monkeypatch):
+    """A row forms its source terms once (ModalMesh.driven) and reads
+    them in its first-state lift, every conjugate-gradient step and every
+    mesh solve; a readout forms them once per row."""
+    spec = disordered_spec(7, 12, 12, 1e7)
+    count = {"driven": 0, "steps": 0, "solves": 0}
+    driven, cells, solve = nodal.ModalMesh.driven, nodal.DrivenRow.cells, nodal.DrivenRow.solve
+
+    def forms(self, row):
+        count["driven"] += 1
+        return driven(self, row)
+
+    def steps(self, j):
+        count["steps"] += 1
+        return cells(self, j)
+
+    def solves(self, y):
+        count["solves"] += 1
+        return solve(self, y)
+
+    monkeypatch.setattr(nodal.ModalMesh, "driven", forms)
+    monkeypatch.setattr(nodal.DrivenRow, "cells", steps)
+    monkeypatch.setattr(nodal.DrivenRow, "solve", solves)
+    assert kirchhoff_row_solve(spec, 3).converged
+    assert count["driven"] == 1
+    assert count["steps"] > count["solves"] > 2  # the lift, then two mesh solves or more
+    count["driven"] = 0
+    assert kirchhoff_solve(spec).converged
+    assert count["driven"] == spec.m
 
 
 @pytest.mark.parametrize(
@@ -854,8 +887,8 @@ def test_a_failed_conjugate_gradient_solve_is_solved_directly(monkeypatch, kind,
     p, count = counted_solve(monkeypatch, args, perturb)
     assert count["direct"] == 1
     assert count["modes"] == (kind == "walk")  # a breakdown stops before the lift
-    mesh, row, g_cell, rhs = args[:4]
-    np.testing.assert_array_equal(p, nodal._solve_direct(mesh.g, g_cell, row, rhs))
+    driven, g_cell, rhs = args[:3]
+    np.testing.assert_array_equal(p, nodal._solve_direct(driven.mesh.g, g_cell, driven.row, rhs))
 
 
 @settings(deadline=None)
@@ -883,7 +916,7 @@ def test_every_cell_current_step_meets_the_stop_rule_on_the_walk(m, n, r_int, g_
     tangent = g_bar * 10.0 ** rng.uniform(-1.0, 1.0, (m, n))
     rho = 0.1 * g * rng.standard_normal(m * n)
     rhs = np.concatenate([rho, -rho])
-    args = (nodal.ModalMesh(g, m, n, g_bar), row, tangent, rhs, 1.0, g * np.finfo(float).eps)
+    args = (nodal.ModalMesh(g, m, n, g_bar).driven(row), tangent, rhs, 1.0, g * np.finfo(float).eps)
     with pytest.MonkeyPatch.context() as patch:
         p, count = counted_solve(patch, args)
     if count["direct"]:

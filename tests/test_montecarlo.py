@@ -3,6 +3,7 @@ against brute force, and campaign-level reproducibility."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xbar import crossbar, montecarlo
 from xbar.ivtable import IVTable, StrandPair, save_table, synthesize_table
@@ -145,6 +146,29 @@ def test_threshold_matches_brute_force_on_random_pools():
         labels = rng.integers(0, 2, size=size)
         cut = optimal_threshold(currents, labels)
         assert cut.ber == brute_force_ber(currents, labels)
+
+
+# few distinct currents, so most pools tie heavily
+tied_pools = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), st.integers(0, 1)),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(deadline=None)
+@given(tied_pools, st.integers(0, 2**32 - 1))
+@example([(1.0, 0), (1.0, 1), (1.0, 0)], 0)
+def test_threshold_does_not_depend_on_the_order_of_a_tied_pool(pool, seed):
+    """The scan reads label counts only between distinct currents, so the
+    order within a tie never reaches its result: currents and labels
+    permuted together give the same cut, and its error rate is the
+    fewest misreads brute force finds."""
+    currents, labels = (np.array(column) for column in zip(*pool))
+    order = np.random.default_rng(seed).permutation(len(pool))
+    cut = optimal_threshold(currents, labels)
+    assert optimal_threshold(currents[order], labels[order]) == cut
+    assert cut.ber == brute_force_ber(currents, labels)
 
 
 def test_threshold_rejects_bad_input():
