@@ -125,11 +125,8 @@ def _axis_weights(grid: np.ndarray, q: np.ndarray, name: str):
     if np.any(bad):
         raise _range_error(grid, q, bad, name)
     q = np.clip(q, grid[0], grid[-1])
-    if grid.size == 1:  # degenerate axis: exact-node queries only
-        return np.zeros_like(q, dtype=int), np.zeros_like(q, dtype=float)
-    idx = np.clip(np.searchsorted(grid, q, side="right") - 1, 0, grid.size - 2)
-    w = (q - grid[idx]) / (grid[idx + 1] - grid[idx])
-    return idx, w
+    idx, node, width = _intervals(grid, q)
+    return idx, (q - node) / width
 
 
 def interpolate_current(table: IVTable, v, delta):
@@ -177,66 +174,66 @@ class LookupPlan:
     bits and delta share one shape, any shape, and do not change within a
     readout; the plan fixes them once.  It holds both tables' currents in
     one flat array, and for every cell the offset-axis rows it reads there
-    and their weights, computed on its own table's delta grid.  A lookup
-    then only locates the bias: one search on the union of the two bias
-    grids, whose every interval lies inside one interval of each table
-    (every node of either table is a node of the union), mapped to that
-    interval of each cell's own table.  The four-corner sum is
-    interpolate_current's, in the same order, so every result is bit for
-    bit that of the per-cell table query, clamps and range checks included.
+    and their weights, computed on its own table's delta grid, its table's
+    bias bounds and its bias search offset: bit times the size of the bias
+    union grid, with the search's "- 1" folded in.  Each axis is searched
+    on the union of the two tables' grids, whose every interval lies inside
+    one interval of each table (every node of either table is a node of the
+    union), mapped to that interval of each cell's own table: a cell's
+    offset once, when the plan is made, and its bias at every lookup.  The
+    four-corner sum is interpolate_current's, in the same order, so every
+    result is bit for bit that of the per-cell table query, clamps and
+    range checks included.
+
+    The offsets and current's biases are checked against each cell's own
+    table range and clamped into it.  The chord paths clamp |v| to
+    [V_FLOOR, the table's end] first, which is inside the range of a table
+    whose bias grid starts at or below V_FLOOR, as every shipped and iv-gen
+    table's does; they check and clamp again only when a table starts above
+    V_FLOOR, where a query can fall below its range.
 
     Lookups take biases shaped like bits, or like the entries `cells` of
     its first axis (rows of an array).
     """
 
     def __init__(self, pair: StrandPair, bits, delta):
-        bits = np.asarray(bits)
-        delta = np.asarray(delta, dtype=float)
+        which = (np.asarray(bits) == 1).astype(np.intp)
         self._tables = (pair.logic0_table, pair.logic1_table)
-        self._grid = grid = np.union1d(*(t.v_grid for t in self._tables))
-        # per cell, stacked so that a lookup on some rows gathers twice: the
-        # weights of its two offset rows (1 - wd, wd), its table's clamp
-        # (lo, hi) and admissible range; its search offset (bit * grid size,
-        # with the search's "- 1" folded in) and its two offset rows' starts
-        # in the flat current array
-        which = (bits == 1).astype(np.intp)
-        bounds = np.array(
-            [(t.v_grid[0], t.v_grid[-1], *_admissible(t.v_grid)) for t in self._tables]
-        )
-        self._cell = np.empty((6,) + bits.shape)
-        for row, bound in zip(self._cell[2:], bounds.T):
-            row[...] = bound[which]
-        self._cell_index = np.empty((3,) + bits.shape, dtype=np.intp)
-        self._cell_index[0] = which * grid.size - 1
-        current, col, node, width = [], [], [], []
-        offset = 0
-        for bit, table in enumerate(self._tables):
-            v, c = table.v_grid, table.current
-            if v.size == 1:
-                # one node: the clamp pins the weight to 0 on a unit interval
-                # past it, whose far corner reads the node again
-                v, c = np.append(v, v[0] + 1.0), np.repeat(c, 2, axis=1)
-            j = np.clip(np.searchsorted(v, grid, side="right") - 1, 0, v.size - 2)
-            col.append(j)
-            node.append(v[j])
-            width.append(v[j + 1] - v[j])
+        self._chord_checks = any(t.v_grid[0] > V_FLOOR for t in self._tables)
+        self._grid = np.union1d(*(t.v_grid for t in self._tables))
+        d_grid = np.union1d(*(t.delta_grid for t in self._tables))
+        # per union interval, table after table: the bias interval's column,
+        # start and width; the offset interval's start, width and rows' starts
+        current, v_axis, d_axis = [], [], []
+        for table in self._tables:
+            c = table.current if table.v_grid.size > 1 else np.repeat(table.current, 2, axis=1)
+            v_axis.append(_intervals(table.v_grid, self._grid))
+            j, node, width = _intervals(table.delta_grid, d_grid)
+            start = sum(map(len, current))
+            rows = (start + c.shape[1] * np.minimum(j + s, c.shape[0] - 1) for s in (0, 1))
+            d_axis.append((node, width, *rows))
             current.append(c.ravel())
-            mask = which == bit
-            if np.any(mask):
-                idl, wd = _axis_weights(table.delta_grid, delta[mask], "delta")
-                self._cell[0][mask], self._cell[1][mask] = 1 - wd, wd
-                idl1 = np.minimum(idl + 1, c.shape[0] - 1)
-                self._cell_index[1][mask] = offset + idl * c.shape[1]
-                self._cell_index[2][mask] = offset + idl1 * c.shape[1]
-            offset += c.size
         self._current = np.concatenate(current)
-        self._col = np.concatenate(col)
-        self._node = np.concatenate(node)
-        self._width = np.concatenate(width)
+        self._col, self._node, self._width = map(np.concatenate, zip(*v_axis))
+        d_node, d_width, d_row0, d_row1 = map(np.concatenate, zip(*d_axis))
+        # per cell, stacked so that a lookup on some rows gathers twice: offset
+        # weights (1 - wd, wd), bias bounds (lo, hi, lower, upper); key, row starts
+        bounds = np.array(
+            [[(g[0], g[-1], *_admissible(g)) for g in (t.v_grid, t.delta_grid)]
+             for t in self._tables]
+        ).T[..., which]
+        d_key = which * d_grid.size - 1
+        q = self._in_range(np.asarray(delta, dtype=float), bounds[:, 1], d_key, "delta")
+        k = np.searchsorted(d_grid, q, side="right") + d_key
+        wd = (q - d_node[k]) / d_width[k]
+        self._cell = np.concatenate([np.stack([1 - wd, wd]), bounds[:, 0]])
+        self._cell_index = np.stack([which * self._grid.size - 1, d_row0[k], d_row1[k]])
 
     def current(self, v, cells=slice(None)) -> np.ndarray:
         """Each cell's current (interpolate_current) at bias v."""
-        return self._interpolate(np.asarray(v, dtype=float), *self._select(cells))
+        cell, index = self._select(cells)
+        q = self._in_range(np.asarray(v, dtype=float), cell[2:], index[0], "v")
+        return self._interpolate(q, cell, index)
 
     def chord(self, v, cells=slice(None)) -> np.ndarray:
         """Each cell's chord conductance (small_signal_conductance) at |v|
@@ -244,7 +241,7 @@ class LookupPlan:
         physical window, and a linearization point is free to sit anywhere."""
         cell, index = self._select(cells)
         v_eval = np.maximum(np.minimum(np.abs(v), cell[3]), V_FLOOR)
-        return self._interpolate(v_eval, cell, index) / v_eval
+        return self._interpolate(self._chord_query(v_eval, cell, index), cell, index) / v_eval
 
     def chord_tangent(self, v, cells=slice(None)):
         """Each cell's chord at v (as chord returns it) and the slope at v
@@ -256,8 +253,9 @@ class LookupPlan:
         cell, index = self._select(cells)
         a = np.abs(v)
         v_eval = np.maximum(np.minimum(a, cell[3]), V_FLOOR)
-        current, slope = self._interpolate(v_eval, cell, index, slope=True)
-        g = current / v_eval
+        q = self._chord_query(v_eval, cell, index)
+        g, slope = self._interpolate(q, cell, index, slope=True)
+        g /= v_eval
         return g, np.where((a > V_FLOOR) & (a < cell[3]), slope, g)
 
     def _select(self, cells):
@@ -267,36 +265,71 @@ class LookupPlan:
             cells = slice(None)
         return self._cell[:, cells], self._cell_index[:, cells]
 
-    def _interpolate(self, q, cell, index, slope=False):
-        w0, w1, lo, hi, lower, upper = cell
-        key, row0, row1 = index
+    def _chord_query(self, v_eval, cell, index):
+        """A chord path's bias, already in [V_FLOOR, the table's end], as the
+        query to interpolate at: checked and clamped again only where a
+        table starts above V_FLOOR (the chord still divides by v_eval)."""
+        return self._in_range(v_eval, cell[2:], index[0], "v") if self._chord_checks else v_eval
+
+    def _in_range(self, q, bounds, key, name):
+        """q clamped to each cell's own table range (lo, hi), after the
+        per-table query's check on its admissible range (lower, upper),
+        naming the first offending table; a cell's search offset key is
+        negative on logic 0."""
+        lo, hi, lower, upper = bounds
         bad = (q < lower) | (q > upper)
         if np.any(bad):
-            bits = (key + 1) // self._grid.size
             for bit, table in enumerate(self._tables):
-                if np.any(bad & (bits == bit)):
-                    raise _range_error(table.v_grid, q, bad & (bits == bit), "v")
-        q = np.clip(q, lo, hi)
+                mine = bad & ((key >= 0) == bit)
+                if np.any(mine):
+                    raise _range_error(getattr(table, f"{name}_grid"), q, mine, name)
+        return np.clip(q, lo, hi)
+
+    def _interpolate(self, q, cell, index, slope=False):
+        w0, w1 = cell[0], cell[1]
+        key, row0, row1 = index
         k = np.searchsorted(self._grid, q, side="right")
         k += key
+        width = self._width[k]
         wv = q - self._node[k]
-        wv /= self._width[k]
+        wv /= width
         uv = 1 - wv
-        col = self._col[k]
-        i0, i1 = row0 + col, row1 + col
-        c = self._current
+        i0 = self._col[k]
+        i1 = i0 + row1
+        i0 += row0
+        c, c_next = self._current, self._current[1:]
+        corners = c[i0], c_next[i0], c[i1], c_next[i1]
         # interpolate_current's sum, term by term in place to spare temporaries
         out = w0 * uv
-        out *= c[i0]
-        for w_delta, w_v, i in ((w0, wv, i0 + 1), (w1, uv, i1), (w1, wv, i1 + 1)):
+        out *= corners[0]
+        for w_delta, w_v, corner in zip((w0, w1, w1), (wv, uv, wv), corners[1:]):
             term = w_delta * w_v
-            term *= c[i]
+            term *= corner
             out += term
         if not slope:
             return out
-        rise = w0 * (c[i0 + 1] - c[i0])
-        rise += w1 * (c[i1 + 1] - c[i1])
-        return out, rise / self._width[k]
+        a0, rise, b0, b1 = corners
+        rise -= a0
+        rise *= w0
+        b1 -= b0
+        b1 *= w1
+        rise += b1
+        rise /= width
+        return out, rise
+
+
+def _intervals(grid: np.ndarray, points: np.ndarray):
+    """The interval of grid that holds each point, the first one below the
+    grid and the last one from its end on: its index, start and width.  On
+    a union of grid's nodes with others, the interval that holds a node
+    holds the union's whole interval starting there.  A one-node grid reads
+    as a unit interval past its node, where a query clamped onto the node
+    has weight 0; the plan repeats a one-node bias axis's current column,
+    so that the interval's far corner reads the node again."""
+    if grid.size == 1:
+        grid = np.append(grid, grid[0] + 1.0)
+    j = np.clip(np.searchsorted(grid, points, side="right") - 1, 0, grid.size - 2)
+    return j, grid[j], grid[j + 1] - grid[j]
 
 
 def validate_table(table: IVTable) -> list[str]:

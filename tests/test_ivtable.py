@@ -532,3 +532,65 @@ def test_lookup_plan_reads_a_single_node_bias_axis():
     )
     with pytest.raises(ValueError, match=r"^v = 0.5 outside table range \[1, 1\]$"):
         plan.current(np.array([0.5, 0.5, 1.0, 1.0]))
+
+
+def test_chord_paths_check_a_table_that_starts_above_the_floor():
+    """Where a table's bias grid starts above V_FLOOR, the chord clamp can
+    leave that table's range.  From its start on, and inside the edge slack
+    below it, chord and chord_tangent equal the per-table query bit for bit,
+    NaN and ±inf included; below it they raise that query's message.  Cells
+    on a table that starts at zero read at any bias."""
+    base = ivt.synthesize_table(1e6, 8e6, strand_id="base")
+    late = IVTable("late", [0.2, 0.6, 1.0], base.delta_grid, base.current[:, [4, 12, 20]])
+    pair = StrandPair(logic0_table=late, logic1_table=base)
+    bits = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int8)
+    delta = np.array([[0.0, 0.05, 0.13, 0.2], [0.2, 0.07, 0.11, 0.03]])
+    plan = ivt.LookupPlan(pair, bits, delta)
+    for v in (
+        np.array([[0.2, 0.1, -0.37, 1e-4], [-1e-4, 0.2 - 1e-13, 0.0, 1.4]]),
+        np.array([[-0.2, -0.6, 0.6 + 1e-13, np.inf], [0.9, -np.inf, np.nan, np.nan]]),
+    ):
+        want = per_table_lookup(pair, bits, delta, v, chord=True)
+        np.testing.assert_array_equal(plan.chord(v), want)
+        np.testing.assert_array_equal(plan.chord_tangent(v)[0], want)
+    with pytest.raises(ValueError, match=r"^v = 0.1 outside table range \[0.2, 1\]$") as want:
+        ivt.small_signal_conductance(late, -0.1, 0.13)
+    below = np.array([[0.3, 0.1, -0.1, 0.1], [0.5, 0.05, 0.5, 0.7]])
+    for lookup in (plan.chord, plan.chord_tangent):
+        with pytest.raises(ValueError) as got:
+            lookup(below)
+        assert str(got.value) == str(want.value)
+
+
+@given(
+    pairs_on_their_own_grids(), hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), st.data()
+)
+def test_lookups_pass_non_finite_biases_and_read_row_subsets(pair, shape, data):
+    """A NaN bias reads NaN from current, chord and chord_tangent, with no
+    exception and no warning: a NaN Newton step has to end fixedpoint.solve's
+    line search.  ±inf reads the chord at the table's end, and the chord as its
+    tangent.  chord_tangent on any subset of rows equals its all-cell
+    result there, bit for bit."""
+    bits = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+    fractions = hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))
+    delta = in_own_range(pair, bits, data.draw(fractions), "delta_grid")
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+    v = data.draw(hnp.arrays(float, shape, elements=st.one_of(st.floats(-1.6, 1.6), special)))
+    end = in_own_range(pair, bits, np.ones(shape), "v_grid")
+    plan = ivt.LookupPlan(pair, bits, delta)
+    nan, inf = np.isnan(v), np.isinf(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chord, tangent = plan.chord_tangent(v)
+        np.testing.assert_array_equal(plan.chord(v), chord)
+        inside = in_own_range(pair, bits, data.draw(fractions), "v_grid")
+        current = plan.current(np.where(nan, v, inside))
+        assert np.isnan(current[nan]).all() and np.isnan(chord[nan]).all()
+        assert np.isnan(tangent[nan]).all()
+        np.testing.assert_array_equal(chord[inf], plan.chord(end)[inf])
+        np.testing.assert_array_equal(tangent[inf], chord[inf])
+        rows = data.draw(
+            st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=shape[0], unique=True)
+        )
+        for got, want in zip(plan.chord_tangent(v[rows], rows), (chord, tangent)):
+            np.testing.assert_array_equal(got, want[rows])
