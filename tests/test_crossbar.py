@@ -442,17 +442,25 @@ def test_readout_currents_pass_through_when_beta_is_one():
 
 @pytest.fixture
 def delta_weightings(monkeypatch):
-    """Records every offset-axis weight computation of a table lookup."""
-    calls = []
-    original = ivtable._axis_weights
+    """Records every offset-axis weight computation of a table lookup: the
+    grid of every interval search, to be counted on a pair's offset grids
+    by offset_weightings.  A plan's build searches each table's offset grid
+    once; a per-table query searches it once per call."""
+    grids = []
+    original = ivtable._intervals
 
-    def counting(grid, q, name):
-        if name == "delta":
-            calls.append(np.size(q))
-        return original(grid, q, name)
+    def recording(grid, points):
+        grids.append(grid)
+        return original(grid, points)
 
-    monkeypatch.setattr(ivtable, "_axis_weights", counting)
-    return calls
+    monkeypatch.setattr(ivtable, "_intervals", recording)
+    return grids
+
+
+def offset_weightings(grids, pair):
+    """How many of the recorded searches ran on an offset grid of pair."""
+    offset_grids = (pair.logic0_table.delta_grid, pair.logic1_table.delta_grid)
+    return sum(any(grid is d for d in offset_grids) for grid in grids)
 
 
 def test_readout_weighs_offsets_once_per_table_not_per_sweep(delta_weightings):
@@ -463,7 +471,7 @@ def test_readout_weighs_offsets_once_per_table_not_per_sweep(delta_weightings):
     delta_weightings.clear()
     sol = parametric_solve(spec, params)
     assert sol.iterations >= 3
-    assert len(delta_weightings) <= 2
+    assert 1 <= offset_weightings(delta_weightings, spec.pair) <= 2
 
 
 def test_oracle_weighs_offsets_once_per_table_per_array(delta_weightings):
@@ -471,7 +479,7 @@ def test_oracle_weighs_offsets_once_per_table_per_array(delta_weightings):
     delta_weightings.clear()
     sol = kirchhoff_solve(spec)
     assert sol.iterations >= 2
-    assert len(delta_weightings) <= 2
+    assert 1 <= offset_weightings(delta_weightings, spec.pair) <= 2
 
 
 def test_readout_currents_scale_with_beta():

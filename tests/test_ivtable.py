@@ -534,6 +534,28 @@ def test_lookup_plan_reads_a_single_node_bias_axis():
         plan.current(np.array([0.5, 0.5, 1.0, 1.0]))
 
 
+def test_a_single_node_axis_reads_its_node_there_and_nan_as_nan():
+    """A one-node axis reads its node's value at the node, and a NaN query
+    on it reads NaN, as on any other axis, with no exception and no
+    warning; the plan reads the same."""
+    one = IVTable("one", [1.0], [0.0, 0.2], [[2e-8], [1e-8]])
+    assert ivt.interpolate_current(one, 1.0, 0.0) == 2e-8
+    assert ivt.interpolate_current(one, 1.0, 0.2) == 1e-8
+    assert ivt.interpolate_current(one, 1.0 + 1e-13, 0.2) == 1e-8
+    assert np.isnan(ivt.interpolate_current(one, np.nan, 0.0))
+    assert np.isnan(ivt.small_signal_conductance(one, np.nan, 0.2))
+    flat = IVTable("flat", [0.0, 0.5, 1.0], [0.0], [[0.0, 1e-7, 3e-7]])
+    assert ivt.interpolate_current(flat, 0.5, 0.0) == 1e-7
+    assert np.isnan(ivt.interpolate_current(flat, 0.5, np.nan))
+    pair = StrandPair(logic0_table=one, logic1_table=ivt.synthesize_table(1e6, 8e6))
+    bits = np.array([0, 0, 1])
+    delta = np.array([0.0, 0.2, 0.1])
+    v = np.array([1.0, np.nan, np.nan])
+    got = ivt.LookupPlan(pair, bits, delta).current(v)
+    np.testing.assert_array_equal(got, [2e-8, np.nan, np.nan])
+    np.testing.assert_array_equal(got, per_table_lookup(pair, bits, delta, v))
+
+
 def test_chord_paths_check_a_table_that_starts_above_the_floor():
     """Where a table's bias grid starts above V_FLOOR, the chord clamp can
     leave that table's range.  From its start on, and inside the edge slack
