@@ -25,7 +25,8 @@ KNEE_WIDTH = 0.1
 
 @dataclass
 class IVTable:
-    """Current matrix indexed (delta, v); grids strictly increasing."""
+    """Current matrix indexed (delta, v), every entry finite; grids
+    strictly increasing."""
 
     strand_id: str
     v_grid: np.ndarray
@@ -49,11 +50,15 @@ class IVTable:
             raise ValueError(
                 f"current shape {self.current.shape} does not match grids {expected}"
             )
+        if not np.all(np.isfinite(self.current)):
+            raise ValueError(validate_table(self)[0])  # names the first non-finite entry
 
 
 @dataclass
 class StrandPair:
-    """The two tables a crossbar draws from, keyed by stored bit."""
+    """The two tables a crossbar draws from, keyed by stored bit.  Each
+    table's bias grid covers [V_FLOOR, 1 V], so that every chord query lies
+    inside it, and its offset grid starts at 0."""
 
     logic0_table: IVTable
     logic1_table: IVTable
@@ -67,6 +72,12 @@ class StrandPair:
                     f"table '{table.strand_id}' ends at {table.v_grid[-1]:.6g} V; "
                     "a strand pair needs tables reaching the 1 V read bias "
                     "(regenerate it with iv-gen --v-max 1 or more)"
+                )
+            if table.v_grid[0] > V_FLOOR:
+                raise ValueError(
+                    f"table '{table.strand_id}' v_grid_v starts at {table.v_grid[0]:.6g} V; "
+                    f"a strand pair needs tables reaching down to V_FLOOR = {V_FLOOR:g} V "
+                    "(regenerate it with iv-gen or iv-synth, whose bias grids start at 0 V)"
                 )
             if table.delta_grid[0] > 1e-12:
                 raise ValueError(
@@ -187,10 +198,8 @@ class LookupPlan:
 
     The offsets and current's biases are checked against each cell's own
     table range and clamped into it.  The chord paths clamp |v| to
-    [V_FLOOR, the table's end] first, which is inside the range of a table
-    whose bias grid starts at or below V_FLOOR, as every shipped and iv-gen
-    table's does; they check and clamp again only when a table starts above
-    V_FLOOR, where a query can fall below its range.
+    [V_FLOOR, the table's end], which lies inside every table of a pair
+    (StrandPair), so they need no check.
 
     Lookups take biases shaped like bits, or like the entries `cells` of
     its first axis (rows of an array).
@@ -199,20 +208,19 @@ class LookupPlan:
     def __init__(self, pair: StrandPair, bits, delta):
         which = (np.asarray(bits) == 1).astype(np.intp)
         self._tables = (pair.logic0_table, pair.logic1_table)
-        self._chord_checks = any(t.v_grid[0] > V_FLOOR for t in self._tables)
         self._grid = np.union1d(*(t.v_grid for t in self._tables))
         d_grid = np.union1d(*(t.delta_grid for t in self._tables))
         # per union interval, table after table: the bias interval's column,
         # start and width; the offset interval's start, width and rows' starts
         current, v_axis, d_axis = [], [], []
         for table in self._tables:
-            c = table.current if table.v_grid.size > 1 else np.repeat(table.current, 2, axis=1)
+            nd, nv = table.current.shape
             v_axis.append(_intervals(table.v_grid, self._grid))
             j, node, width = _intervals(table.delta_grid, d_grid)
             start = sum(map(len, current))
-            rows = (start + c.shape[1] * np.minimum(j + s, c.shape[0] - 1) for s in (0, 1))
+            rows = (start + nv * np.minimum(j + s, nd - 1) for s in (0, 1))
             d_axis.append((node, width, *rows))
-            current.append(c.ravel())
+            current.append(table.current.ravel())
         self._current = np.concatenate(current)
         self._col, self._node, self._width = map(np.concatenate, zip(*v_axis))
         d_node, d_width, d_row0, d_row1 = map(np.concatenate, zip(*d_axis))
@@ -241,7 +249,7 @@ class LookupPlan:
         physical window, and a linearization point is free to sit anywhere."""
         cell, index = self._select(cells)
         v_eval = np.maximum(np.minimum(np.abs(v), cell[3]), V_FLOOR)
-        return self._interpolate(self._chord_query(v_eval, cell, index), cell, index) / v_eval
+        return self._interpolate(v_eval, cell, index) / v_eval
 
     def chord_tangent(self, v, cells=slice(None)):
         """Each cell's chord at v (as chord returns it) and the slope at v
@@ -253,8 +261,7 @@ class LookupPlan:
         cell, index = self._select(cells)
         a = np.abs(v)
         v_eval = np.maximum(np.minimum(a, cell[3]), V_FLOOR)
-        q = self._chord_query(v_eval, cell, index)
-        g, slope = self._interpolate(q, cell, index, slope=True)
+        g, slope = self._interpolate(v_eval, cell, index, slope=True)
         g /= v_eval
         return g, np.where((a > V_FLOOR) & (a < cell[3]), slope, g)
 
@@ -264,12 +271,6 @@ class LookupPlan:
         if not isinstance(cells, slice) and np.array_equal(cells, np.arange(len(self._cell[0]))):
             cells = slice(None)
         return self._cell[:, cells], self._cell_index[:, cells]
-
-    def _chord_query(self, v_eval, cell, index):
-        """A chord path's bias, already in [V_FLOOR, the table's end], as the
-        query to interpolate at: checked and clamped again only where a
-        table starts above V_FLOOR (the chord still divides by v_eval)."""
-        return self._in_range(v_eval, cell[2:], index[0], "v") if self._chord_checks else v_eval
 
     def _in_range(self, q, bounds, key, name):
         """q clamped to each cell's own table range (lo, hi), after the
@@ -324,8 +325,7 @@ def _intervals(grid: np.ndarray, points: np.ndarray):
     a union of grid's nodes with others, the interval that holds a node
     holds the union's whole interval starting there.  A one-node grid reads
     as a unit interval past its node, where a query clamped onto the node
-    has weight 0; the plan repeats a one-node bias axis's current column,
-    so that the interval's far corner reads the node again."""
+    has weight 0."""
     if grid.size == 1:
         grid = np.append(grid, grid[0] + 1.0)
     j = np.clip(np.searchsorted(grid, points, side="right") - 1, 0, grid.size - 2)
@@ -397,11 +397,7 @@ def synthesize_table(
     conductance = g_lo + (g_hi - g_lo) * 0.5 * (1.0 + np.tanh((v - knee) / KNEE_WIDTH))
     base = conductance * v
     scale = np.exp(-delta_sensitivity * d)
-    table = IVTable(strand_id, v, d, np.outer(scale, base))
-    violations = validate_table(table)
-    if violations:
-        raise ValueError("synthesized table violates its own contract: " + "; ".join(violations))
-    return table
+    return IVTable(strand_id, v, d, np.outer(scale, base))
 
 
 def table_payload(table: IVTable) -> dict:

@@ -39,9 +39,9 @@ class CrossbarSpec:
         self.n = int(self.n)
         _check_dimensions(self.m, self.n)
         if not (self.r_int > 0 and np.isfinite(self.r_int)):
-            raise ValueError(f"r_int_ohm must be positive and finite, got {self.r_int:g}")
+            raise ValueError(f"field 'r_int_ohm' must be positive and finite, got {self.r_int:g}")
         if not (self.v_in > 0 and np.isfinite(self.v_in)):
-            raise ValueError(f"v_in_v must be positive and finite, got {self.v_in:g}")
+            raise ValueError(f"field 'v_in_v' must be positive and finite, got {self.v_in:g}")
         bits = np.asarray(self.bits)
         if bits.ndim not in (2, 3) or bits.shape[-2:] != (self.m, self.n) or bits.size == 0:
             raise ValueError(

@@ -9,7 +9,7 @@ mirroring a per-array post-fabrication calibration.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,9 @@ class ImageJob:
 class StoreConfig:
     """One storage sweep: the images, every array size and interconnect
     value to store them at, the strand pair and the read.  The one place a
-    sweep is checked, whether its values come from a file or from flags."""
+    sweep is checked, whether its values come from a file or from flags.
+    Like McConfig, it holds each condition it reads as a CrossbarSpec,
+    whose own checks cover r_int, v_in and the tables' range."""
 
     jobs: list
     sizes: list
@@ -59,6 +61,8 @@ class StoreConfig:
     pair: StrandPair
     v_in: float = 1.0
     solver: str = "parametric"
+    # per size, one spec per interconnect value
+    specs: list = field(init=False, compare=False)
 
     def __post_init__(self):
         self.jobs = list(self.jobs)
@@ -71,9 +75,11 @@ class StoreConfig:
             raise ValueError("field 'sizes' must hold dimensions of at least 1")
         self.sizes = [(int(m), int(n)) for m, n in self.sizes]
         self.r_ints = [float(r) for r in self.r_ints]
-        for key, values in (("r_int_ohm", self.r_ints), ("v_in_v", [self.v_in])):
-            if not all(v > 0 and np.isfinite(v) for v in values):
-                raise ValueError(f"field '{key}' must be positive and finite")
+        self.specs = [
+            [CrossbarSpec(m, n, r, np.zeros((m, n), np.int8), self.pair, v_in=self.v_in)
+             for r in self.r_ints]
+            for m, n in self.sizes
+        ]
         # each image and condition is read once: one listed twice would
         # report every tile of it twice, under the same tile ids
         for label, values, show in (
@@ -86,7 +92,6 @@ class StoreConfig:
                     raise ValueError(f"{label} {show(value)} is listed more than once")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver '{self.solver}', expected {SOLVERS}")
-        self.pair.check_range(self.v_in, 0.0, "tile offsets")
 
 
 def image_to_bits(job: ImageJob) -> np.ndarray:
@@ -177,18 +182,14 @@ def run_storage_benchmark(config: StoreConfig, threads: int = 1) -> StorageRepor
     per_tile = []
     binned = []
     powers = []
-    for m, n in config.sizes:
+    for (m, n), specs in zip(config.sizes, config.specs):
         tiled = []
         for job in config.jobs:
             tiles, pad = tile_bits(image_to_bits(job), m, n)
             for k, tile in enumerate(tiles):
                 tile_pad = pad if k == len(tiles) - 1 else 0
                 tiled.append((f"{job.name}/t{k}", tile, tile_pad))
-        for r_int in config.r_ints:
-            blank = np.zeros((m, n), dtype=np.int8)
-            spec = CrossbarSpec(
-                m=m, n=n, r_int=r_int, bits=blank, pair=config.pair, v_in=config.v_in
-            )
+        for r_int, spec in zip(config.r_ints, specs):
             read = array_reader(config.solver, spec, 1)
 
             def read_tiles(stack):

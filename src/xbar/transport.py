@@ -507,23 +507,19 @@ def iv_sweep(
     its own window of that spectrum.  When delta steps are multiples of
     ENERGY_SPACING every delta reads its energies at the points of its own
     window grid, to round-off.  Biases are independent and computed in
-    parallel when asked, one table column each; the table is always
-    assembled in grid order.
+    parallel when asked, one table column each; the table is built, and
+    its grids checked, before the first spectrum, and its columns are
+    filled in grid order.
     """
-    v_grid = np.asarray(v_grid, dtype=float)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if v_grid.ndim != 1 or v_grid.size == 0 or np.any(np.diff(v_grid) <= 0):
-        raise ValueError("v_grid must be non-empty and strictly increasing")
-    if delta_grid.ndim != 1 or delta_grid.size == 0 or np.any(np.diff(delta_grid) <= 0):
-        raise ValueError("delta_grid must be non-empty and strictly increasing")
+    table = IVTable(strand_id, v_grid, delta_grid, np.zeros((np.size(delta_grid), np.size(v_grid))))
     h_b0 = orthogonal_block_hamiltonian(system)
     margin = WINDOW_KT_MARGIN * (KB_EV * temperature)
 
     def column(v):
         if v == 0.0:
-            return np.zeros(delta_grid.size)
+            return np.zeros(table.delta_grid.size)
         biases = [
-            BiasPoint(v, system.homo_energy + float(d), temperature) for d in delta_grid
+            BiasPoint(v, system.homo_energy + float(d), temperature) for d in table.delta_grid
         ]
         lo = min(biases[0].e_fermi_left, biases[0].e_fermi_right) - margin
         hi = max(biases[-1].e_fermi_left, biases[-1].e_fermi_right) + margin
@@ -533,8 +529,8 @@ def iv_sweep(
         spec = transmission_spectrum(ramped, system.partition, config, energies)
         return [landauer_current(spec, bias) for bias in biases]
 
-    columns = runio.parallel_map(column, v_grid.tolist(), threads)
-    return IVTable(strand_id, v_grid, delta_grid, np.column_stack(columns))
+    table.current[:] = np.column_stack(runio.parallel_map(column, table.v_grid.tolist(), threads))
+    return table
 
 
 def tight_binding_chain(

@@ -406,13 +406,28 @@ def test_store_image_names_are_distinct_and_not_empty(tmp_path, capsys, images, 
     assert not out.exists()
 
 
+_SHORT = ((0.0, 0.8), ("'short0' ends at 0.8 V", "--v-max"))
+_LATE = ((0.2, 1.0), ("'short0' v_grid_v starts at 0.2 V", "iv-gen"))
+
+
 @pytest.mark.filterwarnings("ignore:.*does not span")
-@pytest.mark.parametrize("command", ["mc", "store"])
-def test_table_short_of_read_bias_exits_one_and_names_remedy(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, span, named",
+    [("mc", *_SHORT), ("store", *_SHORT),
+     *((command, *_LATE) for command in ("solve", "oracle", "mc", "store"))],
+    ids=["mc", "store", "solve-late-start", "oracle-late-start", "mc-late-start",
+         "store-late-start"],
+)
+def test_table_short_of_read_bias_exits_one_and_names_remedy(tmp_path, capsys, command, span,
+                                                             named):
     """A table generated with iv-gen --v-max below 1 V cannot serve a read
-    at 1 V; the error names the strand, where its grid ends and the flag."""
-    config = write_mc_config(tmp_path)
-    v = np.linspace(0.0, 0.8, 5)
+    at 1 V, and one whose bias grid starts above V_FLOOR cannot serve a
+    chord at low bias; the error names the config, the strand, where its
+    grid ends or starts, and the remedy."""
+    write = {"solve": write_single_cell_spec, "oracle": write_single_cell_spec,
+             "mc": write_mc_config, "store": write_mc_config}
+    config = write[command](tmp_path)
+    v = np.linspace(*span, 5)
     short = IVTable("short0", v, [0.0, 0.2], np.tile(v / 1e8, (2, 1)))
     save_table(short, tmp_path / "t0.json")
     if command == "store":
@@ -431,8 +446,10 @@ def test_table_short_of_read_bias_exits_one_and_names_remedy(tmp_path, capsys, c
     code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
-    assert "'short0' ends at 0.8 V" in err
-    assert "--v-max" in err
+    assert err.startswith(f"error: {config}: table ")
+    assert named[0] in err
+    assert named[1] in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- plot export ----------------------------------------------------------------
@@ -922,6 +939,7 @@ def write_system(tmp_path):
          "delta_ev has 1 entries, expected 4"),
         ("store", "store.json", {"sizes": [[8, 8, 8]]}, "field 'sizes' must list [m, n] pairs"),
         ("iv-gen", "system.json", {"fock": [-5.0] * 15}, "fock has 15 entries, expected 16"),
+        ("iv-gen", "system.json", {"overlap": [0.0] * 17}, "overlap has 17 entries, expected 16"),
         ("iv-gen", "system.json", {"partition": [2, 3]}, "partition sums to 5, expected 4"),
         ("iv-gen", "system.json", {"partition": []}, "partition is empty"),
         ("iv-gen", "system.json", {"partition": [4, 0]}, "partition entries must be positive"),
@@ -931,11 +949,14 @@ def write_system(tmp_path):
         ("oracle", "t1.json", {"delta_grid_ev": [], "current_a": []},
          "delta_grid needs at least one point"),
         ("oracle", "t1.json", {"delta_grid_ev": [0.2, 0.0]}, "delta_grid must be strictly increasing"),
+        ("solve", "t0.json", {"current_a": [0.0, 5e-7, float("nan"), 0.0, 5e-7, 1e-6]},
+         "non-finite current at (delta index 0, v index 2)"),
     ],
     ids=["spec-empty", "spec-negative-size", "spec-bits-short", "spec-delta-short", "store-size-triple",
-         "system-fock-short", "system-partition-sum", "system-partition-empty",
+         "system-fock-short", "system-overlap-long", "system-partition-sum", "system-partition-empty",
          "system-partition-zero", "table-current-short", "table-v-grid-swapped", "table-v-grid-empty",
-         "table-delta-grid-empty", "table-delta-grid-decreasing"],
+         "table-delta-grid-empty", "table-delta-grid-decreasing",
+         "table-current-nan"],
 )
 def test_inconsistent_input_file_exits_one_and_names_it(tmp_path, capsys, command, file, edit,
                                                         message):

@@ -515,29 +515,20 @@ def test_lookup_plan_rejects_what_the_tables_reject(pair, shape, data):
     assert str(got.value) == str(want.value)
 
 
-def test_lookup_plan_reads_a_single_node_bias_axis():
-    """A one-node bias axis admits only its node; the plan reads it there,
-    through the chord clamp too, and rejects anything else like the table."""
+def test_pair_rejects_a_single_node_bias_axis():
+    """A one-node bias axis that reaches the 1 V read bias starts above
+    V_FLOOR, so no pair takes it, as logic 0 or as logic 1."""
     one = IVTable("one", [1.0], [0.0, 0.2], [[2e-8], [1e-8]])
     hi = ivt.synthesize_table(1e6, 8e6, strand_id="hi")
-    pair = StrandPair(logic0_table=one, logic1_table=hi)
-    bits = np.array([0, 1, 0, 0], dtype=np.int8)
-    delta = np.array([0.0, 0.1, 0.05, 0.2])
-    v = np.array([1.0, 0.37, 1.0 + 1e-13, 1.0])
-    plan = ivt.LookupPlan(pair, bits, delta)
-    np.testing.assert_array_equal(plan.current(v), per_table_lookup(pair, bits, delta, v))
-    v_chord = np.array([1.2, -0.4, -1.0, 3.0])
-    np.testing.assert_array_equal(
-        plan.chord(v_chord), per_table_lookup(pair, bits, delta, v_chord, chord=True)
-    )
-    with pytest.raises(ValueError, match=r"^v = 0.5 outside table range \[1, 1\]$"):
-        plan.current(np.array([0.5, 0.5, 1.0, 1.0]))
+    for tables in ((one, hi), (hi, one)):
+        with pytest.raises(ValueError, match=r"^table 'one' v_grid_v starts at 1 V; "):
+            StrandPair(*tables)
 
 
 def test_a_single_node_axis_reads_its_node_there_and_nan_as_nan():
     """A one-node axis reads its node's value at the node, and a NaN query
     on it reads NaN, as on any other axis, with no exception and no
-    warning; the plan reads the same."""
+    warning; the plan reads the same on a one-node offset axis."""
     one = IVTable("one", [1.0], [0.0, 0.2], [[2e-8], [1e-8]])
     assert ivt.interpolate_current(one, 1.0, 0.0) == 2e-8
     assert ivt.interpolate_current(one, 1.0, 0.2) == 1e-8
@@ -547,41 +538,45 @@ def test_a_single_node_axis_reads_its_node_there_and_nan_as_nan():
     flat = IVTable("flat", [0.0, 0.5, 1.0], [0.0], [[0.0, 1e-7, 3e-7]])
     assert ivt.interpolate_current(flat, 0.5, 0.0) == 1e-7
     assert np.isnan(ivt.interpolate_current(flat, 0.5, np.nan))
-    pair = StrandPair(logic0_table=one, logic1_table=ivt.synthesize_table(1e6, 8e6))
-    bits = np.array([0, 0, 1])
-    delta = np.array([0.0, 0.2, 0.1])
-    v = np.array([1.0, np.nan, np.nan])
-    got = ivt.LookupPlan(pair, bits, delta).current(v)
-    np.testing.assert_array_equal(got, [2e-8, np.nan, np.nan])
+    pair = StrandPair(logic0_table=flat, logic1_table=ivt.synthesize_table(1e6, 8e6))
+    bits = np.array([0, 0, 1, 0, 0])
+    delta = np.array([0.0, np.nan, 0.1, 0.0, 1e-13])
+    v = np.array([0.5, 0.75, np.nan, 1.0, np.nan])
+    plan = ivt.LookupPlan(pair, bits, delta)
+    got = plan.current(v)
+    np.testing.assert_array_equal(got, [1e-7, np.nan, np.nan, 3e-7, np.nan])
     np.testing.assert_array_equal(got, per_table_lookup(pair, bits, delta, v))
+    np.testing.assert_array_equal(plan.chord(v), per_table_lookup(pair, bits, delta, v, chord=True))
 
 
-def test_chord_paths_check_a_table_that_starts_above_the_floor():
-    """Where a table's bias grid starts above V_FLOOR, the chord clamp can
-    leave that table's range.  From its start on, and inside the edge slack
-    below it, chord and chord_tangent equal the per-table query bit for bit,
-    NaN and ±inf included; below it they raise that query's message.  Cells
-    on a table that starts at zero read at any bias."""
+def test_pair_rejects_a_table_that_starts_above_the_floor():
+    """A chord is read at V_FLOOR at the lowest, so a pair rejects a table
+    whose bias grid starts above it, naming the strand and its start.  A
+    table that starts at V_FLOOR forms a pair, and its chord and
+    chord_tangent equal the per-table query bit for bit, NaN, ±inf and
+    |v| below V_FLOOR included."""
     base = ivt.synthesize_table(1e6, 8e6, strand_id="base")
-    late = IVTable("late", [0.2, 0.6, 1.0], base.delta_grid, base.current[:, [4, 12, 20]])
-    pair = StrandPair(logic0_table=late, logic1_table=base)
+    d = base.delta_grid
+    for start, shown in ((0.2, "0.2"), (np.nextafter(ivt.V_FLOOR, 1.0), "0.001")):
+        grid = np.array([start, 0.6, 1.0])
+        late = IVTable("late", grid, d, ivt.interpolate_current(base, grid, d[:, None]))
+        for tables in ((late, base), (base, late)):
+            with pytest.raises(ValueError, match=rf"^table 'late' v_grid_v starts at {shown} V; "):
+                StrandPair(*tables)
+    grid = np.array([ivt.V_FLOOR, 0.2, 0.6, 1.0])
+    floor = IVTable("floor", grid, d, ivt.interpolate_current(base, grid, d[:, None]))
+    pair = StrandPair(logic0_table=floor, logic1_table=base)
     bits = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int8)
     delta = np.array([[0.0, 0.05, 0.13, 0.2], [0.2, 0.07, 0.11, 0.03]])
     plan = ivt.LookupPlan(pair, bits, delta)
     for v in (
-        np.array([[0.2, 0.1, -0.37, 1e-4], [-1e-4, 0.2 - 1e-13, 0.0, 1.4]]),
+        np.array([[ivt.V_FLOOR, 0.1, -0.37, 1e-4], [-1e-4, 0.2 - 1e-13, 0.0, 1.4]]),
         np.array([[-0.2, -0.6, 0.6 + 1e-13, np.inf], [0.9, -np.inf, np.nan, np.nan]]),
+        np.array([[-5e-4, 5e-4, 0.0, -0.0], [0.0, -ivt.V_FLOOR, 2e-3, -1e-300]]),
     ):
         want = per_table_lookup(pair, bits, delta, v, chord=True)
         np.testing.assert_array_equal(plan.chord(v), want)
         np.testing.assert_array_equal(plan.chord_tangent(v)[0], want)
-    with pytest.raises(ValueError, match=r"^v = 0.1 outside table range \[0.2, 1\]$") as want:
-        ivt.small_signal_conductance(late, -0.1, 0.13)
-    below = np.array([[0.3, 0.1, -0.1, 0.1], [0.5, 0.05, 0.5, 0.7]])
-    for lookup in (plan.chord, plan.chord_tangent):
-        with pytest.raises(ValueError) as got:
-            lookup(below)
-        assert str(got.value) == str(want.value)
 
 
 @given(

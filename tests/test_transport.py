@@ -19,6 +19,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg import eigh as generalized_eigh
 
 from xbar import transport as tp
+from xbar.ivtable import IVTable
 from xbar.transport import (
     BiasPoint,
     ContactProbeConfig,
@@ -727,6 +728,39 @@ def test_quantum_system_validation():
         QuantumSystem(-5 * np.eye(4), np.eye(4), [2, 3], -5.0)
     with pytest.raises(ValueError, match="positive definite"):
         QuantumSystem(-5 * np.eye(2), np.diag([1.0, -0.1]), [1, 1], -5.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QuantumSystem(np.zeros((2, 3)), np.eye(2), [2], -5.0), "fock matrix must be square"),
+        (lambda: QuantumSystem(-5 * np.eye(2), np.eye(3), [2], -5.0),
+         "overlap shape does not match fock"),
+        (lambda: TransmissionSpectrum([0.0, -1.0], [0.0, 0.0], [0.0, 0.0]),
+         "energies must be strictly increasing"),
+        (lambda: TransmissionSpectrum([0.0, 1.0], [0.0], [0.0, 0.0]),
+         "t_eff length does not match energies"),
+        (lambda: TransmissionSpectrum([0.0, 1.0], [0.0, 0.0], [0.0]),
+         "t_coherent length does not match energies"),
+        (lambda: tp.ramp_fractions(0), "need at least one block"),
+        (lambda: tp.apply_bias_ramp(np.eye(3), 0.5, [1, 1]), "partition does not match matrix size"),
+        (lambda: tp.tight_binding_chain(0), "need at least one block and one orbital per block"),
+        (lambda: tp.iv_sweep(tp.tight_binding_chain(2), ContactProbeConfig(), [0.0, 1.0, 0.5],
+                             [0.0]), "v_grid must be strictly increasing"),
+        (lambda: tp.iv_sweep(tp.tight_binding_chain(2), ContactProbeConfig(), [0.0, 1.0], []),
+         "delta_grid needs at least one point"),
+        (lambda: IVTable("short", [0.0, 1.0], [0.0], [[0.0, 1e-6, 2e-6]]),
+         r"current shape \(1, 3\) does not match grids \(1, 2\)"),
+    ],
+    ids=["fock-not-square", "overlap-shape", "energies-decreasing", "t-eff-short",
+         "t-coherent-short", "no-ramp-blocks", "ramp-partition", "no-chain-blocks",
+         "sweep-v-grid-swapped", "sweep-delta-grid-empty", "table-current-shape"],
+)
+def test_invalid_input_raises_naming_the_check(build, message):
+    """Each input check of the transport layer and of a table raises its
+    own message, whatever the caller."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_quantum_system_file_roundtrip(tmp_path):
