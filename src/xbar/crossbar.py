@@ -10,6 +10,10 @@ Measured column currents then pick up a calibrated column factor beta_j.
 The in-row fraction is the exact tridiagonal solve of the one-dimensional
 chain.  It folds the bitline return path into each cell as a series
 resistance of (m - i) segments, which is what makes the 1x1 case exact.
+The solve is a Thomas elimination in numpy with the bits of LAPACK's
+banded solver (_ladder_solve), so the model loads numpy alone: scipy
+serves only the nodal oracle's sparse reference route and its direct
+fallback.
 
 Runtime scales with the number of cells instead of the number of mesh
 nodes, which is the whole point: bit-error statistics need thousands of
@@ -46,10 +50,10 @@ from xbar.nodal import kirchhoff_solve, solve_linear_homogeneous
 
 INIT_BIAS = 0.05  # volts, first chord linearization point
 
-# cells per stack a campaign reads in one call: one 128x128 array, four
-# 64x64 or sixteen 32x32.  Past one 128x128 array a taller batch reads
-# slower per array than a stack of one.
-STACK_CELLS = 2**14
+# cells per stack a campaign reads in one call: two 128x128 arrays, eight
+# 64x64 or thirty-two 32x32.  Past that a taller batch reads 64x64 and
+# 128x128 arrays slower per array (README, "Stacked readouts").
+STACK_CELLS = 2**15
 
 SOLVERS = ("parametric", "kirchhoff")
 
@@ -80,26 +84,36 @@ def _ladder_fractions(c: np.ndarray) -> np.ndarray:
 
 def _ladder_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Node voltages of that ladder (source grounded) under the node
-    currents rhs, in units of one segment's conductance.
+    currents rhs, in units of one segment's conductance, for every row of
+    loads c along the last axis; a C-contiguous array shaped like c.
 
-    All rows go through one tridiagonal solve of their block-diagonal
-    stack.  The couplings between neighbouring rows are exact zeros, so
-    the elimination never mixes rows and each row gets the same bits a
-    solve of its own would give.  scipy.linalg is imported here, at the
-    first solve, so that commands which never read the ladder load no scipy.
+    Each row is the tridiagonal system with diagonal 2 + c_j (1 + c_j at
+    its far end) and -1 beside it, solved by Thomas elimination in the
+    arithmetic of LAPACK's dgtsv (Anderson et al., LAPACK Users' Guide,
+    3rd ed., 1999): with inv = 1/e_{j-1}, pivots e_j = d_j - inv and
+    forward sweep y_j += y_{j-1} inv; back substitution
+    x_j = (y_j + x_{j+1})/e_j.  Every load is at least 0, so |e_j| >= 1,
+    the off-diagonal's size, and dgtsv never swaps rows: the results are
+    its bits, up to the sign of a zero.  The sweeps run over columns, each
+    step one numpy operation on that column of every row, held contiguous
+    in (n, rows) work arrays.
     """
-    from scipy.linalg import solve_banded
-
     n = c.shape[-1]
-    diag = 1.0 + c.reshape(-1, n)
-    diag[:, :-1] += 1.0
-    off = np.full(diag.shape, -1.0)
-    off[:, -1] = 0.0  # no segment from a row's last node to the next row
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = off.ravel()[:-1]
-    ab[1] = diag.ravel()
-    ab[2, :-1] = off.ravel()[:-1]
-    return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
+    e = np.add(1.0, c.reshape(-1, n).T, out=np.empty((n, c.size // n)))
+    e[:-1] += 1.0
+    y = np.array(rhs.reshape(-1, n).T, order="C")
+    inv, carry = np.empty((2, e.shape[1]))
+    e_col, y_col = list(e), list(y)  # one view per column, made once
+    for j in range(1, n):
+        np.reciprocal(e_col[j - 1], out=inv)
+        np.subtract(e_col[j], inv, out=e_col[j])
+        np.multiply(y_col[j - 1], inv, out=carry)
+        np.add(y_col[j], carry, out=y_col[j])
+    np.divide(y_col[-1], e_col[-1], out=y_col[-1])
+    for j in range(n - 2, -1, -1):
+        np.add(y_col[j], y_col[j + 1], out=y_col[j])
+        np.divide(y_col[j], e_col[j], out=y_col[j])
+    return np.ascontiguousarray(y.T).reshape(c.shape)
 
 
 def calibrate_sneak_params(spec: CrossbarSpec) -> SneakParams:

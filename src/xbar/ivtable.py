@@ -7,6 +7,7 @@ conductances back out through bilinear interpolation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,6 +206,8 @@ class LookupPlan:
     its first axis (rows of an array).
     """
 
+    _CHORD_ROWS = 3  # leading per-cell float rows the chord paths read: 1 - wd, wd, hi
+
     def __init__(self, pair: StrandPair, bits, delta):
         which = (np.asarray(bits) == 1).astype(np.intp)
         self._tables = (pair.logic0_table, pair.logic1_table)
@@ -225,9 +228,10 @@ class LookupPlan:
         self._col, self._node, self._width = map(np.concatenate, zip(*v_axis))
         d_node, d_width, d_row0, d_row1 = map(np.concatenate, zip(*d_axis))
         # per cell, stacked so that a lookup on some rows gathers twice: offset
-        # weights (1 - wd, wd), bias bounds (lo, hi, lower, upper); key, row starts
+        # weights (1 - wd, wd) and bias bounds (hi, lo, lower, upper), the
+        # chord paths' three rows first; key and row starts
         bounds = np.array(
-            [[(g[0], g[-1], *_admissible(g)) for g in (t.v_grid, t.delta_grid)]
+            [[(g[-1], g[0], *_admissible(g)) for g in (t.v_grid, t.delta_grid)]
              for t in self._tables]
         ).T[..., which]
         d_key = which * d_grid.size - 1
@@ -236,10 +240,11 @@ class LookupPlan:
         wd = (q - d_node[k]) / d_width[k]
         self._cell = np.concatenate([np.stack([1 - wd, wd]), bounds[:, 0]])
         self._cell_index = np.stack([which * self._grid.size - 1, d_row0[k], d_row1[k]])
+        self._every = np.arange(self._cell.shape[1])
 
     def current(self, v, cells=slice(None)) -> np.ndarray:
         """Each cell's current (interpolate_current) at bias v."""
-        cell, index = self._select(cells)
+        cell, index = self._select(cells, len(self._cell))
         q = self._in_range(np.asarray(v, dtype=float), cell[2:], index[0], "v")
         return self._interpolate(q, cell, index)
 
@@ -247,8 +252,8 @@ class LookupPlan:
         """Each cell's chord conductance (small_signal_conductance) at |v|
         clamped to its table's bias range: iterates may overshoot the
         physical window, and a linearization point is free to sit anywhere."""
-        cell, index = self._select(cells)
-        v_eval = np.maximum(np.minimum(np.abs(v), cell[3]), V_FLOOR)
+        cell, index = self._select(cells, self._CHORD_ROWS)
+        v_eval = np.maximum(np.minimum(np.abs(v), cell[2]), V_FLOOR)
         return self._interpolate(v_eval, cell, index) / v_eval
 
     def chord_tangent(self, v, cells=slice(None)):
@@ -258,26 +263,27 @@ class LookupPlan:
         the chord itself outside, where that current is the secant through
         V_FLOOR or the ray through the table's end.  Both come from one
         search."""
-        cell, index = self._select(cells)
+        cell, index = self._select(cells, self._CHORD_ROWS)
         a = np.abs(v)
-        v_eval = np.maximum(np.minimum(a, cell[3]), V_FLOOR)
+        v_eval = np.maximum(np.minimum(a, cell[2]), V_FLOOR)
         g, slope = self._interpolate(v_eval, cell, index, slope=True)
         g /= v_eval
-        return g, np.where((a > V_FLOOR) & (a < cell[3]), slope, g)
+        return g, np.where((a > V_FLOOR) & (a < cell[2]), slope, g)
 
-    def _select(self, cells):
-        """The per-cell rows of the cells asked for; views, not copies, when
-        that is every cell in order."""
-        if not isinstance(cells, slice) and np.array_equal(cells, np.arange(len(self._cell[0]))):
+    def _select(self, cells, rows):
+        """The leading `rows` per-cell float rows and the index rows of the
+        cells asked for; views, not copies, when that is every cell in
+        order."""
+        if not isinstance(cells, slice) and np.array_equal(cells, self._every):
             cells = slice(None)
-        return self._cell[:, cells], self._cell_index[:, cells]
+        return self._cell[:rows, cells], self._cell_index[:, cells]
 
     def _in_range(self, q, bounds, key, name):
         """q clamped to each cell's own table range (lo, hi), after the
         per-table query's check on its admissible range (lower, upper),
         naming the first offending table; a cell's search offset key is
         negative on logic 0."""
-        lo, hi, lower, upper = bounds
+        hi, lo, lower, upper = bounds
         bad = (q < lower) | (q > upper)
         if np.any(bad):
             for bit, table in enumerate(self._tables):
@@ -386,6 +392,12 @@ def synthesize_table(
     """
     if r_low <= 0 or r_high <= 0:
         raise ValueError("resistances must be positive")
+    for name, r in (("r_low", r_low), ("r_high", r_high)):
+        if not math.isfinite(1.0 / float(r)):
+            raise ValueError(
+                f"1/{name} is not finite for {name} = {r:.6g} ohm; "
+                "resistances must have finite reciprocals"
+            )
     if r_low > r_high:
         raise ValueError("r_low must not exceed r_high")
     if not 0 < knee < 1:

@@ -245,6 +245,21 @@ def test_out_of_range_table_flag_exits_one_and_names_it(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_iv_synth_rejects_a_resistance_without_a_finite_reciprocal(tmp_path, capsys):
+    """A resistance so small that its conductance overflows is an input
+    error that says so, raised before any arithmetic can warn."""
+    out = tmp_path / "out"
+    argv = ["iv-synth", "--r-low", "5e-324", "--r-high", "1e6", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == cli.EXIT_INPUT
+    assert seen == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: --r-low, --r-high, --knee, --sensitivity: ")
+    assert "1/r_low is not finite for r_low = 4.94066e-324 ohm" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, message",
     [("mc", "every trial failed to converge"), ("store", "every tile failed to converge")],
@@ -1039,22 +1054,26 @@ def test_module_entry_point_runs():
     assert "iv-synth" in result.stdout
 
 
-# Imports xbar.cli, loads the shipped tables, then runs a tiny iv-gen (two
-# blocks of two orbitals, a 3 x 2 grid) and an 8 x 8 oracle on them, and
-# prints after each step the scipy modules it has loaded.
+# Blocks scipy, so that importing it raises, imports xbar.cli, loads the
+# shipped tables, then runs on them a tiny iv-gen (two blocks of two
+# orbitals, a 3 x 2 grid), an 8 x 8 oracle and solve, a two-trial mc and an
+# 8 x 8 store, and prints after each step the scipy modules it has loaded.
 NO_SCIPY_CHILD = """
 import sys
 from pathlib import Path
 
 import numpy as np
 
+sys.modules["scipy"] = None  # every import of scipy or a submodule now raises
+
 
 def step(name):
-    print("scipy after", name, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), flush=True)
+    loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+    print("scipy after", name, loaded, flush=True)
 
 
 import xbar.cli as cli
-from xbar import defaults, transport as tp
+from xbar import defaults, runio, transport as tp
 from xbar.model import CrossbarSpec, save_crossbar_spec
 
 step("import")
@@ -1070,16 +1089,26 @@ rng = np.random.default_rng(3)
 spec = CrossbarSpec(m=8, n=8, r_int=1e6, bits=rng.integers(0, 2, (8, 8)), pair=pair, delta=rng.uniform(0.0, 0.2, (8, 8)))
 paths = [str(defaults.shipped_table_path(name)) for name in (defaults.LOGIC1_NAME, defaults.LOGIC0_NAME)]
 save_crossbar_spec(spec, out / "spec.json", *paths)
-assert cli.main(["oracle", "--config", str(out / "spec.json"), "--out", str(out / "orc")]) == 0
-step("oracle")
+for command in ("oracle", "solve"):
+    assert cli.main([command, "--config", str(out / "spec.json"), "--out", str(out / command)]) == 0
+    step(command)
+tables = dict(zip(("logic1_table", "logic0_table"), paths))
+runio.dump_json({"m": 8, "n": 8, "r_int_ohm": 1e6, "delta_max_ev": 0.2, "seed": 1, "trials": 2, **tables}, out / "mc.json")
+(out / "img.bin").write_bytes(bytes(rng.integers(0, 256, 16, dtype=np.uint8)))
+runio.dump_json({"images": [{"path": "img.bin", "name": "img"}], "sizes": [[8, 8]], "r_int_ohm": [1e6]}, out / "store.json")
+for command in ("mc", "store"):
+    assert cli.main([command, "--config", str(out / f"{command}.json"), "--out", str(out / command)]) == 0
+    step(command)
 """
 
 
-def test_cli_loads_no_scipy_for_tables_iv_gen_or_oracle(tmp_path):
-    """A fresh interpreter that imports the CLI, loads the shipped tables and
-    runs iv-gen and the oracle never imports scipy: it is loaded only where
-    a command solves with it (the ladder and the oracle's sparse route)."""
+def test_cli_loads_no_scipy_for_tables_iv_gen_oracle_solve_mc_or_store(tmp_path):
+    """A fresh interpreter in which importing scipy fails imports the CLI,
+    loads the shipped tables and runs iv-gen, the oracle, solve, mc and
+    store, and never loads scipy: it is loaded only by the oracle's sparse
+    reference route and its direct fallback."""
     result = run_child(["-c", NO_SCIPY_CHILD, str(tmp_path)])
     assert result.returncode == 0, result.stderr
     steps = [line.split(" ", 3)[2:] for line in result.stdout.splitlines() if line.startswith("scipy after ")]
-    assert steps == [[name, "[]"] for name in ("import", "tables", "iv-gen", "oracle")]
+    names = ("import", "tables", "iv-gen", "oracle", "solve", "mc", "store")
+    assert steps == [[name, "[]"] for name in names]

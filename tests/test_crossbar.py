@@ -8,11 +8,12 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xbar import fixedpoint, ivtable, runio
 from xbar.crossbar import (
     _ladder_fractions,
+    _ladder_solve,
     _solve_rows,
     array_reader,
     calibrate_sneak_params,
@@ -284,6 +285,62 @@ def test_fractions_of_stacked_rows_match_single_rows():
     stacked = _ladder_fractions(loads)
     for row, c in zip(stacked, loads):
         assert np.array_equal(row, _ladder_fractions(c))
+
+
+def banded_ladder_solve(c, rhs):
+    """The ladder solve by LAPACK's gtsv through scipy.linalg.solve_banded,
+    on the assembled banded matrix of every row's system stacked block by
+    block: the reference _ladder_solve follows."""
+    from scipy.linalg import solve_banded
+
+    n = c.shape[-1]
+    diag = 1.0 + c.reshape(-1, n)
+    diag[:, :-1] += 1.0
+    off = np.full(diag.shape, -1.0)
+    off[:, -1] = 0.0  # no segment from a row's last node to the next row
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off.ravel()[:-1]
+    ab[1] = diag.ravel()
+    ab[2, :-1] = off.ravel()[:-1]
+    return solve_banded((1, 1), ab, rhs.ravel()).reshape(c.shape)
+
+
+@st.composite
+def ladder_systems(draw):
+    """Loads (0 or 1e-12 to 1e8) and node currents (-1 to 1) of 1-6
+    ladders of 1-9 columns, handed over as one 1-D row, as a C-ordered
+    stack, as a fancy-indexed subset of its rows or as a transposed view."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    layout = draw(st.sampled_from(["1-D", "stack", "subset", "transposed"]))
+    shape = (n, k) if layout == "transposed" else (k, n)
+    loads = st.one_of(st.just(0.0), st.floats(1e-12, 1e8))
+    c = draw(hnp.arrays(float, shape, elements=loads))
+    rhs = draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    if layout == "1-D":
+        return c[0], rhs[0]
+    if layout == "subset":
+        rows = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+        return c[rows], rhs[rows]
+    if layout == "transposed":
+        return c.T, rhs.T
+    return c, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_systems())
+@example((np.array([0.0]), np.array([1.0])))  # 1-D, one column
+@example((np.array([[3.0, 0.0]]), np.array([[1.0, -0.5]])))  # one row, two columns
+@example((np.zeros((3, 2)), np.ones((3, 2))))
+@example((np.full((2, 1), 1e8), np.array([[1e-12], [-1.0]])))
+def test_ladder_solve_is_lapacks_banded_solve(system):
+    """_ladder_solve returns a C-contiguous array shaped like its loads,
+    equal entry by entry to LAPACK's banded solve of the same systems:
+    bit for bit, up to the sign of a zero, which LAPACK's subtraction of
+    zero fill terms can flip."""
+    c, rhs = system
+    got = _ladder_solve(c, rhs)
+    assert got.shape == c.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, banded_ladder_solve(c, rhs))
 
 
 # --- stacks of arrays -----------------------------------------------------
